@@ -26,20 +26,6 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True)
-class CartanData:
-    n: int
-    C: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.C != cartan_matrix(self.n):
-            raise IncompatibleError("C is not the A_{n-1} Cartan matrix")
-
-    @classmethod
-    def of_rank(cls, n: int) -> "CartanData":
-        return cls(n, cartan_matrix(n))
-
-
-@dataclass(frozen=True)
 class Weight:
     """sl_n weight stored in fundamental-weight coordinates."""
 

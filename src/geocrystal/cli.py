@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import crystal as crystal_mod
 from . import suites
@@ -28,22 +27,6 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    suite: str | None = None
-    n: int | None = None
-    d: int | None = None
-    w: tuple[int, ...] | None = None
-    n_max: int = 4
-    samples: int = 50
-    seed: int | None = None
-    budget: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-    input_path: str | None = None
-
-
 def _parse_weight(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split(","))
@@ -52,6 +35,22 @@ def _parse_weight(text: str) -> tuple[int, ...]:
     if any(p < 0 for p in parts):
         raise argparse.ArgumentTypeError("weight entries must be non-negative")
     return parts
+
+
+def _int_at_least(low: int):
+    """argparse type: an int >= low, so a size that would check nothing is a
+    usage error rather than a vacuous pass."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["maffei", "signs", "crystal", "quotients", "all"],
     )
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--d", type=int)
+    verify.add_argument("--n", type=_int_at_least(2))
+    verify.add_argument("--d", type=_int_at_least(0))
     verify.add_argument("--w", type=_parse_weight)
-    verify.add_argument("--n-max", type=int, default=4)
-    verify.add_argument("--samples", type=int, default=50)
+    verify.add_argument("--n-max", type=_int_at_least(2), default=4)
+    verify.add_argument("--samples", type=_int_at_least(1), default=50)
     verify.add_argument("--seed", type=int)
     verify.add_argument("--budget", type=int)
     verify.add_argument("--format", dest="fmt", choices=["json", "text"], default="json")
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--dump-bundles", dest="dump_bundles")
 
     crystal = sub.add_parser("crystal", help="emit a highest weight crystal")
-    crystal.add_argument("--n", type=int, required=True)
+    crystal.add_argument("--n", type=_int_at_least(2), required=True)
     crystal.add_argument("--w", type=_parse_weight, required=True)
     crystal.add_argument("--format", dest="fmt", choices=["dot", "json"], default="json")
     crystal.add_argument("--out")
@@ -90,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     theta_cmd.add_argument("--out")
 
     quotients = sub.add_parser("quotients", help="alias for verify --suite quotients")
-    quotients.add_argument("--n", type=int, required=True)
-    quotients.add_argument("--d", type=int, required=True)
+    quotients.add_argument("--n", type=_int_at_least(2), required=True)
+    quotients.add_argument("--d", type=_int_at_least(0), required=True)
     quotients.add_argument("--budget", type=int)
     quotients.add_argument("--format", dest="fmt", choices=["json", "text"], default="json")
     quotients.add_argument("--out")
@@ -223,28 +222,8 @@ def cmd_theta(args) -> int:
     flag = theta(point, ctx)
     rng = random.Random(args.seed)
     result = suites.check_theta_point(point, ctx, rng)
-    names = (
-        "comm1",
-        "comm2",
-        "flag-subspace",
-        "surjectivity",
-        "epsilon-agreement",
-        "reduction-intertwining",
-        "hecke-compatibility",
-    )
-    markers = {
-        "comm1": "comm1",
-        "comm2": "comm2",
-        "flag-subspace": "flag-subspace",
-        "surjectivity": "rank phi",
-        "epsilon-agreement": "epsilon point/flag",
-        "reduction-intertwining": "reduction",
-        "hecke-compatibility": "Hecke",
-    }
-    invariants = {
-        name: not any(markers[name] in msg for msg in result["failures"])
-        for name in names
-    }
+    failed = result["failed_invariants"]
+    invariants = {name: name not in failed for name in suites.THETA_INVARIANTS}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "theta",

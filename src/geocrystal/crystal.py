@@ -88,22 +88,6 @@ def word_weight(word: Word, n: int) -> Weight:
 
 
 @dataclass(frozen=True)
-class TensorWordOps:
-    eps: int
-    phi: int
-    e_result: Word | None
-    f_result: Word | None
-
-
-def tensor_word_ops(word, k: int) -> TensorWordOps:
-    """All four bracketing statistics/operators for one word and vertex."""
-    word = tuple(int(a) for a in word)
-    return TensorWordOps(
-        eps_k(word, k), phi_k_word(word, k), e_op(word, k), f_op(word, k)
-    )
-
-
-@dataclass(frozen=True)
 class CrystalVertex:
     word: Word
     wt: Weight
@@ -202,13 +186,6 @@ def yamanouchi_seed(w) -> Word:
     return tuple(word)
 
 
-def standard_crystal(n: int) -> CrystalGraph:
-    """The letter crystal: vertices 1..n with f_k(k) = k+1."""
-    if n < 2:
-        raise InvalidRankError(f"n must be >= 2, got {n}")
-    return highest_weight_crystal(HighestWeight((1,) + (0,) * (n - 2)))
-
-
 def highest_weight_crystal(w) -> CrystalGraph:
     """Closure of the Yamanouchi seed of shape lambda(w) under all f_k."""
     w = as_highest_weight(w)
@@ -225,14 +202,6 @@ def highest_weight_crystal(w) -> CrystalGraph:
             f"seed weight {seed_wt.omega} != {w.w}"
         )
     return _close_under_f(seed, n, w)
-
-
-def vertex_stats(
-    g: CrystalGraph, word
-) -> tuple[Weight, Composition, tuple[int, ...], tuple[int, ...]]:
-    """(wt, composition, eps list, phi list) for a vertex of the graph."""
-    vx = g.stats(word)
-    return vx.wt, vx.a, vx.eps, vx.phi
 
 
 def weight_multiplicity(g: CrystalGraph, a) -> int:

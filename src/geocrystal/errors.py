@@ -21,10 +21,6 @@ class IncompatibleError(GeoCrystalError, ValueError):
     """Inputs fail a required compatibility condition (e.g. sum mismatch)."""
 
 
-class GhostShiftError(GeoCrystalError, ValueError):
-    """A composition shift hit the ghost composition."""
-
-
 class SizeMismatchError(GeoCrystalError, ValueError):
     """Sizes of combinatorial data disagree (|partition| vs total, etc.)."""
 

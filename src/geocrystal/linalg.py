@@ -36,12 +36,6 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-def frac_str(x: Fraction) -> str:
-    """Serialize a rational as "p/q" with q > 0 and gcd(p, q) = 1."""
-    x = _frac(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _int_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """Exact entries as integer rows over their least common denominator."""
     if all(type(e) is int for row in rows for e in row):
@@ -369,7 +363,13 @@ class RatMat:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RatMat":
-        m = cls(obj["entries"], cols=obj["cols"])
+        """Inverse of to_json; a malformed payload raises ValueError or KeyError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"matrix payload must be an object, not {type(obj).__name__}")
+        try:
+            m = cls(obj["entries"], cols=obj["cols"])
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad matrix entries: {exc}") from exc
         if m.rows != obj["rows"]:
             raise DimensionMismatchError("row count disagrees with payload")
         return m
@@ -490,11 +490,6 @@ def full_space(ambient_dim: int) -> Subspace:
 def kernel(m: RatMat) -> Subspace:
     """The canonical subspace {x : m x = 0}."""
     return _span(_kernel_ints(m.num, m.cols)[0], m.cols)
-
-
-def kernel_and_image(m: RatMat) -> tuple[Subspace, Subspace]:
-    """(ker m, im m); dim ker + dim im = cols by rank-nullity."""
-    return kernel(m), canonicalize(m, m.rows)
 
 
 def intersect_and_sum(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:

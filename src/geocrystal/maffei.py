@@ -9,7 +9,6 @@ be wrong on the v = 0 point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cartan import as_highest_weight
 from .errors import (
@@ -19,15 +18,7 @@ from .errors import (
     LambdaPreconditionError,
 )
 from .flag import Flag, NilEndo, block_shift_x
-from .linalg import (
-    RatMat,
-    Subspace,
-    canonicalize,
-    embed,
-    full_space,
-    kernel,
-    zero_space,
-)
+from .linalg import RatMat, embed, full_space, kernel, zero_space
 from .quiver import QuiverRep, in_Lambda, is_stable
 
 
@@ -82,59 +73,35 @@ def enum_paths(n: int) -> list[LeftRightPath]:
 class ThetaContext:
     """Fixed identification of the sum of copies W_k^(m) with Q^d.
 
-    Blocks are laid out lexicographically by (k, m); block (k, m) has size
-    w_k.  W^{<=k} collects the copies with m <= k and its dimension is
-    sum_l min(l, k) w_l.
+    Blocks are laid out lexicographically by (k, m), as in block_shift_x;
+    block (k, m) has size w_k.  W^{<=k} collects the copies with m <= k and
+    its dimension is sum_l min(l, k) w_l.
     """
 
-    __slots__ = ("n", "w", "d", "offsets", "labels")
+    __slots__ = ("n", "w", "d", "labels", "_x")
 
     def __init__(self, w):
         w = as_highest_weight(w)
-        offsets: dict[tuple[int, int], int] = {}
-        labels: list[tuple[int, int]] = []
-        pos = 0
-        for k in range(1, w.n):
-            for m in range(1, k + 1):
-                offsets[(k, m)] = pos
-                labels.extend([(k, m)] * w[k - 1])
-                pos += w[k - 1]
+        x, labels = block_shift_x(w)
         object.__setattr__(self, "n", w.n)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "d", pos)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "d", x.d)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_x", x)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaContext is immutable")
 
-    def block_coords(self, k: int, m: int) -> range:
-        off = self.offsets[(k, m)]
-        return range(off, off + self.w[k - 1])
-
     def wleq_coords(self, k: int) -> list[int]:
         """Global coordinates of W^{<=k}, in ascending order."""
-        coords = []
-        for l in range(1, self.n):
-            for m in range(1, min(l, k) + 1):
-                coords.extend(self.block_coords(l, m))
-        return coords
+        return [c for c, (_, m) in enumerate(self.labels) if m <= k]
 
     def wleq_dim(self, k: int) -> int:
         return sum(min(l, k) * self.w[l - 1] for l in range(1, self.n))
 
-    def wleq_subspace(self, k: int) -> Subspace:
-        vectors = []
-        for c in self.wleq_coords(k):
-            v = [Fraction(0)] * self.d
-            v[c] = Fraction(1)
-            vectors.append(tuple(v))
-        return canonicalize(vectors, self.d)
-
     def x(self) -> NilEndo:
-        endo, labels = block_shift_x(self.w)
-        assert labels == self.labels
-        return endo
+        """The canonical block-shift nilpotent of w on this layout."""
+        return self._x
 
 
 def _path_matrix(r: QuiverRep, path: LeftRightPath) -> RatMat:

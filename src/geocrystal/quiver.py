@@ -160,6 +160,8 @@ class QuiverRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuiverRep":
+        if not isinstance(obj, dict) or not isinstance(obj.get("maps", {}), dict):
+            raise ValueError("a quiver point is an object whose 'maps' is an object")
         n = int(obj["n"])
         B: dict[Edge, RatMat] = {}
         i: dict[int, RatMat] = {}

@@ -1,5 +1,5 @@
-"""Explicit tensor representation of sl_n on (Q^n)^{tensor d}, its
-decomposition into irreducibles, the two quotient dimensions, Kostka and RSK
+"""Decomposition of the tensor powers (Q^n)^{tensor d} of the natural sl_n
+module into irreducibles, the two quotient dimensions, Kostka and RSK
 combinatorics, and the closing rank-3 separation example.
 
 Multiplicities are certified exact: singular-vector ranks are computed modulo
@@ -16,7 +16,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy import sparse
 
 from .cartan import (
     HighestWeight,
@@ -61,66 +60,6 @@ def _check_budget(n: int, d: int, budget: int | None) -> None:
         raise BudgetExceededError(
             f"n^d = {n**d} exceeds the size budget {size_budget(budget)}"
         )
-
-
-@dataclass(frozen=True)
-class TensorAction:
-    """Chevalley generators acting on the lex-ordered word basis of (Q^n)^d."""
-
-    n: int
-    d: int
-    dim: int
-    e: dict[int, sparse.csr_matrix]
-    f: dict[int, sparse.csr_matrix]
-    h: dict[int, sparse.csr_matrix]
-
-
-def _word_index(word: tuple[int, ...], n: int) -> int:
-    idx = 0
-    for letter in word:
-        idx = idx * n + (letter - 1)
-    return idx
-
-
-def tensor_action(n: int, d: int, budget: int | None = None) -> TensorAction:
-    """Leibniz-rule action of e_k, f_k, h_k on pure tensors, exact integers."""
-    _check_budget(n, d, budget)
-    dim = n**d
-    e: dict[int, sparse.csr_matrix] = {}
-    f: dict[int, sparse.csr_matrix] = {}
-    h: dict[int, sparse.csr_matrix] = {}
-    words = list(product(range(1, n + 1), repeat=d))
-    for k in range(1, n):
-        e_rows, e_cols, e_vals = [], [], []
-        f_rows, f_cols, f_vals = [], [], []
-        h_vals = np.zeros(dim, dtype=np.int64)
-        for word in words:
-            col = _word_index(word, n)
-            weight = 0
-            for pos, letter in enumerate(word):
-                if letter == k + 1:
-                    weight -= 1
-                    target = word[:pos] + (k,) + word[pos + 1 :]
-                    e_rows.append(_word_index(target, n))
-                    e_cols.append(col)
-                    e_vals.append(1)
-                elif letter == k:
-                    weight += 1
-                    target = word[:pos] + (k + 1,) + word[pos + 1 :]
-                    f_rows.append(_word_index(target, n))
-                    f_cols.append(col)
-                    f_vals.append(1)
-            h_vals[col] = weight
-        e[k] = sparse.csr_matrix(
-            (np.array(e_vals, dtype=np.int64), (e_rows, e_cols)), shape=(dim, dim)
-        )
-        f[k] = sparse.csr_matrix(
-            (np.array(f_vals, dtype=np.int64), (f_rows, f_cols)), shape=(dim, dim)
-        )
-        h[k] = sparse.csr_matrix(
-            (h_vals, (range(dim), range(dim))), shape=(dim, dim)
-        )
-    return TensorAction(n, d, dim, e, f, h)
 
 
 @dataclass(frozen=True)

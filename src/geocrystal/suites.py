@@ -189,20 +189,42 @@ def _rank(m: RatMat) -> int:
     return len(rref(m)[1])
 
 
+# The per-point invariants a theta run reports by name; the other checks of
+# check_theta_point (composition, fiber, dominance, gauge, special form) fail
+# the point without naming one of these.
+THETA_INVARIANTS = (
+    "comm1",
+    "comm2",
+    "flag-subspace",
+    "surjectivity",
+    "epsilon-agreement",
+    "reduction-intertwining",
+    "hecke-compatibility",
+)
+
+
 def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> dict:
-    """All per-point identities; returns counters and failure strings."""
+    """All per-point identities; returns counters, failure strings and the
+    names (from THETA_INVARIANTS) of the invariants that failed."""
     failures: list[str] = []
+    failed: set[str] = set()
     n = ctx.n
     d = ctx.d
     tag = f"(n={n}, v={r.v.v}, w={r.w.w})"
+
+    def fail(invariant: str | None, msg: str) -> None:
+        if invariant is not None:
+            failed.add(invariant)
+        _record(failures, f"{tag}: {msg}")
+
     x = ctx.x()
     F = theta(r, ctx)
     a = a_of_vw(r.v, r.w)
     hecke_cases = 0
     if composition_of(F) != a:
-        _record(failures, f"{tag}: composition_of(theta) != a(v,w)")
+        fail(None, "composition_of(theta) != a(v,w)")
     if not flag_membership(x, F):
-        _record(failures, f"{tag}: theta output not in the fiber of x")
+        fail(None, "theta output not in the fiber of x")
     type_of_x = Partition(
         tuple(
             sorted(
@@ -211,16 +233,16 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
         )
     )
     if d > 0 and not dominates(jordan_type(a), type_of_x):
-        _record(failures, f"{tag}: composition type does not dominate type of x")
+        fail(None, "composition type does not dominate type of x")
     phis = {k: phi_k(r, ctx, k) for k in range(1, n)}
     for k in range(1, n):
         if _rank(phis[k]) != r.v[k - 1]:
-            _record(failures, f"{tag}: rank phi_{k} != v_{k}")
+            fail("surjectivity", f"rank phi_{k} != v_{k}")
         if k >= 2:
             lhs = r.B[(k, k - 1)] * phis[k]
             rhs = phis[k - 1] * _restricted_x_matrix(ctx, x.x, k)
             if lhs != rhs:
-                _record(failures, f"{tag}: comm1 fails at k={k}")
+                fail("comm1", f"comm1 fails at k={k}")
         if k <= n - 2:
             lhs = r.B[(k, k + 1)] * phis[k]
             src = ctx.wleq_coords(k)
@@ -228,21 +250,21 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
             cols = [positions[c] for c in src]
             restricted = phis[k + 1].select(range(phis[k + 1].rows), cols)
             if lhs != restricted:
-                _record(failures, f"{tag}: comm2 fails at k={k}")
+                fail("comm2", f"comm2 fails at k={k}")
         kernel_k = joint_outgoing_kernel(r, k)
         lhs_sub = embed(preimage(phis[k], kernel_k), ctx.wleq_coords(k), d)
         rhs_sub, _ = intersect_and_sum(preimage(x.x, F[k - 1]), F[k + 1])
         if lhs_sub != rhs_sub:
-            _record(failures, f"{tag}: flag-subspace fails at k={k}")
+            fail("flag-subspace", f"flag-subspace fails at k={k}")
         eps_pt = epsilon_k_point(r, k)
         if eps_pt != epsilon_k_flag(F, x, k):
-            _record(failures, f"{tag}: epsilon point/flag disagree at k={k}")
+            fail("epsilon-agreement", f"epsilon point/flag disagree at k={k}")
         reduced, c_pt = kashiwara_reduce(r, k)
         F_red, c_fl = flag_reduce(F, x, k)
         if c_pt != c_fl:
-            _record(failures, f"{tag}: reduction multiplicities differ at k={k}")
+            fail("reduction-intertwining", f"reduction multiplicities differ at k={k}")
         if theta(reduced, ctx) != F_red:
-            _record(failures, f"{tag}: reduction intertwining fails at k={k}")
+            fail("reduction-intertwining", f"reduction intertwining fails at k={k}")
         if eps_pt >= 1:
             line = canonicalize([kernel_k.basis.column(0)], r.v[k - 1])
             spaces = {
@@ -253,19 +275,23 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
             F_q = theta(quotient, ctx)
             hecke_cases += 1
             if not is_hecke_pair(F_q, F, k):
-                _record(failures, f"{tag}: Hecke pair fails at k={k}")
+                fail("hecke-compatibility", f"Hecke pair fails at k={k}")
             if composition_of(F_q) != comp_shift(a, k, +1):
-                _record(failures, f"{tag}: Hecke composition is not a_k^+ at k={k}")
+                fail("hecke-compatibility", f"Hecke composition is not a_k^+ at k={k}")
     g = random_gauge(rng, r.v)
     if theta(apply_gauge(r, g), ctx) != F:
-        _record(failures, f"{tag}: theta is not gauge invariant")
+        fail(None, "theta is not gauge invariant")
     if all(r.w[t] == 0 for t in range(1, n - 1)):
         x_w1, F_w1 = theta_w1_special(r)
         if not x_w1.is_zero():
-            _record(failures, f"{tag}: special-form x nonzero on a Lagrangian point")
+            fail(None, "special-form x nonzero on a Lagrangian point")
         if F_w1 != F:
-            _record(failures, f"{tag}: special form disagrees with theta")
-    return {"failures": failures, "hecke_cases": hecke_cases}
+            fail(None, "special form disagrees with theta")
+    return {
+        "failures": failures,
+        "failed_invariants": failed,
+        "hecke_cases": hecke_cases,
+    }
 
 
 def suite_maffei(n: int, w, samples: int, seed: int) -> dict:
@@ -303,7 +329,7 @@ def suite_maffei(n: int, w, samples: int, seed: int) -> dict:
         "hecke_cases": hecke_cases,
         "sampler_exhaustions": exhausted,
         "failures": failures,
-        "pass": not failures and points >= samples,
+        "pass": not failures and points >= max(samples, 1),
     }
 
 
@@ -390,7 +416,7 @@ def suite_crystal(n_max: int = 4, level_max: int = 8) -> dict:
         "crystals": crystals,
         "vertices": vertices,
         "failures": failures,
-        "pass": not failures,
+        "pass": not failures and crystals > 0,
     }
 
 

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from geocrystal import suites
+from geocrystal.cli import main
 from geocrystal.linalg import RatMat
 from geocrystal.quiver import QuiverRep
 
@@ -60,11 +62,46 @@ def test_theta_predicate_failure(p0_file, tmp_path):
     assert "in_Lambda: j nonzero" in result.stderr
 
 
-def test_theta_malformed_input(tmp_path):
+def _malformed_points(payload):
+    """Parseable JSON that is not a quiver point, built from a valid one."""
+    div0 = json.loads(json.dumps(payload))
+    div0["maps"]["i:1"]["entries"] = [["1/0"]]
+    floats = json.loads(json.dumps(payload))
+    floats["maps"]["i:1"]["entries"] = [[0.5]]
+    maps_list = dict(payload, maps=list(payload["maps"].values()))
+    return {
+        "1/0 entry": div0,
+        "float entry": floats,
+        "maps list": maps_list,
+        "top-level array": [payload],
+    }
+
+
+def test_theta_malformed_input(p0_file, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     result = run_cli("theta", "--input", str(bad))
     assert result.returncode == 2
+    for name, payload in _malformed_points(json.loads(p0_file.read_text())).items():
+        bad.write_text(json.dumps(payload))
+        assert main(["theta", "--input", str(bad)]) == 2, name
+
+
+@pytest.mark.parametrize(
+    "target, replacement, invariant",
+    [
+        ("is_hecke_pair", lambda *args: False, "hecke-compatibility"),
+        ("_rank", lambda m: -1, "surjectivity"),
+    ],
+)
+def test_theta_names_failed_invariant(
+    p0_file, monkeypatch, capsys, target, replacement, invariant
+):
+    monkeypatch.setattr(suites, target, replacement)
+    assert main(["theta", "--input", str(p0_file)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [k for k, ok in payload["invariants"].items() if not ok] == [invariant]
+    assert payload["failures"]
 
 
 def test_crystal_dot(tmp_path):
@@ -104,6 +141,36 @@ def test_verify_requires_seed_for_sampling():
 def test_usage_error_exit_code():
     assert run_cli("verify").returncode == 2
     assert run_cli("frobnicate").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --suite maffei --samples 0 --seed 1",
+        "verify --suite maffei --samples -3 --seed 1",
+        "verify --suite crystal --n-max 1",
+        "verify --suite signs --n-max 1",
+        "quotients --n 3 --d -1",
+        "quotients --n 1 --d 3",
+        "verify --suite maffei --n 1 --seed 1",
+    ],
+)
+def test_size_out_of_range_is_usage_error(argv):
+    assert main(argv.split()) == 2
+
+
+def test_suites_never_pass_vacuously():
+    report = suites.suite_maffei(3, (1, 1), 0, 1)
+    assert report["points_checked"] == 0 and report["pass"] is False
+    report = suites.suite_crystal(n_max=1)
+    assert report["crystals"] == 0 and report["pass"] is False
+
+
+def test_cli_import_skips_scipy():
+    code = "import sys, geocrystal.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_determinism_byte_identical(p0_file, tmp_path):

@@ -6,13 +6,12 @@ from geocrystal.crystal import (
     crystal_to_dot,
     crystal_to_json,
     e_op,
+    eps_k,
     f_op,
     highest_weight_crystal,
-    standard_crystal,
+    phi_k_word,
     stembridge_verify,
     strata_maps,
-    tensor_word_ops,
-    vertex_stats,
     weight_multiplicity,
     yamanouchi_seed,
 )
@@ -22,9 +21,10 @@ from geocrystal.cartan import hw_to_partition
 
 
 def test_standard_crystal():
-    g2 = standard_crystal(2)
+    # the letter crystal B(omega_1): vertices 1..n with f_k(k) = k+1
+    g2 = highest_weight_crystal((1,))
     assert len(g2) == 2 and len(g2.f_edges) == 1
-    g3 = standard_crystal(3)
+    g3 = highest_weight_crystal((1, 0))
     assert sorted(g3.vertices) == [(1,), (2,), (3,)]
     assert g3.f((1,), 1) == (2,)
     assert g3.f((2,), 2) == (3,)
@@ -40,11 +40,9 @@ def test_golden_bracketing_convention():
     assert f_op((2, 1), 1) == (2, 2)
     assert e_op((2, 2), 1) == (2, 1)
     assert e_op((1, 2), 1) is None  # cancelled pair
-    ops = tensor_word_ops((2, 1), 1)
-    assert (ops.eps, ops.phi) == (1, 1)
-    assert ops.e_result == (1, 1) and ops.f_result == (2, 2)
-    ops11 = tensor_word_ops((1, 1), 1)
-    assert ops11.phi == 2
+    assert (eps_k((2, 1), 1), phi_k_word((2, 1), 1)) == (1, 1)
+    assert e_op((2, 1), 1) == (1, 1) and f_op((2, 1), 1) == (2, 2)
+    assert phi_k_word((1, 1), 1) == 2
     down2 = f_op(f_op((1, 1), 1), 1)
     assert e_op(e_op(down2, 1), 1) == (1, 1)
 
@@ -66,21 +64,21 @@ def test_highest_weight_crystal_sizes():
 
 def test_vertex_stats():
     g = highest_weight_crystal((1, 1))
-    wt, a, eps, phi = vertex_stats(g, g.highest)
-    assert a.parts == (2, 1, 0)
-    assert eps == (0, 0)
-    assert wt == Weight((1, 1))
+    top = g.stats(g.highest)
+    assert top.a.parts == (2, 1, 0)
+    assert top.eps == (0, 0)
+    assert top.wt == Weight((1, 1))
     lowest = next(
         w for w in g.sorted_words() if g.vertices[w].phi == (0, 0)
     )
-    _, a_low, _, phi_low = vertex_stats(g, lowest)
-    assert a_low.parts == (0, 1, 2) and phi_low == (0, 0)
+    low = g.stats(lowest)
+    assert low.a.parts == (0, 1, 2) and low.phi == (0, 0)
     for word in g.sorted_words():
-        wt_x, _, eps_x, phi_x = vertex_stats(g, word)
+        vx = g.stats(word)
         for k in (1, 2):
-            assert phi_x[k - 1] - eps_x[k - 1] == pair_with_coroot(wt_x, k)
+            assert vx.phi[k - 1] - vx.eps[k - 1] == pair_with_coroot(vx.wt, k)
     with pytest.raises(IncompatibleError):
-        vertex_stats(g, (9, 9, 9))
+        g.stats((9, 9, 9))
 
 
 def test_weight_multiplicity():
@@ -93,7 +91,7 @@ def test_weight_multiplicity():
 def test_stembridge_pass_and_corruption():
     g = highest_weight_crystal((1, 1))
     assert stembridge_verify(g).ok
-    assert stembridge_verify(standard_crystal(4)).ok
+    assert stembridge_verify(highest_weight_crystal((1, 0, 0))).ok
 
     edges = dict(g.f_edges)
     (src, k), dst = next(sk_d for sk_d in edges.items() if sk_d[0][1] == 1)

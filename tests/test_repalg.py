@@ -12,31 +12,14 @@ from geocrystal.repalg import (
     margin_matrix_count,
     rsk,
     rsk_inverse,
-    tensor_action,
     verify_sl3_example,
     _singular_multiplicities,
 )
 
 
-def test_tensor_action_examples():
-    ta = tensor_action(2, 1)
-    assert ta.e[1].toarray().tolist() == [[0, 1], [0, 0]]
-    ta22 = tensor_action(2, 2)
-    assert ta22.h[1].diagonal().tolist() == [2, 0, 0, -2]
-
-
-def test_tensor_action_commutators():
-    for n, d in [(2, 2), (3, 2), (2, 3)]:
-        ta = tensor_action(n, d)
-        for k in range(1, n):
-            assert ((ta.e[k] @ ta.f[k] - ta.f[k] @ ta.e[k]) - ta.h[k]).nnz == 0
-            assert ((ta.h[k] @ ta.e[k] - ta.e[k] @ ta.h[k]) - 2 * ta.e[k]).nnz == 0
-            assert ((ta.h[k] @ ta.f[k] - ta.f[k] @ ta.h[k]) + 2 * ta.f[k]).nnz == 0
-
-
 def test_budget():
     with pytest.raises(BudgetExceededError):
-        tensor_action(10, 10)
+        decompose_tensor(10, 10)
     with pytest.raises(BudgetExceededError):
         decompose_tensor(4, 4, budget=10)
 
@@ -185,9 +168,9 @@ def test_quotient_dimension_inequality():
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("GEOCRYSTAL_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        tensor_action(3, 3)
+        decompose_tensor(3, 3)
     monkeypatch.setenv("GEOCRYSTAL_BUDGET", "1000000")
-    assert tensor_action(3, 3).dim == 27
+    assert decompose_tensor(3, 3).total == 27
 
 
 def test_verify_sl3_example_tamper(monkeypatch):
