@@ -72,9 +72,6 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.omega))
 
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.omega)
-
     def to_json(self) -> list[int]:
         return list(self.omega)
 

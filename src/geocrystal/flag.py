@@ -30,8 +30,8 @@ from .linalg import (
     contains,
     contains_image,
     intersect_and_sum,
+    power_ranks,
     preimage,
-    rref,
 )
 
 
@@ -45,12 +45,9 @@ class NilEndo:
             raise DimensionMismatchError("endomorphism must be square")
         if n < 2:
             raise InvalidRankError(f"n must be >= 2, got {n}")
-        degree = 0
-        power = RatMat.identity(x.rows)
-        while degree <= n and not power.is_zero():
-            power = power * x
-            degree += 1
-        if degree > n:
+        ranks = power_ranks(x)
+        degree = len(ranks) - 1
+        if ranks[-1] or degree > n:
             raise IncompatibleError(f"x^{n} != 0: not nilpotent of degree <= n")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "n", n)
@@ -277,14 +274,19 @@ def is_hecke_pair(Fp: Flag, F: Flag, k: int) -> bool:
     return Fp[k].dim == F[k].dim + 1 and contains(Fp[k], F[k])
 
 
-def epsilon_k_flag(F: Flag, x: NilEndo, k: int) -> int:
-    """dim(F_{k+1} ∩ x^{-1}(F_{k-1})) - dim F_k; requires F in the fiber of x."""
+def _max_admissible(F: Flag, x: NilEndo, k: int) -> Subspace:
+    """F_{k+1} ∩ x^{-1}(F_{k-1}), the largest subspace that can stand in for
+    F_k; requires 1 <= k <= n - 1 and F in the fiber of x."""
     if not 1 <= k <= F.n - 1:
         raise InvalidRankError(f"index {k} out of range")
     if not flag_membership(x, F):
         raise MembershipError("flag is not compatible with x")
-    meet, _ = intersect_and_sum(F[k + 1], preimage(x.x, F[k - 1]))
-    return meet.dim - F[k].dim
+    return intersect_and_sum(F[k + 1], preimage(x.x, F[k - 1]))[0]
+
+
+def epsilon_k_flag(F: Flag, x: NilEndo, k: int) -> int:
+    """dim(F_{k+1} ∩ x^{-1}(F_{k-1})) - dim F_k; requires F in the fiber of x."""
+    return _max_admissible(F, x, k).dim - F[k].dim
 
 
 def flag_reduce(F: Flag, x: NilEndo, k: int) -> tuple[Flag, int]:
@@ -293,11 +295,7 @@ def flag_reduce(F: Flag, x: NilEndo, k: int) -> tuple[Flag, int]:
     The output is again in the fiber of x, has epsilon_k = 0, and its
     composition is the (k, c)-shift of the input composition, c = epsilon_k(F).
     """
-    if not 1 <= k <= F.n - 1:
-        raise InvalidRankError(f"index {k} out of range")
-    if not flag_membership(x, F):
-        raise MembershipError("flag is not compatible with x")
-    meet, _ = intersect_and_sum(F[k + 1], preimage(x.x, F[k - 1]))
+    meet = _max_admissible(F, x, k)
     c = meet.dim - F[k].dim
     if c == 0:
         return F, 0
@@ -310,17 +308,9 @@ def nilpotent_jordan_type(x: RatMat) -> Partition:
     """Jordan type from exact ranks of powers: lambda'_s = rk x^{s-1} - rk x^s."""
     if x.rows != x.cols:
         raise DimensionMismatchError("Jordan type of non-square matrix")
-    d = x.rows
-    ranks = []
-    power = RatMat.identity(d)
-    while True:
-        _, pivots = rref(power)
-        ranks.append(len(pivots))
-        if ranks[-1] == 0:
-            break
-        if len(ranks) > d + 1:
-            raise IncompatibleError("matrix is not nilpotent")
-        power = power * x
+    ranks = power_ranks(x)
+    if ranks[-1]:
+        raise IncompatibleError("matrix is not nilpotent")
     conj = [ranks[s - 1] - ranks[s] for s in range(1, len(ranks))]
     parts: list[int] = []
     for size, count in enumerate(
@@ -385,7 +375,8 @@ def sl2_slice(x: NilEndo) -> tuple[Sl2Triple, Callable[[RatMat], bool]]:
     def member(u: RatMat) -> bool:
         if u.shape != (d, d):
             raise DimensionMismatchError("candidate has wrong shape")
-        if not u.power(x.n).is_zero():
+        ranks = power_ranks(u)
+        if ranks[-1] or len(ranks) - 1 > x.n:
             return False
         diff = u - x.x
         return (diff * triple.y - triple.y * diff).is_zero()

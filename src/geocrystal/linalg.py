@@ -187,6 +187,25 @@ class RatMat:
         num, den = _int_rows(columns)
         return cls._exact(tuple(_transpose(num, rows)), len(columns), den)
 
+    @classmethod
+    def block(cls, grid: Sequence[Sequence["RatMat"]]) -> "RatMat":
+        """The matrix assembled from a grid of blocks, over one common denominator.
+
+        The blocks of a grid row share their row count, and every grid row has
+        the same column counts; a grid row without blocks adds no rows.
+        """
+        widths = [b.cols for b in grid[0]] if grid else []
+        for row in grid:
+            if [b.cols for b in row] != widths or any(b.rows != row[0].rows for b in row):
+                raise DimensionMismatchError("blocks do not line up")
+        # gcd(den, num) stays 1: a prime power dividing den exactly divides the
+        # denominator of some block, whose numerators it does not all divide.
+        den = lcm(*(b.den for row in grid for b in row))
+        num = []
+        for row in grid:
+            num.extend(sum(parts, ()) for parts in zip(*(b._scaled_to(den) for b in row)))
+        return cls._exact(tuple(num), sum(widths), den)
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -300,42 +319,10 @@ class RatMat:
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
-    def power(self, e: int) -> "RatMat":
-        if self.rows != self.cols:
-            raise DimensionMismatchError("power of non-square matrix")
-        result = RatMat.identity(self.rows)
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def _scaled_to(self, den: int) -> IntRows:
         """The rows over the common denominator den (a multiple of self.den)."""
         s = den // self.den
         return self.num if s == 1 else tuple(tuple(s * a for a in row) for row in self.num)
-
-    def hstack(self, other: "RatMat") -> "RatMat":
-        if self.rows != other.rows:
-            raise DimensionMismatchError("hstack row mismatch")
-        den = lcm(self.den, other.den)
-        return RatMat._exact(
-            tuple(
-                ra + rb for ra, rb in zip(self._scaled_to(den), other._scaled_to(den))
-            ),
-            self.cols + other.cols,
-            den,
-        )
-
-    def vstack(self, other: "RatMat") -> "RatMat":
-        if self.cols != other.cols:
-            raise DimensionMismatchError("vstack col mismatch")
-        den = lcm(self.den, other.den)
-        return RatMat._exact(
-            self._scaled_to(den) + other._scaled_to(den), self.cols, den
-        )
 
     def inverse(self) -> "RatMat":
         if self.rows != self.cols:
@@ -387,6 +374,28 @@ def kernel_basis(m: RatMat) -> list[Vector]:
     return [tuple(Fraction(a, d) for a in v) for v in vectors]
 
 
+def rank(m: RatMat) -> int:
+    """The rank of m over Q."""
+    return len(_echelon(m.num, m.cols)[1])
+
+
+def power_ranks(m: RatMat) -> list[int]:
+    """The ranks of m^0, m^1, ... up to the first power whose image m does
+    not shrink.  m is nilpotent iff the list ends in 0, and then its length
+    less one is the least s with m^s = 0."""
+    if m.rows != m.cols:
+        raise DimensionMismatchError("powers of a non-square matrix")
+    ranks = [m.rows]
+    spanning = m
+    while ranks[-1]:
+        image = canonicalize(spanning, m.rows)
+        if image.dim == ranks[-1]:
+            break
+        ranks.append(image.dim)
+        spanning = m * image.basis
+    return ranks
+
+
 class Subspace:
     """Subspace of Q^ambient with canonical reduced column-echelon basis.
 
@@ -428,11 +437,6 @@ class Subspace:
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
-
-    def contains_vector(self, vec: Sequence) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatchError("vector length != ambient")
-        return self._contains_ints(_int_rows([vec])[0][0])
 
     def _contains_ints(self, u: Sequence[int]) -> bool:
         # The basis column j has a unit at its pivot p_j, so u lies in the

@@ -125,18 +125,8 @@ def phi_k(r: QuiverRep, ctx: ThetaContext, k: int) -> RatMat:
         raise LambdaPreconditionError("phi_k requires j = 0")
     if not 1 <= k <= ctx.n - 1:
         raise InvalidRankError(f"vertex {k} out of range")
-    vk = r.v[k - 1]
-    blocks = []
-    for l in range(1, ctx.n):
-        for m in range(1, min(l, k) + 1):
-            path = LeftRightPath(l, m, k)
-            blocks.append(_path_matrix(r, path))
-    if not blocks:
-        return RatMat.zeros(vk, 0)
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = out.hstack(b)
-    return out
+    paths = [LeftRightPath(l, m, k) for l in range(1, ctx.n) for m in range(1, min(l, k) + 1)]
+    return RatMat.block([[_path_matrix(r, p) for p in paths]])
 
 
 def theta(r: QuiverRep, ctx: ThetaContext) -> Flag:

@@ -26,11 +26,17 @@ from .linalg import (
     full_space,
     kernel,
     kernel_basis,
+    power_ranks,
+    rank,
     rref,
     zero_space,
 )
 
 Edge = tuple[int, int]  # (out(h), inc(h)) with |out - inc| = 1
+
+# The sampler draws every integer entry from [ENTRY_LO, ENTRY_HI].
+ENTRY_LO, ENTRY_HI = -2, 2
+MAX_TRIES = 32  # rejection-sampling attempts before the crystal-guided walk
 
 
 @dataclass(frozen=True)
@@ -162,22 +168,25 @@ class QuiverRep:
     def from_json(cls, obj: dict) -> "QuiverRep":
         if not isinstance(obj, dict) or not isinstance(obj.get("maps", {}), dict):
             raise ValueError("a quiver point is an object whose 'maps' is an object")
-        n = int(obj["n"])
-        B: dict[Edge, RatMat] = {}
-        i: dict[int, RatMat] = {}
-        j: dict[int, RatMat] = {}
-        for key, payload in obj.get("maps", {}).items():
-            m = RatMat.from_json(payload)
-            if key.startswith("B:"):
-                a, b = key[2:].split("->")
-                B[(int(a), int(b))] = m
-            elif key.startswith("i:"):
-                i[int(key[2:])] = m
-            elif key.startswith("j:"):
-                j[int(key[2:])] = m
-            else:
-                raise IncompatibleError(f"unknown map key {key!r}")
-        return cls(n, obj["v"], obj["w"], B=B, i=i, j=j)
+        try:
+            n = int(obj["n"])
+            B: dict[Edge, RatMat] = {}
+            i: dict[int, RatMat] = {}
+            j: dict[int, RatMat] = {}
+            for key, payload in obj.get("maps", {}).items():
+                m = RatMat.from_json(payload)
+                if key.startswith("B:"):
+                    a, b = key[2:].split("->")
+                    B[(int(a), int(b))] = m
+                elif key.startswith("i:"):
+                    i[int(key[2:])] = m
+                elif key.startswith("j:"):
+                    j[int(key[2:])] = m
+                else:
+                    raise IncompatibleError(f"unknown map key {key!r}")
+            return cls(n, obj["v"], obj["w"], B=B, i=i, j=j)
+        except TypeError as exc:
+            raise ValueError(f"bad quiver point: {exc}") from exc
 
 
 class GradedSubspace:
@@ -223,34 +232,17 @@ def moment_map(r: QuiverRep) -> list[RatMat]:
     return out
 
 
-def _total_endomorphism(r: QuiverRep) -> RatMat:
-    """The sum of the B_h as one endomorphism of the direct sum of the V_k."""
-    vertices = r.shape.vertices
-    T = RatMat.zeros(0, sum(r.v))
-    for b in vertices:
-        row = RatMat.zeros(r.v[b - 1], 0)
-        for a in vertices:
-            block = r.B.get((a, b))
-            row = row.hstack(block if block is not None else RatMat.zeros(r.v[b - 1], r.v[a - 1]))
-        T = T.vstack(row)
-    return T
-
-
 def is_nilpotent_B(r: QuiverRep) -> bool:
-    """The total endomorphism T on the direct sum of the V_k is nilpotent.
-
-    The images T(U), T^2(U), ... of U = the direct sum form a decreasing
-    chain, and T is nilpotent iff the chain reaches 0 before it stops
-    shrinking.
-    """
-    T = _total_endomorphism(r)
-    image = canonicalize(T, T.rows)
-    while image.dim:
-        smaller = canonicalize(T * image.basis, T.rows)
-        if smaller.dim == image.dim:
-            return False
-        image = smaller
-    return True
+    """The total endomorphism T on the direct sum of the V_k is nilpotent;
+    its block from V_a to V_b is B_{(a, b)}, and zero where there is no edge."""
+    vertices = r.shape.vertices
+    T = RatMat.block(
+        [
+            [r.B.get((a, b)) or RatMat.zeros(r.v[b - 1], r.v[a - 1]) for a in vertices]
+            for b in vertices
+        ]
+    )
+    return power_ranks(T)[-1] == 0
 
 
 def stable_closure(r: QuiverRep) -> GradedSubspace:
@@ -262,60 +254,54 @@ def stable_closure(r: QuiverRep) -> GradedSubspace:
         for h in r.shape.edges():
             a, b = h
             image = r.B[h] * spaces[a].basis
-            grown = canonicalize(spaces[b].basis.hstack(image), r.v[b - 1])
+            grown = canonicalize(RatMat.block([[spaces[b].basis, image]]), r.v[b - 1])
             if grown.dim > spaces[b].dim:
                 spaces[b] = grown
                 changed = True
     return GradedSubspace(r.n, spaces)
 
 
-def _certified(r: QuiverRep, slot: str, predicate) -> bool:
-    """predicate(r), proved on the first call and read from r afterwards."""
-    verdict = getattr(r, slot)
-    if verdict is None:
-        verdict = predicate(r)
-        object.__setattr__(r, slot, verdict)
-    return verdict
-
-
 def is_stable(r: QuiverRep) -> bool:
-    return _certified(r, "_stable", lambda p: stable_closure(p).dims() == p.v.v)
+    if r._stable is None:
+        object.__setattr__(r, "_stable", stable_closure(r).dims() == r.v.v)
+    return r._stable
 
 
 def in_Lambda(r: QuiverRep) -> bool:
     """j = 0, moment map = 0 and B nilpotent."""
-    return _certified(r, "_in_lambda", _in_Lambda)
+    if r._in_lambda is None:
+        lambda_failure(r)
+    return r._in_lambda
 
 
-def _in_Lambda(r: QuiverRep) -> bool:
+def lambda_failure(r: QuiverRep) -> str | None:
+    """The first condition of the Lagrangian locus that r fails (j = 0, then
+    moment map = 0, then B nilpotent), or None; records on r whether it is
+    None, so in_Lambda proves the predicate once per point."""
     if any(not m.is_zero() for m in r.j.values()):
-        return False
-    if any(not m.is_zero() for m in moment_map(r)):
-        return False
-    return is_nilpotent_B(r)
+        reason = "j nonzero"
+    elif any(not m.is_zero() for m in moment_map(r)):
+        reason = "moment map nonzero"
+    elif not is_nilpotent_B(r):
+        reason = "B not nilpotent"
+    else:
+        reason = None
+    object.__setattr__(r, "_in_lambda", reason is None)
+    return reason
 
 
 def epsilon_k_point(r: QuiverRep, k: int) -> int:
     """Dimension of the joint kernel of all B_h with out(h) = k."""
     if not 1 <= k <= r.n - 1:
         raise InvalidRankError(f"vertex {k} out of range")
-    outgoing = r.shape.edges_out_of(k)
-    if not outgoing:
-        return r.v[k - 1]
-    stacked = r.B[outgoing[0]]
-    for h in outgoing[1:]:
-        stacked = stacked.vstack(r.B[h])
-    return stacked.cols - len(rref(stacked)[1])
+    return joint_outgoing_kernel(r, k).dim
 
 
 def joint_outgoing_kernel(r: QuiverRep, k: int) -> Subspace:
     outgoing = r.shape.edges_out_of(k)
     if not outgoing:
         return full_space(r.v[k - 1])
-    stacked = r.B[outgoing[0]]
-    for h in outgoing[1:]:
-        stacked = stacked.vstack(r.B[h])
-    return kernel(stacked)
+    return kernel(RatMat.block([[r.B[h]] for h in outgoing]))
 
 
 def dim_and_sign(v, w, k: int) -> tuple[int, int]:
@@ -346,27 +332,17 @@ def quotient_by_invariant_subspace(r: QuiverRep, S: GradedSubspace) -> QuiverRep
         if not contains_image(S[b], r.B[h], S[a]):
             raise IncompatibleError(f"S is not B-invariant along {h}")
     # Per-vertex: complete the S-basis by standard vectors, then the quotient
-    # map is "last coordinates" of the inverse change of basis.
+    # map is "last coordinates" of the inverse change of basis.  The pivot
+    # columns of [S_k | 1] are the S_k basis followed by the standard vectors
+    # that complete it, each taken when it is not in the span of those before.
     proj: dict[int, RatMat] = {}
     emb: dict[int, RatMat] = {}
     for k in r.shape.vertices:
-        vk = r.v[k - 1]
-        chosen: list = []
-        current = S[k]
-        for t in range(vk):
-            if current.dim == vk:
-                break
-            e_t = tuple(int(s == t) for s in range(vk))
-            if not current.contains_vector(e_t):
-                chosen.append(e_t)
-                current = canonicalize(
-                    S[k].basis.hstack(RatMat.from_columns(chosen, vk)), vk
-                )
-        comp = RatMat.from_columns(chosen, vk)
-        full = S[k].basis.hstack(comp)
-        inv = full.inverse()
-        proj[k] = inv.select(range(S[k].dim, vk), range(vk))
-        emb[k] = comp
+        vk, sk = r.v[k - 1], S[k].dim
+        both = RatMat.block([[S[k].basis, RatMat.identity(vk)]])
+        pivots = rref(both)[1]
+        proj[k] = both.select(range(vk), pivots).inverse().select(range(sk, vk), range(vk))
+        emb[k] = both.select(range(vk), pivots[sk:])
     newB = {
         (a, b): proj[b] * r.B[(a, b)] * emb[a] for (a, b) in r.shape.edges()
     }
@@ -405,7 +381,7 @@ def apply_gauge(r: QuiverRep, g: dict[int, RatMat]) -> QuiverRep:
     return QuiverRep(r.n, r.v, r.w, B=newB, i=newi, j=newj)
 
 
-def random_gauge(rng: random.Random, v, lo: int = -2, hi: int = 2) -> dict[int, RatMat]:
+def random_gauge(rng: random.Random, v) -> dict[int, RatMat]:
     """Deterministic per-rng invertible vertex-wise matrices (L*U, unit diag)."""
     v = as_dimvec(v)
     out = {}
@@ -415,23 +391,19 @@ def random_gauge(rng: random.Random, v, lo: int = -2, hi: int = 2) -> dict[int, 
         upper = [[int(a == b) for b in range(m)] for a in range(m)]
         for a in range(m):
             for b in range(a):
-                lower[a][b] = rng.randint(lo, hi)
-                upper[b][a] = rng.randint(lo, hi)
+                lower[a][b] = rng.randint(ENTRY_LO, ENTRY_HI)
+                upper[b][a] = rng.randint(ENTRY_LO, ENTRY_HI)
         out[k] = RatMat(lower, cols=m) * RatMat(upper, cols=m)
     return out
 
 
 def _random_kernel_blocks(
-    system: RatMat,
-    shapes: list[tuple[int, int]],
-    rng: random.Random,
-    lo: int,
-    hi: int,
+    system: RatMat, shapes: list[tuple[int, int]], rng: random.Random
 ) -> list[RatMat]:
     """A random point of ker(system), cut row-major into blocks of the given
     shapes; the coefficients on the kernel basis are drawn in basis order."""
     kernel = kernel_basis(system)
-    coeffs = RatMat([[rng.randint(lo, hi)] for _ in kernel], cols=1)
+    coeffs = RatMat([[rng.randint(ENTRY_LO, ENTRY_HI)] for _ in kernel], cols=1)
     solution = (RatMat.from_columns(kernel, system.cols) * coeffs).column(0)
     blocks = []
     idx = 0
@@ -447,7 +419,7 @@ def _random_kernel_blocks(
 
 
 def _solve_right_maps(
-    r_left: dict[Edge, RatMat], n: int, v, rng: random.Random, lo: int, hi: int
+    r_left: dict[Edge, RatMat], n: int, v, rng: random.Random
 ) -> dict[Edge, RatMat]:
     """Solve mu = 0 (with j = 0) for the rightward maps, given the leftward
     ones; mu is linear in the rightward block.  Returns a random kernel point.
@@ -458,26 +430,23 @@ def _solve_right_maps(
     Unknowns are ordered edge by edge, each block row-major.
     """
     right_edges = [(a, a + 1) for a in range(1, n - 1)]
-    system = RatMat.zeros(0, sum(v[a] * v[a - 1] for a, _ in right_edges))
+    grid = []
     for k in range(1, n):
-        row = RatMat.zeros(v[k - 1] ** 2, 0)
+        row = []
         for a, _ in right_edges:
             L = r_left[(a + 1, a)]
             if k == a:
-                block = L.kron(RatMat.identity(v[a - 1]))
+                row.append(L.kron(RatMat.identity(v[a - 1])))
             elif k == a + 1:
-                block = -RatMat.identity(v[a]).kron(L.transpose())
+                row.append(-RatMat.identity(v[a]).kron(L.transpose()))
             else:
-                block = RatMat.zeros(v[k - 1] ** 2, v[a] * v[a - 1])
-            row = row.hstack(block)
-        system = system.vstack(row)
+                row.append(RatMat.zeros(v[k - 1] ** 2, v[a] * v[a - 1]))
+        grid.append(row)
     shapes = [(v[a], v[a - 1]) for a, _ in right_edges]
-    return dict(zip(right_edges, _random_kernel_blocks(system, shapes, rng, lo, hi)))
+    return dict(zip(right_edges, _random_kernel_blocks(RatMat.block(grid), shapes, rng)))
 
 
-def _extend_at_vertex(
-    r: QuiverRep, k: int, s: int, rng: random.Random, lo: int, hi: int
-) -> QuiverRep | None:
+def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> QuiverRep | None:
     """One random attempt to enlarge V_k by an s-dimensional sink summand.
 
     The new summand S sits in the joint kernel of the outgoing maps (so the
@@ -492,20 +461,17 @@ def _extend_at_vertex(
     # Unknowns: one s x v_out block per incoming edge, row-major; condition
     # rows are the S-rows of mu_k against the old V_k, where N_h B_{bar h}
     # is (1 kron B_{bar h}^T) on the row-major N_h.
-    system = RatMat.zeros(s * r.v[k - 1], 0)
-    for h in incoming:
-        term = RatMat.identity(s).kron(r.B[shape.bar(h)].transpose())
-        system = system.hstack(term if shape.sign(h) == 1 else -term)
+    system = RatMat.block([[
+        shape.sign(h) * RatMat.identity(s).kron(r.B[shape.bar(h)].transpose())
+        for h in incoming
+    ]])
     shapes = [(s, r.v[h[0] - 1]) for h in incoming]
-    blocks = dict(zip(incoming, _random_kernel_blocks(system, shapes, rng, lo, hi)))
+    blocks = dict(zip(incoming, _random_kernel_blocks(system, shapes, rng)))
     M = RatMat(
-        [[rng.randint(lo, hi) for _ in range(r.w[k - 1])] for _ in range(s)],
+        [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(r.w[k - 1])] for _ in range(s)],
         cols=r.w[k - 1],
     )
-    reach = M
-    for h in incoming:
-        reach = reach.hstack(blocks[h])
-    if len(rref(reach)[1]) < s:
+    if rank(RatMat.block([[M] + [blocks[h] for h in incoming]])) < s:
         return None
     newv = tuple(
         r.v[t] + (s if t == k - 1 else 0) for t in range(n - 1)
@@ -514,13 +480,13 @@ def _extend_at_vertex(
     for h in shape.edges():
         m = r.B[h]
         if h[0] == k:
-            newB[h] = m.hstack(RatMat.zeros(m.rows, s))
+            newB[h] = RatMat.block([[m, RatMat.zeros(m.rows, s)]])
         elif h[1] == k:
-            newB[h] = m.vstack(blocks[h])
+            newB[h] = RatMat.block([[m], [blocks[h]]])
         else:
             newB[h] = m
     newi = {t: r.i[t] for t in shape.vertices}
-    newi[k] = r.i[k].vstack(M)
+    newi[k] = RatMat.block([[r.i[k]], [M]])
     out = QuiverRep(n, newv, r.w, B=newB, i=newi)
     if not (in_Lambda(out) and is_stable(out)):
         return None
@@ -534,9 +500,7 @@ def _cached_crystal(w_tuple: tuple[int, ...]):
     return highest_weight_crystal(w_tuple)
 
 
-def _crystal_guided_sample(
-    v: DimVec, w: HighestWeight, seed: int, lo: int, hi: int
-) -> QuiverRep | None:
+def _crystal_guided_sample(v: DimVec, w: HighestWeight, seed: int) -> QuiverRep | None:
     """Constructive sampler walking a lowering path of the crystal model.
 
     Starting from the zero point, each lowering step at vertex k is realized
@@ -580,7 +544,7 @@ def _crystal_guided_sample(
             reduced, c = kashiwara_reduce(point, k)
             extended = None
             for _ in range(12):
-                extended = _extend_at_vertex(reduced, k, c + 1, rng, lo, hi)
+                extended = _extend_at_vertex(reduced, k, c + 1, rng)
                 if extended is not None:
                     break
             if extended is None:
@@ -592,9 +556,7 @@ def _crystal_guided_sample(
     return None
 
 
-def sample_lambda_point(
-    v, w, seed: int, max_tries: int = 32, lo: int = -2, hi: int = 2
-) -> QuiverRep:
+def sample_lambda_point(v, w, seed: int) -> QuiverRep:
     """Deterministic sampler for stable Lagrangian points.
 
     Draws the leftward maps with small random integers (zeroing each edge by
@@ -619,15 +581,15 @@ def sample_lambda_point(
         if kind == 0 or rows == 0 or cols == 0:
             return RatMat.zeros(rows, cols)
         if kind == 1:
-            col = [rng.randint(lo, hi) for _ in range(rows)]
-            row = [rng.randint(lo, hi) for _ in range(cols)]
+            col = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(rows)]
+            row = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(cols)]
             return RatMat([[a * b for b in row] for a in col], cols=cols)
         return RatMat(
-            [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)],
+            [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(cols)] for _ in range(rows)],
             cols=cols,
         )
 
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         left = {
             h: draw_left(v[h[1] - 1], v[h[0] - 1]) for h in left_edges
         }
@@ -636,12 +598,12 @@ def sample_lambda_point(
                 (k, k + 1): RatMat.zeros(v[k], v[k - 1]) for k in range(1, n - 1)
             }
         else:
-            right = _solve_right_maps(left, n, v, rng, lo, hi)
+            right = _solve_right_maps(left, n, v, rng)
         i = {}
         for k in range(1, n):
             i[k] = RatMat(
                 [
-                    [rng.randint(lo, hi) for _ in range(w[k - 1])]
+                    [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(w[k - 1])]
                     for _ in range(v[k - 1])
                 ],
                 cols=w[k - 1],
@@ -651,9 +613,9 @@ def sample_lambda_point(
         point = QuiverRep(n, v, w, B=B, i=i)
         if in_Lambda(point) and is_stable(point):
             return point
-    guided = _crystal_guided_sample(v, w, seed, lo, hi)
+    guided = _crystal_guided_sample(v, w, seed)
     if guided is not None:
         return guided
     raise SampleExhaustedError(
-        f"no stable Lambda point for v={v.v}, w={w.w} after {max_tries} tries"
+        f"no stable Lambda point for v={v.v}, w={w.w} after {MAX_TRIES} tries"
     )

@@ -38,7 +38,7 @@ from .errors import (
     NotInImageError,
     SizeMismatchError,
 )
-from .linalg import RatMat, rref
+from .linalg import RatMat, rank
 
 DEFAULT_BUDGET = 100_000
 _PRIME = 2_147_483_647  # Mersenne prime 2^31 - 1; products fit in int64
@@ -158,7 +158,7 @@ def _rank_exact(rows: int, cols: int, triplets: list[tuple[int, int, int]]) -> i
     data = [[0] * cols for _ in range(rows)]
     for r, c, vt in triplets:
         data[r][c] += vt
-    return len(rref(RatMat(data, cols=cols))[1])
+    return rank(RatMat(data, cols=cols))
 
 
 def _singular_multiplicities(

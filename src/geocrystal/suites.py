@@ -36,7 +36,7 @@ from .flag import (
     is_hecke_pair,
     s_k_exponent,
 )
-from .linalg import RatMat, embed, intersect_and_sum, preimage, rref
+from .linalg import RatMat, embed, intersect_and_sum, preimage, rank
 from .maffei import ThetaContext, phi_k, theta, theta_w1_special
 from .quiver import (
     GradedSubspace,
@@ -185,10 +185,6 @@ def _restricted_x_matrix(ctx: ThetaContext, x_full: RatMat, k: int) -> RatMat:
     return x_full.select(dst, src)
 
 
-def _rank(m: RatMat) -> int:
-    return len(rref(m)[1])
-
-
 # The per-point invariants a theta run reports by name; the other checks of
 # check_theta_point (composition, fiber, dominance, gauge, special form) fail
 # the point without naming one of these.
@@ -204,8 +200,9 @@ THETA_INVARIANTS = (
 
 
 def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> dict:
-    """All per-point identities; returns counters, failure strings and the
-    names (from THETA_INVARIANTS) of the invariants that failed."""
+    """All per-point identities; returns counters, failure strings, the
+    names (from THETA_INVARIANTS) of the invariants that failed and the flag
+    theta(r)."""
     failures: list[str] = []
     failed: set[str] = set()
     n = ctx.n
@@ -236,7 +233,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
         fail(None, "composition type does not dominate type of x")
     phis = {k: phi_k(r, ctx, k) for k in range(1, n)}
     for k in range(1, n):
-        if _rank(phis[k]) != r.v[k - 1]:
+        if rank(phis[k]) != r.v[k - 1]:
             fail("surjectivity", f"rank phi_{k} != v_{k}")
         if k >= 2:
             lhs = r.B[(k, k - 1)] * phis[k]
@@ -291,6 +288,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
         "failures": failures,
         "failed_invariants": failed,
         "hecke_cases": hecke_cases,
+        "flag": F,
     }
 
 

@@ -74,6 +74,9 @@ def _malformed_points(payload):
         "float entry": floats,
         "maps list": maps_list,
         "top-level array": [payload],
+        "null n": dict(payload, n=None),
+        "null v": dict(payload, v=None),
+        "null w": dict(payload, w=None),
     }
 
 
@@ -91,7 +94,7 @@ def test_theta_malformed_input(p0_file, tmp_path):
     "target, replacement, invariant",
     [
         ("is_hecke_pair", lambda *args: False, "hecke-compatibility"),
-        ("_rank", lambda m: -1, "surjectivity"),
+        ("rank", lambda m: -1, "surjectivity"),
     ],
 )
 def test_theta_names_failed_invariant(
@@ -153,6 +156,9 @@ def test_usage_error_exit_code():
         "quotients --n 3 --d -1",
         "quotients --n 1 --d 3",
         "verify --suite maffei --n 1 --seed 1",
+        "quotients --n 3 --d 3 --budget -1",
+        "quotients --n 3 --d 3 --budget 0",
+        "verify --suite signs --n-max 8",
     ],
 )
 def test_size_out_of_range_is_usage_error(argv):

@@ -17,7 +17,9 @@ from geocrystal.linalg import (
     intersect_and_sum,
     kernel,
     kernel_basis,
+    power_ranks,
     preimage,
+    rank,
     rref,
     zero_space,
 )
@@ -115,6 +117,15 @@ def test_embed():
         Fraction(1),
         Fraction(0),
     )
+
+
+def test_block_edges():
+    assert RatMat.block([[]]).shape == (0, 0)
+    assert RatMat.block([[RatMat.zeros(2, 0)]]).shape == (2, 0)
+    with pytest.raises(DimensionMismatchError):
+        RatMat.block([[RatMat.zeros(1, 1), RatMat.zeros(2, 1)]])
+    with pytest.raises(DimensionMismatchError):
+        RatMat.block([[RatMat.zeros(1, 1)], [RatMat.zeros(1, 2)]])
 
 
 def test_inverse():
@@ -315,3 +326,59 @@ def test_preimage_matches_reference(data):
     old = ref.preimage(ref.RatMat(m), ref.canonicalize(vecs, rows))
     assert same_subspace(new, old)
     assert contains_image(canonicalize(vecs, rows), RatMat(m), new)
+
+
+@st.composite
+def block_grid(draw):
+    """A grid of rational blocks whose heights and widths may be zero."""
+    heights = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
+    return widths, [
+        [[[draw(small_fraction) for _ in range(w)] for _ in range(h)] for w in widths]
+        for h in heights
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_grid())
+def test_block_matches_reference(data):
+    widths, grid = data
+    new = RatMat.block([[RatMat(b, cols=w) for b, w in zip(row, widths)] for row in grid])
+    old = None
+    for row in grid:
+        line = ref.RatMat.zeros(len(row[0]), 0)
+        for b, w in zip(row, widths):
+            line = line.hstack(ref.RatMat(b, cols=w))
+        old = line if old is None else old.vstack(line)
+    assert new.shape == old.shape
+    assert new.entries == old.entries
+    assert new == RatMat(old.entries, cols=old.cols)
+
+
+@st.composite
+def square_matrix(draw):
+    """Half the draws are random, half conjugates g N g^-1 of a strictly upper
+    triangular N by a unit lower-times-upper triangular g."""
+    d = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        return draw(rational_rows(d, d))
+    entry = st.integers(min_value=-2, max_value=2)
+    N = [[draw(entry) if j > i else 0 for j in range(d)] for i in range(d)]
+    lower = [[draw(entry) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    upper = [[draw(entry) if j > i else int(i == j) for j in range(d)] for i in range(d)]
+    g = ref.RatMat(lower) * ref.RatMat(upper)
+    return (g * ref.RatMat(N) * g.inverse()).entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrix())
+def test_power_ranks_match_reference(rows):
+    m = ref.RatMat(rows)
+    ranks = [len(ref.rref(m.power(s))[1]) for s in range(m.rows + 2)]
+    expected = ranks[:1]
+    for r in ranks[1:]:
+        if r == expected[-1]:
+            break
+        expected.append(r)
+    assert power_ranks(RatMat(rows)) == expected
+    assert rank(RatMat(rows)) == ranks[1]

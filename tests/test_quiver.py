@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import reference_linalg as ref
 from geocrystal.errors import (
     IncompatibleError,
     LambdaPreconditionError,
@@ -20,6 +21,7 @@ from geocrystal.quiver import (
     is_stable,
     joint_outgoing_kernel,
     kashiwara_reduce,
+    lambda_failure,
     moment_map,
     quotient_by_invariant_subspace,
     random_gauge,
@@ -77,7 +79,7 @@ def _total_power_vanishes(r):
         for p in range(m.rows):
             for q in range(m.cols):
                 rows[offsets[b - 1] + p][offsets[a - 1] + q] = m[p, q]
-    return D == 0 or RatMat(rows, cols=D).power(D).is_zero()
+    return D == 0 or ref.RatMat(rows, cols=D).power(D).is_zero()
 
 
 def test_is_nilpotent_B_matches_powering():
@@ -144,6 +146,20 @@ def test_predicates_are_proved_once_per_point(p0, monkeypatch):
         with pytest.raises(LambdaPreconditionError):
             kashiwara_reduce(unstable, 1)
     assert calls == [p0, unstable]
+
+
+def test_lambda_failure_names_first_condition(p0, monkeypatch):
+    from geocrystal import quiver
+
+    calls = []
+    mu = quiver.moment_map
+    monkeypatch.setattr(quiver, "moment_map", lambda r: calls.append(r) or mu(r))
+    assert lambda_failure(p0) is None and in_Lambda(p0)
+    loop = QuiverRep(3, (1, 1), (1, 1), B={(2, 1): RatMat([[1]]), (1, 2): RatMat([[1]])})
+    assert lambda_failure(loop) == "moment map nonzero" and not in_Lambda(loop)
+    assert calls == [p0, loop]
+    with_j = QuiverRep(3, (1, 1), (1, 1), j={1: RatMat([[1]])}, B=loop.B)
+    assert lambda_failure(with_j) == "j nonzero"
 
 
 def test_epsilon_k_point(p0):
@@ -289,7 +305,7 @@ def test_sampler_deterministic_and_valid():
 
 def test_sampler_exhaustion():
     with pytest.raises(SampleExhaustedError):
-        sample_lambda_point((5, 0), (1, 0), seed=2, max_tries=8)
+        sample_lambda_point((5, 0), (1, 0), seed=2)
 
 
 def test_joint_outgoing_kernel(p0):
