@@ -20,13 +20,15 @@ from .errors import GeoCrystalError
 from .flag import composition_of, flag_membership
 from .maffei import ThetaContext
 from .quiver import QuiverRep, is_stable, lambda_failure
+from .repalg import size_budget
 
 SCHEMA_VERSION = "1"
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-# The signs grid has 25 times more (w, v) pairs per step of n: a minute at 7.
+# The signs grid has 25 times more (w, v) pairs per step of n: 3 s at 7 on a
+# 2-CPU machine, so over a minute at 8.
 SIGNS_N_MAX = 7
 
 
@@ -255,6 +257,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    if hasattr(args, "budget"):
+        # resolved here so a malformed GEOCRYSTAL_BUDGET is a usage error
+        try:
+            args.budget = size_budget(args.budget)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     try:
         if args.command == "verify":
             return cmd_verify(args)

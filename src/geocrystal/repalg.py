@@ -2,10 +2,11 @@
 module into irreducibles, the two quotient dimensions, Kostka and RSK
 combinatorics, and the closing rank-3 separation example.
 
-Multiplicities are certified exact: singular-vector ranks are computed modulo
-a large prime, then the checksum sum(mult * dim) = n^d proves there was no
-rank drop (mod-p kernels can only be too big); on checksum failure the ranks
-are recomputed with exact rational elimination.
+Multiplicities are certified exact: the ranks of the raising operators on
+each dominant weight space are computed modulo a large prime by sparse
+elimination over Python ints, then the checksum sum(mult * dim) = n^d proves
+there was no rank drop (mod-p kernels can only be too big); on checksum
+failure the ranks are recomputed with exact rational elimination.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-
-import numpy as np
 
 from .cartan import (
     HighestWeight,
@@ -41,14 +40,28 @@ from .errors import (
 from .linalg import RatMat, rank
 
 DEFAULT_BUDGET = 100_000
-_PRIME = 2_147_483_647  # Mersenne prime 2^31 - 1; products fit in int64
+# Mersenne prime 2^31 - 1.  A rank mod p never exceeds the rank over Q, and
+# only a minor divisible by p can make it smaller.
+_PRIME = 2_147_483_647
 
 
 def size_budget(budget: int | None = None) -> int:
+    """The budget given, else GEOCRYSTAL_BUDGET, else DEFAULT_BUDGET.
+
+    Raises ValueError if GEOCRYSTAL_BUDGET is set to anything but an int >= 1.
+    """
     if budget is not None:
         return int(budget)
     env = os.environ.get("GEOCRYSTAL_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"GEOCRYSTAL_BUDGET must be an int >= 1, got {env!r}") from None
+    return value
 
 
 def _check_budget(n: int, d: int, budget: int | None) -> None:
@@ -125,31 +138,39 @@ def _raising_block(
 
 
 def _rank_mod_p(rows: int, cols: int, triplets: list[tuple[int, int, int]]) -> int:
-    if rows == 0 or cols == 0 or not triplets:
-        return 0
-    m = np.zeros((rows, cols), dtype=np.int64)
+    """Rank modulo _PRIME by sparse column elimination.
+
+    Each column is a {row: value} dict.  It is reduced against the pivot
+    columns, keyed by their leading (least) row, until its leading row is
+    new; then it becomes the pivot of that row, scaled to leading entry 1.
+    Columns are taken from the last to the first: on the raising-operator
+    blocks that order takes a third of the time of the opposite one.
+    """
+    columns: dict[int, dict[int, int]] = {}
     for r, c, vt in triplets:
-        m[r, c] = (m[r, c] + vt) % _PRIME
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, c] % _PRIME:
-                pivot = r
+        column = columns.setdefault(c, {})
+        column[r] = column.get(r, 0) + vt
+    pivots: dict[int, dict[int, int]] = {}
+    for c in sorted(columns, reverse=True):
+        column = {r: x % _PRIME for r, x in columns[c].items() if x % _PRIME}
+        while column:
+            lead = min(column)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(column[lead], -1, _PRIME)
+                pivots[lead] = {r: x * inv % _PRIME for r, x in column.items()}
                 break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, c]), _PRIME - 2, _PRIME)
-        m[rank] = (m[rank] * inv) % _PRIME
-        mask = (m[:, c] % _PRIME) != 0
-        mask[rank] = False
-        if mask.any():
-            m[mask] = (m[mask] - np.outer(m[mask, c], m[rank])) % _PRIME
-        rank += 1
-        if rank == rows:
+            f = column[lead]
+            for r, x in pivot.items():
+                # f * x is nonzero mod _PRIME, so y == 0 only where r is a key
+                y = (column.get(r, 0) - f * x) % _PRIME
+                if y:
+                    column[r] = y
+                else:
+                    del column[r]
+        if len(pivots) == rows:
             break
-    return rank
+    return len(pivots)
 
 
 def _rank_exact(rows: int, cols: int, triplets: list[tuple[int, int, int]]) -> int:

@@ -10,8 +10,6 @@ import random
 import time
 from itertools import product
 
-import numpy as np
-
 from . import crystal as crystal_mod
 from . import repalg
 from .cartan import (
@@ -71,58 +69,61 @@ def suite_signs(
     """Exhaustive exact check of s_k = r_k and a_k - a_{k+1} = <h_k, w - Cv>
     over the full grid n <= n_max, entries <= max_entry.
 
-    The grid is evaluated with vectorized int64 arithmetic (exact at this
-    scale); seeded spot checks re-derive both sides through the library
-    operations to pin the engine to the public API.
+    The grid is evaluated with vectorized numpy arithmetic in the narrowest
+    signed int dtype that holds every value it computes; seeded spot checks
+    re-derive both sides through the library operations to pin the engine to
+    the public API.
     """
+    # The one numpy user: importing it here keeps it off every other path.
+    import numpy as np
+
+    # Entries lie in [0, max_entry], so a_k lies in [-max_entry, n * max_entry]
+    # and Cv, w - Cv within 3 * max_entry; a_k - a_{k+1} is then bounded by
+    # (n + 1) * max_entry in absolute value, and s_k, r_k by one more.
+    bound = (n_max + 1) * max_entry + 1
+    dtype = next(
+        t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound
+    )
     failures: list[str] = []
     sign_checks = 0
     bridge_checks = 0
     grid_points = 0
     for n in range(2, n_max + 1):
-        size = n - 1
-        vals = max_entry + 1
-        grid = np.array(list(product(range(vals), repeat=size)), dtype=np.int64)
-        C = np.array(cartan_matrix(n), dtype=np.int64)
-        CV = grid @ C  # symmetric C
+        grid = np.array(list(product(range(max_entry + 1), repeat=n - 1)), dtype=dtype)
         count = grid.shape[0]
+        V = np.ascontiguousarray(grid.T)  # V[k] is entry k of every v
+        CV = np.ascontiguousarray((grid @ np.array(cartan_matrix(n), dtype=dtype)).T)
+
+        def first_point(bad, Wc) -> str:
+            wi, vi = divmod(int(bad.argmax()), count)
+            return f"w={tuple(Wc[wi].tolist())} v={tuple(grid[vi].tolist())}"
+
         chunk = max(1, (1 << 20) // max(count * n, 1))
         for start in range(0, count, chunk):
             Wc = grid[start : start + chunk]
-            suffix = np.cumsum(Wc[:, ::-1], axis=1)[:, ::-1]
+            suffix = np.cumsum(Wc[:, ::-1], axis=1, dtype=dtype)[:, ::-1]
             nc = Wc.shape[0]
-            A = np.empty((nc, count, n), dtype=np.int64)
-            A[:, :, 0] = suffix[:, 0][:, None] - grid[None, :, 0]
+            # A[k - 1] holds a_k for every (w, v) of the chunk, contiguously
+            A = np.empty((n, nc, count), dtype=dtype)
+            A[0] = suffix[:, 0, None] - V[0]
             for k in range(2, n):
-                A[:, :, k - 1] = (
-                    suffix[:, k - 1][:, None]
-                    - grid[None, :, k - 1]
-                    + grid[None, :, k - 2]
-                )
-            A[:, :, n - 1] = grid[None, :, n - 2]
-            valid = (A >= 0).all(axis=2)
-            grid_points += int(valid.sum())
+                A[k - 1] = suffix[:, k - 1, None] - V[k - 1] + V[k - 2]
+            A[n - 1] = V[n - 2]
+            valid = (A >= 0).all(axis=0)
+            checks = int(valid.sum())
+            grid_points += checks
             for k in range(1, n):
-                wk = Wc[:, k - 1][:, None]
-                cvk = CV[None, :, k - 1]
-                bridge_bad = valid & ((A[:, :, k - 1] - A[:, :, k]) != (wk - cvk))
-                bridge_checks += int(valid.sum())
+                pairing = Wc[:, k - 1, None] - CV[k - 1]
+                bridge_bad = valid & ((A[k - 1] - A[k]) != pairing)
+                bridge_checks += checks
                 if bridge_bad.any():
-                    wi, vi = np.argwhere(bridge_bad)[0]
-                    _record(
-                        failures,
-                        f"bridge n={n} k={k} w={tuple(Wc[wi])} v={tuple(grid[vi])}",
-                    )
-                s_val = A[:, :, k] - A[:, :, k - 1] - 1
-                r_val = -(wk - cvk) - 1
+                    _record(failures, f"bridge n={n} k={k} {first_point(bridge_bad, Wc)}")
+                s_val = A[k] - A[k - 1] - 1
+                r_val = -pairing - 1
                 sign_bad = valid & (s_val != r_val)
-                sign_checks += int(valid.sum())
+                sign_checks += checks
                 if sign_bad.any():
-                    wi, vi = np.argwhere(sign_bad)[0]
-                    _record(
-                        failures,
-                        f"sign n={n} k={k} w={tuple(Wc[wi])} v={tuple(grid[vi])}",
-                    )
+                    _record(failures, f"sign n={n} k={k} {first_point(sign_bad, Wc)}")
     rng = random.Random(seed)
     spots_done = 0
     tries = 0

@@ -165,6 +165,14 @@ def test_size_out_of_range_is_usage_error(argv):
     assert main(argv.split()) == 2
 
 
+@pytest.mark.parametrize("budget", ["abc", "1.5", "0", "-5"])
+def test_budget_env_out_of_range_is_usage_error(monkeypatch, capsys, budget):
+    monkeypatch.setenv("GEOCRYSTAL_BUDGET", budget)
+    assert main("quotients --n 3 --d 3".split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_suites_never_pass_vacuously():
     report = suites.suite_maffei(3, (1, 1), 0, 1)
     assert report["points_checked"] == 0 and report["pass"] is False
@@ -172,11 +180,19 @@ def test_suites_never_pass_vacuously():
     assert report["crystals"] == 0 and report["pass"] is False
 
 
-def test_cli_import_skips_scipy():
-    code = "import sys, geocrystal.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+def test_cli_commands_skip_numpy(p0_file):
+    code = (
+        "import sys\n"
+        "from geocrystal.cli import main\n"
+        f"assert main(['theta', '--input', {str(p0_file)!r}]) == 0\n"
+        "assert main(['crystal', '--n', '3', '--w', '1,1', '--format', 'dot']) == 0\n"
+        "assert main('verify --suite quotients --n 3 --d 3'.split()) == 0\n"
+        "print([m for m in ('numpy', 'scipy') if m in sys.modules])\n"
+    )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert run_cli("verify", "--suite", "signs", "--n-max", "3").returncode == 0
 
 
 def test_determinism_byte_identical(p0_file, tmp_path):

@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_linalg as ref
+from geocrystal import repalg
 from geocrystal.cartan import HighestWeight
 from geocrystal.errors import BudgetExceededError, IncompatibleError, SizeMismatchError
 from geocrystal.repalg import (
@@ -13,6 +17,7 @@ from geocrystal.repalg import (
     rsk,
     rsk_inverse,
     verify_sl3_example,
+    _rank_mod_p,
     _singular_multiplicities,
 )
 
@@ -54,6 +59,54 @@ def test_exact_fallback_matches_modp():
     assert _singular_multiplicities(3, 3) == _singular_multiplicities(
         3, 3, exact_only=True
     )
+
+
+@st.composite
+def triplet_matrices(draw):
+    """A matrix with entries in [-3, 3] and some zero rows and columns, and a
+    shuffled triplet list for it in which entries are split into duplicates
+    (a zero entry may still have triplets)."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    zero_rows = draw(st.sets(st.integers(0, 5)))
+    zero_cols = draw(st.sets(st.integers(0, 5)))
+    entries = [
+        [
+            0 if r in zero_rows or c in zero_cols
+            else draw(st.one_of(st.just(0), st.integers(-3, 3)))
+            for c in range(cols)
+        ]
+        for r in range(rows)
+    ]
+    triplets = []
+    for r in range(rows):
+        for c in range(cols):
+            parts = draw(st.lists(st.integers(-3, 3), max_size=2))
+            triplets += [(r, c, x) for x in parts]
+            if entries[r][c] != sum(parts):
+                triplets.append((r, c, entries[r][c] - sum(parts)))
+    return rows, cols, entries, draw(st.permutations(triplets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(triplet_matrices())
+def test_rank_mod_p_matches_reference(case):
+    # every minor is at most (3 sqrt 6)^6 < _PRIME in absolute value, so the
+    # rank mod _PRIME is the rank over Q
+    rows, cols, entries, triplets = case
+    _, pivots = ref.rref(ref.RatMat(entries, cols=cols))
+    assert _rank_mod_p(rows, cols, triplets) == len(pivots)
+
+
+def test_modp_certifies_without_fallback(monkeypatch):
+    def no_fallback(*args):
+        raise AssertionError("exact fallback used")
+
+    monkeypatch.setattr(repalg, "_rank_exact", no_fallback)
+    pairs = [(n, d) for n in (2, 3, 4) for d in range(1, 7)]
+    pairs += [(3, 7), (3, 8), (4, 6), (4, 7)]
+    for n, d in pairs:
+        assert decompose_tensor(n, d).total == n**d
 
 
 def test_irrep_dim():
