@@ -96,37 +96,62 @@ class ThetaContext:
         """Global coordinates of W^{<=k}, in ascending order."""
         return [c for c, (_, m) in enumerate(self.labels) if m <= k]
 
-    def wleq_dim(self, k: int) -> int:
-        return sum(min(l, k) * self.w[l - 1] for l in range(1, self.n))
-
     def x(self) -> NilEndo:
         """The canonical block-shift nilpotent of w on this layout."""
         return self._x
 
 
-def _path_matrix(r: QuiverRep, path: LeftRightPath) -> RatMat:
-    """B_p i_{out(p)} as a map from W_{out(p)} to V_{inc(p)}."""
-    m = r.i[path.out]
-    for edge in path.edges():
-        m = r.B[edge] * m
-    return m
+def phi_maps(r: QuiverRep, ctx: ThetaContext) -> list[RatMat]:
+    """The block maps [phi_1, ..., phi_{n-1}], phi_k : W^{<=k} -> V_k.
 
-
-def phi_k(r: QuiverRep, ctx: ThetaContext, k: int) -> RatMat:
-    """The block map W^{<=k} -> V_k.
-
-    The block on the copy W_s^(m) (m <= min(s, k)) is B_p i_s for the unique
-    path p descending s -> m then ascending m -> k; the empty path at k
-    contributes i_k on W_k^(k).  Columns follow the W^{<=k} coordinate order.
+    The block of phi_k on the copy W_s^(m) (m <= min(s, k)) is B_p i_s for
+    the unique path p descending s -> m then ascending m -> k; the empty path
+    at k contributes i_k on W_k^(k).  Columns follow the W^{<=k} coordinate
+    order.  Paths share their prefixes: D_m = [B_p i_s for s >= m], p
+    descending s -> m, is [i_m | B_{m+1,m} D_{m+1}], and its ascent to k is
+    B_{k-1,k} times its ascent to k - 1, so each point costs O(n^2) products.
     """
     if r.w != ctx.w:
         raise DimensionMismatchError("context built for a different w")
     if any(not m.is_zero() for m in r.j.values()):
         raise LambdaPreconditionError("phi_k requires j = 0")
+    n, w = ctx.n, ctx.w
+    descents = {n - 1: r.i[n - 1]}
+    for m in range(n - 2, 0, -1):
+        descents[m] = RatMat.block([[r.i[m], r.B[(m + 1, m)] * descents[m + 1]]])
+    ascents: list[list[RatMat]] = [[] for _ in range(n)]  # ascents[k][m - 1]
+    for m in range(1, n):
+        a = descents[m]
+        ascents[m].append(a)
+        for k in range(m + 1, n):
+            a = r.B[(k - 1, k)] * a
+            ascents[k].append(a)
+    maps = []
+    for k in range(1, n):
+        # the columns of [ascent of D_1 | ... | ascent of D_k], grouped by
+        # bottom m and then source s, reordered by source and then bottom
+        start = {}
+        col = 0
+        for m in range(1, k + 1):
+            for s in range(m, n):
+                start[(s, m)] = col
+                col += w[s - 1]
+        order = [
+            start[(s, m)] + t
+            for s in range(1, n)
+            for m in range(1, min(s, k) + 1)
+            for t in range(w[s - 1])
+        ]
+        grouped = RatMat.block([ascents[k]])
+        maps.append(grouped.select(range(grouped.rows), order))
+    return maps
+
+
+def phi_k(r: QuiverRep, ctx: ThetaContext, k: int) -> RatMat:
+    """The block map W^{<=k} -> V_k; see :func:`phi_maps`."""
     if not 1 <= k <= ctx.n - 1:
         raise InvalidRankError(f"vertex {k} out of range")
-    paths = [LeftRightPath(l, m, k) for l in range(1, ctx.n) for m in range(1, min(l, k) + 1)]
-    return RatMat.block([[_path_matrix(r, p) for p in paths]])
+    return phi_maps(r, ctx)[k - 1]
 
 
 def theta(r: QuiverRep, ctx: ThetaContext) -> Flag:
@@ -142,8 +167,8 @@ def theta(r: QuiverRep, ctx: ThetaContext) -> Flag:
         raise LambdaPreconditionError("point is not stable")
     d, n = ctx.d, ctx.n
     spaces = [zero_space(d)]
-    for k in range(1, n):
-        spaces.append(embed(kernel(phi_k(r, ctx, k)), ctx.wleq_coords(k), d))
+    for k, phi in enumerate(phi_maps(r, ctx), 1):
+        spaces.append(embed(kernel(phi), ctx.wleq_coords(k), d))
     spaces.append(full_space(d))
     return Flag(spaces, n)
 

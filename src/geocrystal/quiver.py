@@ -21,11 +21,11 @@ from .errors import (
 from .linalg import (
     RatMat,
     Subspace,
+    _kernel_ints,
     canonicalize,
     contains_image,
     full_space,
     kernel,
-    kernel_basis,
     power_ranks,
     rank,
     rref,
@@ -246,18 +246,26 @@ def is_nilpotent_B(r: QuiverRep) -> bool:
 
 
 def stable_closure(r: QuiverRep) -> GradedSubspace:
-    """Smallest B-stable graded subspace containing the image of i."""
+    """Smallest B-stable graded subspace containing the image of i.
+
+    A worklist of the vertices whose space grew: only their outgoing edges
+    can enlarge another space, and a full target cannot grow.  The closure
+    is unique and its spaces canonical, so the order of the work is not seen.
+    """
     spaces = {k: canonicalize(r.i[k], r.v[k - 1]) for k in r.shape.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for h in r.shape.edges():
-            a, b = h
+    pending = [k for k in r.shape.vertices if spaces[k].dim]
+    while pending:
+        a = pending.pop()
+        for h in r.shape.edges_out_of(a):
+            b = h[1]
+            if spaces[b].is_full():
+                continue
             image = r.B[h] * spaces[a].basis
             grown = canonicalize(RatMat.block([[spaces[b].basis, image]]), r.v[b - 1])
             if grown.dim > spaces[b].dim:
                 spaces[b] = grown
-                changed = True
+                if b not in pending:
+                    pending.append(b)
     return GradedSubspace(r.n, spaces)
 
 
@@ -402,16 +410,19 @@ def _random_kernel_blocks(
 ) -> list[RatMat]:
     """A random point of ker(system), cut row-major into blocks of the given
     shapes; the coefficients on the kernel basis are drawn in basis order."""
-    kernel = kernel_basis(system)
-    coeffs = RatMat([[rng.randint(ENTRY_LO, ENTRY_HI)] for _ in kernel], cols=1)
-    solution = (RatMat.from_columns(kernel, system.cols) * coeffs).column(0)
+    # the integer kernel vectors are d times the kernel_basis vectors, so the
+    # point is the integer combination over the denominator d
+    vectors, d = _kernel_ints(system.num, system.cols)
+    coeffs = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in vectors]
+    solution = [sum(c * v[t] for c, v in zip(coeffs, vectors)) for t in range(system.cols)]
     blocks = []
     idx = 0
     for rows, cols in shapes:
         blocks.append(
-            RatMat(
+            RatMat._reduce(
                 [solution[idx + p * cols : idx + (p + 1) * cols] for p in range(rows)],
-                cols=cols,
+                cols,
+                d,
             )
         )
         idx += rows * cols
@@ -488,7 +499,7 @@ def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> Quive
     newi = {t: r.i[t] for t in shape.vertices}
     newi[k] = RatMat.block([[r.i[k]], [M]])
     out = QuiverRep(n, newv, r.w, B=newB, i=newi)
-    if not (in_Lambda(out) and is_stable(out)):
+    if not (is_stable(out) and in_Lambda(out)):
         return None
     return out
 
@@ -562,8 +573,11 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
     Draws the leftward maps with small random integers (zeroing each edge by
     a coin flip, since stability sometimes forces vanishing leftward maps),
     solves the moment map equations exactly for the rightward maps (falling
-    back to zero rightward maps on half the attempts), then rejection-samples
-    on nilpotency and stability.  Deep strata where rejection sampling cannot
+    back to zero rightward maps on every fourth attempt), then rejects a
+    candidate that is not stable, and proves only the stable ones in Lambda
+    (j = 0, moment map = 0, B nilpotent); the solved candidates are nearly
+    always in Lambda, so most rejections are on stability.  Every returned
+    point is proved both ways.  Deep strata where rejection sampling cannot
     find the stable component fall through to the crystal-guided constructive
     walk.  Raises SampleExhaustedError when the locus appears empty.
     """
@@ -611,7 +625,7 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
         B = dict(left)
         B.update(right)
         point = QuiverRep(n, v, w, B=B, i=i)
-        if in_Lambda(point) and is_stable(point):
+        if is_stable(point) and in_Lambda(point):
             return point
     guided = _crystal_guided_sample(v, w, seed)
     if guided is not None:

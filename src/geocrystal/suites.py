@@ -16,6 +16,7 @@ from .cartan import (
     HighestWeight,
     Partition,
     a_of_vw,
+    as_composition,
     as_highest_weight,
     cartan_matrix,
     comp_shift,
@@ -35,7 +36,7 @@ from .flag import (
     s_k_exponent,
 )
 from .linalg import RatMat, embed, intersect_and_sum, preimage, rank
-from .maffei import ThetaContext, phi_k, theta, theta_w1_special
+from .maffei import ThetaContext, phi_maps, theta, theta_w1_special
 from .quiver import (
     GradedSubspace,
     QuiverRep,
@@ -232,7 +233,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
     )
     if d > 0 and not dominates(jordan_type(a), type_of_x):
         fail(None, "composition type does not dominate type of x")
-    phis = {k: phi_k(r, ctx, k) for k in range(1, n)}
+    phis = dict(enumerate(phi_maps(r, ctx), 1))
     for k in range(1, n):
         if rank(phis[k]) != r.v[k - 1]:
             fail("surjectivity", f"rank phi_{k} != v_{k}")
@@ -426,7 +427,7 @@ def suite_crystal(n_max: int = 4, level_max: int = 8) -> dict:
 
 def margin_sum(n: int, d: int) -> int:
     """Sum of margin_matrix_count over all pairs of n-part compositions of d."""
-    comps = list(_compositions(d, n))
+    comps = [as_composition(c) for c in _compositions(d, n)]
     return sum(
         repalg.margin_matrix_count(d1, d2) for d1 in comps for d2 in comps
     )

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from geocrystal.cartan import HighestWeight
-from geocrystal.errors import IncompatibleError, LambdaPreconditionError
+from geocrystal.errors import IncompatibleError, InvalidRankError, LambdaPreconditionError
 from geocrystal.flag import composition_of, flag_membership
 from geocrystal.linalg import RatMat, canonicalize
 from geocrystal.maffei import (
@@ -13,10 +14,19 @@ from geocrystal.maffei import (
     ThetaContext,
     enum_paths,
     phi_k,
+    phi_maps,
     theta,
     theta_w1_special,
 )
-from geocrystal.quiver import QuiverRep, apply_gauge, random_gauge, sample_lambda_point
+from geocrystal.quiver import (
+    QuiverRep,
+    QuiverShape,
+    apply_gauge,
+    is_stable,
+    kashiwara_reduce,
+    random_gauge,
+    sample_lambda_point,
+)
 from geocrystal.suites import check_theta_point, valid_dimvecs
 
 
@@ -48,13 +58,13 @@ def test_theta_context_layout():
     assert ctx.labels == ((1, 1), (2, 1), (2, 2))
     assert ctx.wleq_coords(1) == [0, 1]
     assert ctx.wleq_coords(2) == [0, 1, 2]
-    assert ctx.wleq_dim(1) == 2
+    assert len(ctx.wleq_coords(1)) == 2
     ctx2 = ThetaContext((2, 0, 1))
     assert ctx2.d == 5
     # W^{<=1} takes one copy of each vertex block
-    assert ctx2.wleq_dim(1) == 2 + 0 + 1
-    assert ctx2.wleq_dim(2) == 2 + 0 + 2
-    assert ctx2.wleq_dim(3) == 5
+    assert len(ctx2.wleq_coords(1)) == 2 + 0 + 1
+    assert len(ctx2.wleq_coords(2)) == 2 + 0 + 2
+    assert len(ctx2.wleq_coords(3)) == 5
 
 
 def test_phi_k_on_worked_example(p0):
@@ -63,6 +73,61 @@ def test_phi_k_on_worked_example(p0):
     assert phi_k(p0, ctx, 2) == RatMat([[0, 0, 1]])
     zero = QuiverRep(3, (0, 0), (1, 1))
     assert phi_k(zero, ctx, 1).shape == (0, 2)
+
+
+def _phi_by_paths(r, ctx, k):
+    """phi_k assembled path by path: B_p i_s for each copy W_s^(m) of W^{<=k}."""
+    blocks = []
+    for s in range(1, ctx.n):
+        for m in range(1, min(s, k) + 1):
+            block = r.i[s]
+            for edge in LeftRightPath(s, m, k).edges():
+                block = r.B[edge] * block
+            blocks.append(block)
+    return RatMat.block([blocks])
+
+
+def _random_j0_point(rng, n, w):
+    """A point with j = 0 and random rational B and i, usually unstable."""
+    v = tuple(rng.randint(0, 3) for _ in range(n - 1))
+
+    def mat(rows, cols):
+        return RatMat(
+            [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(cols)]
+             for _ in range(rows)],
+            cols=cols,
+        )
+
+    B = {h: mat(v[h[1] - 1], v[h[0] - 1]) for h in QuiverShape(n).edges()}
+    i = {k: mat(v[k - 1], w[k - 1]) for k in range(1, n) if rng.random() < 0.5}
+    return QuiverRep(n, v, w, B=B, i=i)
+
+
+def test_phi_maps_match_path_products():
+    from geocrystal.suites import ACCEPTANCE_MAFFEI_CONFIGS
+
+    rng = random.Random(17)
+    points = []
+    for n, w in ACCEPTANCE_MAFFEI_CONFIGS + ((5, (1, 1, 1, 1)), (4, (2, 1, 1))):
+        vs = valid_dimvecs(w)
+        for t in range(6):
+            r = sample_lambda_point(vs[(7 * t) % len(vs)], w, 50 + t)
+            points += [r] + [kashiwara_reduce(r, k)[0] for k in range(1, n)]
+        points += [_random_j0_point(rng, n, w) for _ in range(8)]
+    assert sum(not is_stable(r) for r in points) >= 30
+    for r in points:
+        ctx = ThetaContext(r.w)
+        maps = phi_maps(r, ctx)
+        assert maps == [_phi_by_paths(r, ctx, k) for k in range(1, r.n)]
+        assert [phi_k(r, ctx, k) for k in range(1, r.n)] == maps
+
+
+def test_phi_maps_preconditions(p0):
+    ctx = ThetaContext((1, 1))
+    with pytest.raises(InvalidRankError):
+        phi_k(p0, ctx, 3)
+    with pytest.raises(LambdaPreconditionError):
+        phi_maps(QuiverRep(3, (1, 1), (1, 1), j={1: RatMat([[1]])}), ctx)
 
 
 def test_theta_on_worked_example(p0):

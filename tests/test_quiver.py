@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,8 @@ from geocrystal.errors import (
 )
 from geocrystal.linalg import RatMat, canonicalize, zero_space
 from geocrystal.quiver import (
+    ENTRY_HI,
+    ENTRY_LO,
     GradedSubspace,
     QuiverRep,
     QuiverShape,
@@ -27,6 +30,7 @@ from geocrystal.quiver import (
     random_gauge,
     sample_lambda_point,
     stable_closure,
+    _random_kernel_blocks,
 )
 
 
@@ -319,3 +323,129 @@ def test_quiver_rep_json_round_trip(p0):
     assert "B:2->1" in payload["maps"] and "i:1" in payload["maps"]
     back = QuiverRep.from_json(payload)
     assert back.to_json() == payload
+
+
+def _sweep_closure(r):
+    """The closure by fixed-point sweeps over every edge, until none grows."""
+    spaces = {k: canonicalize(r.i[k], r.v[k - 1]) for k in r.shape.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in r.shape.edges():
+            image = r.B[(a, b)] * spaces[a].basis
+            grown = canonicalize(RatMat.block([[spaces[b].basis, image]]), r.v[b - 1])
+            if grown.dim > spaces[b].dim:
+                spaces[b] = grown
+                changed = True
+    return GradedSubspace(r.n, spaces)
+
+
+def _random_point(rng, n):
+    v = tuple(rng.randint(0, 3) for _ in range(n - 1))
+    w = tuple(rng.randint(0, 2) for _ in range(n - 1))
+
+    def mat(rows, cols, zero_rate):
+        return RatMat(
+            [
+                [
+                    0 if rng.random() < zero_rate else Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                    for _ in range(cols)
+                ]
+                for _ in range(rows)
+            ],
+            cols=cols,
+        )
+
+    zero_rate = rng.choice((0.3, 0.6, 0.9))
+    B = {h: mat(v[h[1] - 1], v[h[0] - 1], zero_rate) for h in QuiverShape(n).edges()}
+    i = {k: mat(v[k - 1], w[k - 1], zero_rate) for k in range(1, n)}
+    return QuiverRep(n, v, w, B=B, i=i)
+
+
+def test_stable_closure_matches_sweep():
+    rng = random.Random(23)
+    points = [_random_point(rng, rng.randint(2, 6)) for _ in range(300)]
+    points += [
+        sample_lambda_point(v, w, seed)
+        for v, w in [((1, 1), (1, 1)), ((1, 2, 1), (1, 1, 1)), ((2, 2, 1, 1), (1, 1, 1, 1))]
+        for seed in range(4)
+    ]
+    verdicts = []
+    for r in points:
+        closure = stable_closure(r)
+        assert closure == _sweep_closure(r)
+        verdicts.append(closure.dims() == r.v.v)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 100
+
+
+def test_random_kernel_blocks_match_fraction_route():
+    # The former route: Fraction kernel basis, coefficients drawn in basis
+    # order, the combination cut row-major into blocks.
+    def fraction_route(system, shapes, rng):
+        kernel = ref.kernel_basis(ref.RatMat(system.entries, cols=system.cols))
+        coeffs = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in kernel]
+        solution = [sum(c * v[t] for c, v in zip(coeffs, kernel)) for t in range(system.cols)]
+        blocks, idx = [], 0
+        for rows, cols in shapes:
+            blocks.append(
+                RatMat(
+                    [solution[idx + p * cols : idx + (p + 1) * cols] for p in range(rows)],
+                    cols=cols,
+                )
+            )
+            idx += rows * cols
+        return blocks
+
+    rng = random.Random(29)
+    for trial in range(300):
+        shapes = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        cols = sum(a * b for a, b in shapes)
+        rows = rng.randint(0, cols + 1)
+        system = RatMat(
+            [
+                [
+                    0 if rng.random() < 0.5 else Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                    for _ in range(cols)
+                ]
+                for _ in range(rows)
+            ],
+            cols=cols,
+        )
+        ours, theirs = random.Random(trial), random.Random(trial)
+        assert _random_kernel_blocks(system, shapes, ours) == fraction_route(
+            system, shapes, theirs
+        )
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_sampler_proves_lambda_only_on_stable_candidates(monkeypatch):
+    from geocrystal import quiver
+
+    proved_in_lambda, unstable = [], []
+    failure, stable = quiver.lambda_failure, quiver.is_stable
+
+    def watched_failure(r):
+        proved_in_lambda.append(r)
+        return failure(r)
+
+    def watched_stable(r):
+        verdict = stable(r)
+        if not verdict:
+            unstable.append(r)
+        return verdict
+
+    monkeypatch.setattr(quiver, "lambda_failure", watched_failure)
+    monkeypatch.setattr(quiver, "is_stable", watched_stable)
+    cases = [
+        ((1, 1), (1, 1)),
+        ((1, 1), (2, 1)),
+        ((1, 2, 1), (1, 1, 0)),
+        ((1, 2, 2, 1), (0, 1, 1, 0)),
+        ((2, 3, 2, 1), (1, 1, 1, 1)),  # deep: reached by the crystal walk
+    ]
+    for v, w in cases:
+        for seed in range(3):
+            r = sample_lambda_point(v, w, seed)
+            assert r._stable is True and r._in_lambda is True
+    assert unstable and proved_in_lambda
+    assert not {id(r) for r in unstable} & {id(r) for r in proved_in_lambda}
