@@ -19,6 +19,7 @@ from .cartan import (
     HighestWeight,
     Weight,
     as_highest_weight,
+    cartan_matrix,
     hw_to_partition,
     pair_with_coroot,
 )
@@ -257,11 +258,7 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
     def fail(msg: str) -> StembridgeReport:
         return StembridgeReport(False, len(g), checks, msg)
 
-    cartan = {
-        (i, j): (2 if i == j else (-1 if abs(i - j) == 1 else 0))
-        for i in range(1, n)
-        for j in range(1, n)
-    }
+    cartan = cartan_matrix(n)
     for word, vx in g.vertices.items():
         for k in range(1, n):
             up = g.e(word, k)
@@ -286,7 +283,7 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
                 delta = tuple(
                     vx.wt.omega[t] - wt_down.omega[t] for t in range(n - 1)
                 )
-                alpha_k = tuple(cartan[(t + 1, k)] for t in range(n - 1))
+                alpha_k = tuple(row[k - 1] for row in cartan)
                 if delta != alpha_k:
                     return fail(f"wt(f_{k} x) != wt(x) - alpha_{k} at {word}")
     for word, vx in g.vertices.items():
@@ -300,7 +297,7 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
                 checks += 1
                 d_eps = g.vertices[up_i].eps[j - 1] - vx.eps[j - 1]
                 d_phi = g.vertices[up_i].phi[j - 1] - vx.phi[j - 1]
-                a_ij = cartan[(i, j)]
+                a_ij = cartan[i - 1][j - 1]
                 if d_eps not in (0, -a_ij):
                     return fail(
                         f"eps_{j} changed by {d_eps} under e_{i} at {word}"

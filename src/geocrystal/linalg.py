@@ -180,14 +180,6 @@ class RatMat:
         )
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "RatMat":
-        columns = [tuple(c) for c in columns]
-        if any(len(c) != rows for c in columns):
-            raise DimensionMismatchError("column length != rows")
-        num, den = _int_rows(columns)
-        return cls._exact(tuple(_transpose(num, rows)), len(columns), den)
-
-    @classmethod
     def block(cls, grid: Sequence[Sequence["RatMat"]]) -> "RatMat":
         """The matrix assembled from a grid of blocks, over one common denominator.
 

@@ -1,6 +1,6 @@
-"""A_{n-1} quiver representation points (B, i, j): moment map, nilpotency,
-stability, the Lagrangian locus, dimension/sign formulas, Hecke quotients and
-the point-level maximal stratum reduction.
+"""A_{n-1} quiver representation points (B, i, j): moment map, stability,
+the Lagrangian locus, dimension/sign formulas, Hecke quotients at one vertex
+and the point-level maximal stratum reduction.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cartan import DimVec, HighestWeight, as_dimvec, as_highest_weight, cartan_matrix
+from .cartan import DimVec, HighestWeight, alpha_weight, as_dimvec, as_highest_weight
 from .errors import (
     DimensionMismatchError,
     GeoCrystalError,
@@ -23,13 +23,10 @@ from .linalg import (
     Subspace,
     _kernel_ints,
     canonicalize,
-    contains_image,
     full_space,
     kernel,
-    power_ranks,
     rank,
     rref,
-    zero_space,
 )
 
 Edge = tuple[int, int]  # (out(h), inc(h)) with |out - inc| = 1
@@ -189,34 +186,6 @@ class QuiverRep:
             raise ValueError(f"bad quiver point: {exc}") from exc
 
 
-class GradedSubspace:
-    """One subspace S_k ⊆ V_k per vertex."""
-
-    __slots__ = ("n", "spaces")
-
-    def __init__(self, n: int, spaces: dict[int, Subspace]):
-        if set(spaces) != set(range(1, n)):
-            raise DimensionMismatchError("need one subspace per vertex")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "spaces", dict(spaces))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedSubspace is immutable")
-
-    def __getitem__(self, k: int) -> Subspace:
-        return self.spaces[k]
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.spaces[k].dim for k in range(1, self.n))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedSubspace)
-            and self.n == other.n
-            and self.spaces == other.spaces
-        )
-
-
 def moment_map(r: QuiverRep) -> list[RatMat]:
     """mu_k = sum over edges into k of sign(h) B_h B_hbar, plus i_k j_k."""
     out = []
@@ -232,20 +201,7 @@ def moment_map(r: QuiverRep) -> list[RatMat]:
     return out
 
 
-def is_nilpotent_B(r: QuiverRep) -> bool:
-    """The total endomorphism T on the direct sum of the V_k is nilpotent;
-    its block from V_a to V_b is B_{(a, b)}, and zero where there is no edge."""
-    vertices = r.shape.vertices
-    T = RatMat.block(
-        [
-            [r.B.get((a, b)) or RatMat.zeros(r.v[b - 1], r.v[a - 1]) for a in vertices]
-            for b in vertices
-        ]
-    )
-    return power_ranks(T)[-1] == 0
-
-
-def stable_closure(r: QuiverRep) -> GradedSubspace:
+def stable_closure(r: QuiverRep) -> dict[int, Subspace]:
     """Smallest B-stable graded subspace containing the image of i.
 
     A worklist of the vertices whose space grew: only their outgoing edges
@@ -266,17 +222,20 @@ def stable_closure(r: QuiverRep) -> GradedSubspace:
                 spaces[b] = grown
                 if b not in pending:
                     pending.append(b)
-    return GradedSubspace(r.n, spaces)
+    return spaces
 
 
 def is_stable(r: QuiverRep) -> bool:
     if r._stable is None:
-        object.__setattr__(r, "_stable", stable_closure(r).dims() == r.v.v)
+        object.__setattr__(
+            r, "_stable", all(s.is_full() for s in stable_closure(r).values())
+        )
     return r._stable
 
 
 def in_Lambda(r: QuiverRep) -> bool:
-    """j = 0, moment map = 0 and B nilpotent."""
+    """j = 0 and moment map = 0: the Lagrangian locus, whose third condition,
+    B nilpotent, these two force (Lusztig's theorem, see lambda_failure)."""
     if r._in_lambda is None:
         lambda_failure(r)
     return r._in_lambda
@@ -284,14 +243,17 @@ def in_Lambda(r: QuiverRep) -> bool:
 
 def lambda_failure(r: QuiverRep) -> str | None:
     """The first condition of the Lagrangian locus that r fails (j = 0, then
-    moment map = 0, then B nilpotent), or None; records on r whether it is
-    None, so in_Lambda proves the predicate once per point."""
+    moment map = 0), or None; records on r whether it is None, so in_Lambda
+    proves the predicate once per point.
+
+    B nilpotent is not tested: with j = 0 and mu = 0, (V, B) is a module over
+    the preprojective algebra of the Dynkin quiver A_{n-1}, which is finite
+    dimensional, so B is nilpotent (Lusztig, "Quivers, perverse sheaves, and
+    quantized enveloping algebras", 1991)."""
     if any(not m.is_zero() for m in r.j.values()):
         reason = "j nonzero"
     elif any(not m.is_zero() for m in moment_map(r)):
         reason = "moment map nonzero"
-    elif not is_nilpotent_B(r):
-        reason = "B not nilpotent"
     else:
         reason = None
     object.__setattr__(r, "_in_lambda", reason is None)
@@ -319,44 +281,42 @@ def dim_and_sign(v, w, k: int) -> tuple[int, int]:
         raise DimensionMismatchError("rank mismatch")
     if not 1 <= k <= v.n - 1:
         raise InvalidRankError(f"vertex {k} out of range")
-    C = cartan_matrix(v.n)
-    Cv = [sum(row[j] * v[j] for j in range(len(v))) for row in C]
+    Cv = alpha_weight(v).omega
     dimM = sum(v[idx] * (2 * w[idx] - Cv[idx]) for idx in range(len(v)))
     r_k = -(w[k - 1] - Cv[k - 1]) - 1
     return dimM, r_k
 
 
-def quotient_by_invariant_subspace(r: QuiverRep, S: GradedSubspace) -> QuiverRep:
-    """Induced point on V/S for a B-invariant S killed by j."""
-    if S.n != r.n:
-        raise DimensionMismatchError("graded subspace rank mismatch")
-    for k in r.shape.vertices:
-        if S[k].ambient_dim != r.v[k - 1]:
-            raise DimensionMismatchError(f"S_{k} lives in wrong ambient")
-        if not (r.j[k] * S[k].basis).is_zero():
-            raise IncompatibleError(f"j_{k} does not kill S_{k}")
-    for h in r.shape.edges():
-        a, b = h
-        if not contains_image(S[b], r.B[h], S[a]):
+def quotient_by_invariant_subspace(r: QuiverRep, k: int, S: Subspace) -> QuiverRep:
+    """Induced point on V/S for a subspace S of V_k killed by j_k and by every
+    map out of k (Nakajima's Hecke correspondence at k): V_k becomes V_k/S,
+    the other spaces and the maps between them are unchanged."""
+    if not 1 <= k <= r.n - 1:
+        raise InvalidRankError(f"vertex {k} out of range")
+    vk, sk = r.v[k - 1], S.dim
+    if S.ambient_dim != vk:
+        raise DimensionMismatchError(f"S lives in wrong ambient for V_{k}")
+    if not (r.j[k] * S.basis).is_zero():
+        raise IncompatibleError(f"j_{k} does not kill S")
+    for h in r.shape.edges_out_of(k):
+        if not (r.B[h] * S.basis).is_zero():
             raise IncompatibleError(f"S is not B-invariant along {h}")
-    # Per-vertex: complete the S-basis by standard vectors, then the quotient
-    # map is "last coordinates" of the inverse change of basis.  The pivot
-    # columns of [S_k | 1] are the S_k basis followed by the standard vectors
-    # that complete it, each taken when it is not in the span of those before.
-    proj: dict[int, RatMat] = {}
-    emb: dict[int, RatMat] = {}
-    for k in r.shape.vertices:
-        vk, sk = r.v[k - 1], S[k].dim
-        both = RatMat.block([[S[k].basis, RatMat.identity(vk)]])
-        pivots = rref(both)[1]
-        proj[k] = both.select(range(vk), pivots).inverse().select(range(sk, vk), range(vk))
-        emb[k] = both.select(range(vk), pivots[sk:])
-    newB = {
-        (a, b): proj[b] * r.B[(a, b)] * emb[a] for (a, b) in r.shape.edges()
-    }
-    newi = {k: proj[k] * r.i[k] for k in r.shape.vertices}
-    newj = {k: r.j[k] * emb[k] for k in r.shape.vertices}
-    newv = tuple(r.v[k - 1] - S[k].dim for k in r.shape.vertices)
+    # Complete the S-basis by standard vectors, then the quotient map is
+    # "last coordinates" of the inverse change of basis.  The pivot columns
+    # of [S | 1] are the S basis followed by the standard vectors that
+    # complete it, each taken when it is not in the span of those before.
+    both = RatMat.block([[S.basis, RatMat.identity(vk)]])
+    pivots = rref(both)[1]
+    proj = both.select(range(vk), pivots).inverse().select(range(sk, vk), range(vk))
+    emb = both.select(range(vk), pivots[sk:])
+    newB = dict(r.B)
+    for h in r.shape.edges_into(k):
+        newB[h] = proj * r.B[h]
+    for h in r.shape.edges_out_of(k):
+        newB[h] = r.B[h] * emb
+    newi = {**r.i, k: proj * r.i[k]}
+    newj = {**r.j, k: r.j[k] * emb}
+    newv = tuple(r.v[t] - (sk if t == k - 1 else 0) for t in range(r.n - 1))
     return QuiverRep(r.n, newv, r.w, B=newB, i=newi, j=newj)
 
 
@@ -371,11 +331,7 @@ def kashiwara_reduce(r: QuiverRep, k: int) -> tuple[QuiverRep, int]:
     c = joint.dim
     if c == 0:
         return r, 0
-    spaces = {
-        l: (joint if l == k else zero_space(r.v[l - 1]))
-        for l in r.shape.vertices
-    }
-    return quotient_by_invariant_subspace(r, GradedSubspace(r.n, spaces)), c
+    return quotient_by_invariant_subspace(r, k, joint), c
 
 
 def apply_gauge(r: QuiverRep, g: dict[int, RatMat]) -> QuiverRep:
@@ -575,11 +531,12 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
     solves the moment map equations exactly for the rightward maps (falling
     back to zero rightward maps on every fourth attempt), then rejects a
     candidate that is not stable, and proves only the stable ones in Lambda
-    (j = 0, moment map = 0, B nilpotent); the solved candidates are nearly
-    always in Lambda, so most rejections are on stability.  Every returned
-    point is proved both ways.  Deep strata where rejection sampling cannot
-    find the stable component fall through to the crystal-guided constructive
-    walk.  Raises SampleExhaustedError when the locus appears empty.
+    (j = 0 and moment map = 0, which force B nilpotent by Lusztig's theorem,
+    see lambda_failure); the solved candidates are nearly always in Lambda,
+    so most rejections are on stability.  Every returned point is proved both
+    ways.  Deep strata where rejection sampling cannot find the stable
+    component fall through to the crystal-guided constructive walk.  Raises
+    SampleExhaustedError when the locus appears empty.
     """
     v, w = as_dimvec(v), as_highest_weight(w)
     if v.n != w.n:

@@ -23,11 +23,11 @@ from .cartan import (
     as_highest_weight,
     as_partition,
     a_of_vw,
-    cartan_matrix,
     hw_to_partition,
     is_partition_of,
     partition_to_hw,
     reduce_mod_full_columns,
+    weight_of_vw,
 )
 from .errors import (
     BudgetExceededError,
@@ -308,12 +308,10 @@ def dominant_weights_of(w) -> list[tuple[HighestWeight, bool]]:
     w = as_highest_weight(w)
     n = w.n
     d = w.level_d
-    C = cartan_matrix(n)
     graph = highest_weight_crystal(w)
     out = []
     for v in product(range(d + 1), repeat=n - 1):
-        Cv = [sum(row[t] * v[t] for t in range(n - 1)) for row in C]
-        mu = tuple(w[t] - Cv[t] for t in range(n - 1))
+        mu = weight_of_vw(v, w).omega
         if any(c < 0 for c in mu):
             continue
         try:

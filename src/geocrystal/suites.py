@@ -35,10 +35,9 @@ from .flag import (
     is_hecke_pair,
     s_k_exponent,
 )
-from .linalg import RatMat, embed, intersect_and_sum, preimage, rank
+from .linalg import RatMat, canonicalize, embed, intersect_and_sum, preimage, rank
 from .maffei import ThetaContext, phi_maps, theta, theta_w1_special
 from .quiver import (
-    GradedSubspace,
     QuiverRep,
     apply_gauge,
     dim_and_sign,
@@ -49,7 +48,6 @@ from .quiver import (
     random_gauge,
     sample_lambda_point,
 )
-from .linalg import canonicalize, zero_space
 
 MAX_RECORDED_FAILURES = 20
 
@@ -266,11 +264,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
             fail("reduction-intertwining", f"reduction intertwining fails at k={k}")
         if eps_pt >= 1:
             line = canonicalize([kernel_k.basis.column(0)], r.v[k - 1])
-            spaces = {
-                l: (line if l == k else zero_space(r.v[l - 1]))
-                for l in range(1, n)
-            }
-            quotient = quotient_by_invariant_subspace(r, GradedSubspace(n, spaces))
+            quotient = quotient_by_invariant_subspace(r, k, line)
             F_q = theta(quotient, ctx)
             hecke_cases += 1
             if not is_hecke_pair(F_q, F, k):
@@ -437,16 +431,7 @@ def rsk_roundtrip_exhaustive(n: int, d: int) -> dict:
     """Round-trip every n x n margin matrix with total d through RSK."""
     count = 0
     failures: list[str] = []
-
-    def matrices(cells: int, total: int):
-        if cells == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in matrices(cells - 1, total - first):
-                yield (first,) + rest
-
-    for flat in matrices(n * n, d):
+    for flat in _compositions(d, n * n):
         m = [list(flat[row * n : (row + 1) * n]) for row in range(n)]
         P, Q = repalg.rsk(m)
         if [len(r) for r in P] != [len(r) for r in Q]:

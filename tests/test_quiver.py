@@ -5,22 +5,22 @@ import pytest
 
 import reference_linalg as ref
 from geocrystal.errors import (
+    DimensionMismatchError,
     IncompatibleError,
+    InvalidRankError,
     LambdaPreconditionError,
     SampleExhaustedError,
 )
-from geocrystal.linalg import RatMat, canonicalize, zero_space
+from geocrystal.linalg import RatMat, canonicalize, contains_image, rref, zero_space
 from geocrystal.quiver import (
     ENTRY_HI,
     ENTRY_LO,
-    GradedSubspace,
     QuiverRep,
     QuiverShape,
     apply_gauge,
     dim_and_sign,
     epsilon_k_point,
     in_Lambda,
-    is_nilpotent_B,
     is_stable,
     joint_outgoing_kernel,
     kashiwara_reduce,
@@ -31,7 +31,9 @@ from geocrystal.quiver import (
     sample_lambda_point,
     stable_closure,
     _random_kernel_blocks,
+    _solve_right_maps,
 )
+from geocrystal.suites import ACCEPTANCE_MAFFEI_CONFIGS, valid_dimvecs
 
 
 def test_quiver_shape():
@@ -58,18 +60,20 @@ def test_moment_map_examples(p0):
     assert mu[0] == RatMat([[1]])
 
 
-def test_is_nilpotent_B(p0):
-    assert is_nilpotent_B(QuiverRep(3, (1, 1), (1, 1)))
-    assert is_nilpotent_B(p0)
+def test_non_nilpotent_points_fail_moment_map():
+    # B nilpotent is not tested on its own: these non-nilpotent points fail
+    # the moment map already
     loop = QuiverRep(
         3, (1, 1), (1, 1), B={(2, 1): RatMat([[1]]), (1, 2): RatMat([[1]])}
     )
-    assert not is_nilpotent_B(loop)
+    assert not _total_power_vanishes(loop)
+    assert lambda_failure(loop) == "moment map nonzero"
     # the image chain shrinks once (3 -> 2) and then stalls on a cycle
     stalls = QuiverRep(
         3, (2, 1), (1, 1), B={(2, 1): RatMat([[1], [0]]), (1, 2): RatMat([[1, 0]])}
     )
-    assert not is_nilpotent_B(stalls)
+    assert not _total_power_vanishes(stalls)
+    assert lambda_failure(stalls) == "moment map nonzero"
 
 
 def _total_power_vanishes(r):
@@ -86,23 +90,41 @@ def _total_power_vanishes(r):
     return D == 0 or ref.RatMat(rows, cols=D).power(D).is_zero()
 
 
-def test_is_nilpotent_B_matches_powering():
+def test_lambda_forces_nilpotent_B():
+    # Lusztig: j = 0 and mu = 0 make (V, B) a module over the finite-dimensional
+    # preprojective algebra of A_{n-1}, so B is nilpotent; in_Lambda relies on it
     rng = random.Random(3)
-    for _ in range(200):
-        n = rng.randint(2, 4)
+    verdicts = []
+    for trial in range(320):
+        n = rng.randint(2, 5)
         v = tuple(rng.randint(0, 2) for _ in range(n - 1))
-        B = {
-            h: RatMat(
-                [
-                    [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(v[h[0] - 1])]
-                    for _ in range(v[h[1] - 1])
-                ],
-                cols=v[h[0] - 1],
+        w = tuple(rng.randint(0, 1) for _ in range(n - 1))
+
+        def entry():
+            if rng.random() < 0.6:
+                return 0
+            if trial % 2:
+                return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            return rng.randint(-2, 2)
+
+        left = {
+            (k, k - 1): RatMat(
+                [[entry() for _ in range(v[k - 1])] for _ in range(v[k - 2])],
+                cols=v[k - 1],
             )
-            for h in QuiverShape(n).edges()
+            for k in range(2, n)
         }
-        r = QuiverRep(n, v, (1,) * (n - 1), B=B)
-        assert is_nilpotent_B(r) == _total_power_vanishes(r)
+        right = _solve_right_maps(left, n, v, rng)
+        i = {
+            k: RatMat([[entry() for _ in range(w[k - 1])] for _ in range(v[k - 1])], cols=w[k - 1])
+            for k in range(1, n)
+        }
+        r = QuiverRep(n, v, w, B={**left, **right}, i=i)
+        assert all(m.is_zero() for m in moment_map(r))
+        assert lambda_failure(r) is None
+        assert _total_power_vanishes(r)
+        verdicts.append(is_stable(r))
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
 
 def test_stability(p0):
@@ -201,25 +223,67 @@ def test_dim_difference_identity():
 
 
 def test_quotient_by_invariant_subspace(p0):
-    same = quotient_by_invariant_subspace(
-        p0, GradedSubspace(3, {1: zero_space(1), 2: zero_space(1)})
-    )
+    same = quotient_by_invariant_subspace(p0, 1, zero_space(1))
     assert same.to_json() == p0.to_json()
 
-    S = GradedSubspace(3, {1: canonicalize([(1,)], 1), 2: zero_space(1)})
-    quot = quotient_by_invariant_subspace(p0, S)
+    quot = quotient_by_invariant_subspace(p0, 1, canonicalize([(1,)], 1))
     assert quot.v.v == (0, 1)
     assert quot.i[2] == RatMat([[1]])
 
-    bad = GradedSubspace(3, {1: zero_space(1), 2: canonicalize([(1,)], 1)})
     with pytest.raises(IncompatibleError):
-        quotient_by_invariant_subspace(p0, bad)  # B(2->1) leaves S
+        # S is not in ker B(2->1)
+        quotient_by_invariant_subspace(p0, 2, canonicalize([(1,)], 1))
 
     with_j = QuiverRep(3, (1, 1), (1, 1), j={1: RatMat([[1]])})
     with pytest.raises(IncompatibleError):
-        quotient_by_invariant_subspace(
-            with_j, GradedSubspace(3, {1: canonicalize([(1,)], 1), 2: zero_space(1)})
-        )
+        quotient_by_invariant_subspace(with_j, 1, canonicalize([(1,)], 1))
+
+    with pytest.raises(InvalidRankError):
+        quotient_by_invariant_subspace(p0, 3, zero_space(1))
+    with pytest.raises(DimensionMismatchError):
+        quotient_by_invariant_subspace(p0, 1, zero_space(2))
+
+
+def _graded_quotient(r, S):
+    """The quotient by a B-invariant graded subspace S (one space per vertex)
+    killed by j: every vertex projected and embedded."""
+    for k in r.shape.vertices:
+        assert (r.j[k] * S[k].basis).is_zero()
+    for h in r.shape.edges():
+        assert contains_image(S[h[1]], r.B[h], S[h[0]])
+    proj, emb = {}, {}
+    for k in r.shape.vertices:
+        vk, sk = r.v[k - 1], S[k].dim
+        both = RatMat.block([[S[k].basis, RatMat.identity(vk)]])
+        pivots = rref(both)[1]
+        proj[k] = both.select(range(vk), pivots).inverse().select(range(sk, vk), range(vk))
+        emb[k] = both.select(range(vk), pivots[sk:])
+    newB = {(a, b): proj[b] * r.B[(a, b)] * emb[a] for (a, b) in r.shape.edges()}
+    newi = {k: proj[k] * r.i[k] for k in r.shape.vertices}
+    newj = {k: r.j[k] * emb[k] for k in r.shape.vertices}
+    newv = tuple(r.v[k - 1] - S[k].dim for k in r.shape.vertices)
+    return QuiverRep(r.n, newv, r.w, B=newB, i=newi, j=newj)
+
+
+def test_quotient_matches_graded_oracle():
+    # the callers' subspaces: joint outgoing kernels and their first lines
+    cases = 0
+    for n, w in ACCEPTANCE_MAFFEI_CONFIGS + ((5, (1, 1, 1, 1)),):
+        for v in valid_dimvecs(w)[:12]:
+            r = sample_lambda_point(v, w, seed=len(v) + sum(v))
+            for k in r.shape.vertices:
+                joint = joint_outgoing_kernel(r, k)
+                if joint.dim == 0:
+                    continue
+                line = canonicalize([joint.basis.column(0)], r.v[k - 1])
+                for S in (joint, line):
+                    graded = {
+                        l: S if l == k else zero_space(r.v[l - 1]) for l in r.shape.vertices
+                    }
+                    ours = quotient_by_invariant_subspace(r, k, S)
+                    assert ours.to_json() == _graded_quotient(r, graded).to_json()
+                    cases += 1
+    assert cases >= 100
 
 
 def test_kashiwara_reduce(p0):
@@ -337,7 +401,7 @@ def _sweep_closure(r):
             if grown.dim > spaces[b].dim:
                 spaces[b] = grown
                 changed = True
-    return GradedSubspace(r.n, spaces)
+    return spaces
 
 
 def _random_point(rng, n):
@@ -374,7 +438,7 @@ def test_stable_closure_matches_sweep():
     for r in points:
         closure = stable_closure(r)
         assert closure == _sweep_closure(r)
-        verdicts.append(closure.dims() == r.v.v)
+        verdicts.append(all(space.is_full() for space in closure.values()))
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 100
 
 
