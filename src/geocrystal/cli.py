@@ -3,7 +3,7 @@
 All outputs are deterministic for a fixed configuration (seeds are explicit,
 JSON keys are sorted) and carry a schema-version field.  Exit codes: 0 all
 checks pass, 1 a verified invariant or predicate failed, 2 usage or parse
-errors.
+errors, an output file that cannot be written among them.
 """
 
 from __future__ import annotations
@@ -102,10 +102,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class OutputError(Exception):
+    """An output file could not be written; main reports it as a usage error."""
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -188,8 +199,7 @@ def _dump_bundles(n: int, w, samples: int, seed: int, path: str) -> None:
             continue
         flags.append(theta(r, ctx))
     payload = flag_bundle_to_json(x, flags)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_crystal(args) -> int:
@@ -206,10 +216,18 @@ def cmd_crystal(args) -> int:
     return 0
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object, refusing a key given twice (json keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate key in a JSON object")
+    return obj
+
+
 def cmd_theta(args) -> int:
     try:
         with open(args.input_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
         point = QuiverRep.from_json(payload)
     except (OSError, ValueError, KeyError, GeoCrystalError) as exc:
         print(f"error: cannot load quiver point: {exc}", file=sys.stderr)
@@ -276,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     except GeoCrystalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     parser.error(f"unknown command {args.command}")
     return USAGE_ERROR
 

@@ -95,6 +95,47 @@ def _echelon(
     return red, tuple(pivots), prev
 
 
+def _echelon_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Integer echelon rows spanning the rows' span, one per unit of rank,
+    each divided by the gcd of its entries so that entries stay small."""
+    red, pivots, _ = _echelon(rows, ncols)
+    out = []
+    for row in red[: len(pivots)]:
+        g = gcd(*row)
+        out.append(row if g == 1 else [a // g for a in row])
+    return out
+
+
+def _product_map_rows(
+    rows: int, cols: int, terms: Sequence[tuple[int, "RatMat", bool, int]], ncols: int
+) -> list[list[int]]:
+    """The nonzero integer rows of a linear map from unknown blocks to
+    rows x cols matrices, flattened row-major.
+
+    The unknowns are ncols coordinates; a term (offset, M, left, sign) adds
+    sign * M X when left, else sign * X M, for X the row-major block of the
+    unknowns at offset.  The rows are scaled by the lcm of the terms'
+    denominators and zero rows are left out: neither changes the kernel.
+    """
+    den = lcm(*(m.den for _, m, _, _ in terms))
+    scaled = [(offset, m.num, left, sign * (den // m.den)) for offset, m, left, sign in terms]
+    out = []
+    for p in range(rows):
+        for q in range(cols):
+            row = [0] * ncols
+            for offset, num, left, c in scaled:
+                if left:  # (M X)[p, q] = sum_t M[p, t] X[t, q]
+                    for t, a in enumerate(num[p]):
+                        row[offset + t * cols + q] += c * a
+                else:  # (X M)[p, q] = sum_t X[p, t] M[t, q], X with len(num) columns
+                    base = offset + p * len(num)
+                    for t, mrow in enumerate(num):
+                        row[base + t] += c * mrow[q]
+            if any(row):
+                out.append(row)
+    return out
+
+
 def _kernel_ints(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:
     """Kernel vectors scaled to integers, and the scale d.
 
@@ -251,18 +292,16 @@ class RatMat:
         )
 
     def __mul__(self, other):
-        if isinstance(other, RatMat):
-            if self.cols != other.rows:
-                raise DimensionMismatchError(f"{self.shape} * {other.shape}")
-            if other.rows == 0:
-                return RatMat.zeros(self.rows, other.cols)
-            return RatMat._reduce(
-                _matmul(self.num, other.num), other.cols, self.den * other.den
-            )
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        """The matrix product; a scalar multiple is :meth:`scale`."""
+        if not isinstance(other, RatMat):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionMismatchError(f"{self.shape} * {other.shape}")
+        if other.rows == 0:
+            return RatMat.zeros(self.rows, other.cols)
+        return RatMat._reduce(
+            _matmul(self.num, other.num), other.cols, self.den * other.den
+        )
 
     def scale(self, c) -> "RatMat":
         c = _frac(c)
@@ -271,28 +310,11 @@ class RatMat:
             [[p * a for a in row] for row in self.num], self.cols, self.den * c.denominator
         )
 
-    def kron(self, other: "RatMat") -> "RatMat":
-        """Kronecker product: entry (i*p + k, j*q + l) is self[i, j] * other[k, l]
-        for other of shape (p, q).  With row-major flattening,
-        vec(A X B) = (A kron B^T) vec(X)."""
-        return RatMat._reduce(
-            [
-                [a * b for a in ra for b in rb]
-                for ra in self.num
-                for rb in other.num
-            ],
-            self.cols * other.cols,
-            self.den * other.den,
-        )
-
     def select(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMat":
         """The submatrix on the given row and column indices, in that order."""
         return RatMat._reduce(
             [[self.num[i][j] for j in cols] for i in rows], len(cols), self.den
         )
-
-    def transpose(self) -> "RatMat":
-        return RatMat._exact(tuple(_transpose(self.num, self.cols)), self.rows, self.den)
 
     def apply(self, vec: Sequence) -> Vector:
         if len(vec) != self.cols:
@@ -342,10 +364,17 @@ class RatMat:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RatMat":
-        """Inverse of to_json; a malformed payload raises ValueError or KeyError."""
+        """Inverse of to_json; a malformed payload raises ValueError or KeyError.
+
+        rows and cols must be JSON integers, and an entry an integer or a
+        "p/q" string: a boolean is not read as 0 or 1."""
         if not isinstance(obj, dict):
             raise ValueError(f"matrix payload must be an object, not {type(obj).__name__}")
+        if type(obj["rows"]) is not int or type(obj["cols"]) is not int:
+            raise ValueError("matrix rows and cols must be integers")
         try:
+            if any(isinstance(e, bool) for row in obj["entries"] for e in row):
+                raise TypeError("boolean entry")
             m = cls(obj["entries"], cols=obj["cols"])
         except (TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"bad matrix entries: {exc}") from exc

@@ -154,6 +154,22 @@ def phi_k(r: QuiverRep, ctx: ThetaContext, k: int) -> RatMat:
     return phi_maps(r, ctx)[k - 1]
 
 
+def theta_with_phi_maps(r: QuiverRep, ctx: ThetaContext) -> tuple[Flag, list[RatMat]]:
+    """theta(r) together with the maps [phi_1, ..., phi_{n-1}] whose kernels
+    it is built from, for callers that check identities on both."""
+    if not in_Lambda(r):
+        raise LambdaPreconditionError("point is not in the Lagrangian locus")
+    if not is_stable(r):
+        raise LambdaPreconditionError("point is not stable")
+    d, n = ctx.d, ctx.n
+    phis = phi_maps(r, ctx)
+    spaces = [zero_space(d)]
+    for k, phi in enumerate(phis, 1):
+        spaces.append(embed(kernel(phi), ctx.wleq_coords(k), d))
+    spaces.append(full_space(d))
+    return Flag(spaces, n), phis
+
+
 def theta(r: QuiverRep, ctx: ThetaContext) -> Flag:
     """Flag with F_k = ker phi_k, for a stable Lagrangian point.
 
@@ -161,16 +177,7 @@ def theta(r: QuiverRep, ctx: ThetaContext) -> Flag:
     well-defined function of the orbit; its composition is a(v, w) and it lies
     in the fiber of the canonical block-shift nilpotent of w.
     """
-    if not in_Lambda(r):
-        raise LambdaPreconditionError("point is not in the Lagrangian locus")
-    if not is_stable(r):
-        raise LambdaPreconditionError("point is not stable")
-    d, n = ctx.d, ctx.n
-    spaces = [zero_space(d)]
-    for k, phi in enumerate(phi_maps(r, ctx), 1):
-        spaces.append(embed(kernel(phi), ctx.wleq_coords(k), d))
-    spaces.append(full_space(d))
-    return Flag(spaces, n)
+    return theta_with_phi_maps(r, ctx)[0]
 
 
 def theta_w1_special(r: QuiverRep) -> tuple[RatMat, Flag]:

@@ -6,8 +6,10 @@ and the point-level maximal stratum reduction.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .cartan import DimVec, HighestWeight, alpha_weight, as_dimvec, as_highest_weight
 from .errors import (
@@ -21,7 +23,10 @@ from .errors import (
 from .linalg import (
     RatMat,
     Subspace,
+    _echelon_rows,
     _kernel_ints,
+    _product_map_rows,
+    _transpose,
     canonicalize,
     full_space,
     kernel,
@@ -34,6 +39,23 @@ Edge = tuple[int, int]  # (out(h), inc(h)) with |out - inc| = 1
 # The sampler draws every integer entry from [ENTRY_LO, ENTRY_HI].
 ENTRY_LO, ENTRY_HI = -2, 2
 MAX_TRIES = 32  # rejection-sampling attempts before the crystal-guided walk
+
+# The map keys QuiverRep.to_json writes: B:a->b, i:k and j:k in plain decimal.
+_INDEX = "(0|[1-9][0-9]*)"
+_MAP_KEY = re.compile(f"B:{_INDEX}->{_INDEX}|([ij]):{_INDEX}")
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON integer: not a boolean, a float or a string."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, name: str) -> list[int]:
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list of integers, got {value!r}")
+    return [_json_int(c, name) for c in value]
 
 
 @dataclass(frozen=True)
@@ -163,25 +185,28 @@ class QuiverRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuiverRep":
+        """Inverse of to_json.  n, v and w must be JSON integers and every map
+        key must be written as to_json writes it, so no two keys name one map;
+        anything else raises ValueError (or KeyError for a missing field)."""
         if not isinstance(obj, dict) or not isinstance(obj.get("maps", {}), dict):
             raise ValueError("a quiver point is an object whose 'maps' is an object")
         try:
-            n = int(obj["n"])
+            n = _json_int(obj["n"], "n")
+            v, w = _json_ints(obj["v"], "v"), _json_ints(obj["w"], "w")
             B: dict[Edge, RatMat] = {}
             i: dict[int, RatMat] = {}
             j: dict[int, RatMat] = {}
             for key, payload in obj.get("maps", {}).items():
-                m = RatMat.from_json(payload)
-                if key.startswith("B:"):
-                    a, b = key[2:].split("->")
-                    B[(int(a), int(b))] = m
-                elif key.startswith("i:"):
-                    i[int(key[2:])] = m
-                elif key.startswith("j:"):
-                    j[int(key[2:])] = m
-                else:
+                match = _MAP_KEY.fullmatch(key)
+                if match is None:
                     raise IncompatibleError(f"unknown map key {key!r}")
-            return cls(n, obj["v"], obj["w"], B=B, i=i, j=j)
+                a, b, kind, k = match.groups()
+                m = RatMat.from_json(payload)
+                if kind is None:
+                    B[(int(a), int(b))] = m
+                else:
+                    (i if kind == "i" else j)[int(k)] = m
+            return cls(n, v, w, B=B, i=i, j=j)
         except TypeError as exc:
             raise ValueError(f"bad quiver point: {exc}") from exc
 
@@ -201,34 +226,53 @@ def moment_map(r: QuiverRep) -> list[RatMat]:
     return out
 
 
-def stable_closure(r: QuiverRep) -> dict[int, Subspace]:
-    """Smallest B-stable graded subspace containing the image of i.
+def _closure_rows(r: QuiverRep) -> dict[int, list[list[int]]]:
+    """The B-closure of im i, vertex by vertex, as integer echelon rows in the
+    coordinates of V_k; the rank at k is the number of rows.
 
-    A worklist of the vertices whose space grew: only their outgoing edges
-    can enlarge another space, and a full target cannot grow.  The closure
-    is unique and its spaces canonical, so the order of the work is not seen.
+    A worklist of the vertices whose span grew: only their outgoing edges can
+    enlarge another span, and a full span cannot grow.  The work stops early
+    once every span is full.
     """
-    spaces = {k: canonicalize(r.i[k], r.v[k - 1]) for k in r.shape.vertices}
-    pending = [k for k in r.shape.vertices if spaces[k].dim]
-    while pending:
+    dims = {k: r.v[k - 1] for k in r.shape.vertices}
+    spans = {
+        k: _echelon_rows(_transpose(r.i[k].num, r.i[k].cols), dims[k])
+        for k in r.shape.vertices
+    }
+    short = sum(len(spans[k]) < dims[k] for k in spans)
+    pending = [k for k in r.shape.vertices if spans[k]]
+    while pending and short:
         a = pending.pop()
         for h in r.shape.edges_out_of(a):
             b = h[1]
-            if spaces[b].is_full():
+            if len(spans[b]) == dims[b]:
                 continue
-            image = r.B[h] * spaces[a].basis
-            grown = canonicalize(RatMat.block([[spaces[b].basis, image]]), r.v[b - 1])
-            if grown.dim > spaces[b].dim:
-                spaces[b] = grown
+            # B_h u for each spanning row u of V_a, as a row of V_b
+            image = [[sum(map(mul, u, row)) for row in r.B[h].num] for u in spans[a]]
+            grown = _echelon_rows(spans[b] + image, dims[b])
+            if len(grown) > len(spans[b]):
+                spans[b] = grown
+                short -= len(grown) == dims[b]
                 if b not in pending:
                     pending.append(b)
-    return spaces
+    return spans
+
+
+def stable_closure(r: QuiverRep) -> dict[int, Subspace]:
+    """Smallest B-stable graded subspace containing the image of i, each space
+    canonical: the spans of :func:`_closure_rows`.  r is stable iff every
+    space is full, which :func:`is_stable` reads from the ranks alone."""
+    return {k: canonicalize(rows, r.v[k - 1]) for k, rows in _closure_rows(r).items()}
 
 
 def is_stable(r: QuiverRep) -> bool:
+    """True iff the B-closure of im i is all of V: no proper B-stable graded
+    subspace contains im i.  Only the ranks of the closure are compared, and
+    the verdict is recorded on r, so it is proved once per point."""
     if r._stable is None:
+        spans = _closure_rows(r)
         object.__setattr__(
-            r, "_stable", all(s.is_full() for s in stable_closure(r).values())
+            r, "_stable", all(len(spans[k]) == r.v[k - 1] for k in r.shape.vertices)
         )
     return r._stable
 
@@ -362,15 +406,18 @@ def random_gauge(rng: random.Random, v) -> dict[int, RatMat]:
 
 
 def _random_kernel_blocks(
-    system: RatMat, shapes: list[tuple[int, int]], rng: random.Random
+    system: list[list[int]], shapes: list[tuple[int, int]], rng: random.Random
 ) -> list[RatMat]:
-    """A random point of ker(system), cut row-major into blocks of the given
-    shapes; the coefficients on the kernel basis are drawn in basis order."""
+    """A random point of the kernel of the integer rows of system, cut
+    row-major into blocks of the given shapes; the coefficients on the kernel
+    basis are drawn in basis order."""
+    ncols = sum(a * b for a, b in shapes)
     # the integer kernel vectors are d times the kernel_basis vectors, so the
-    # point is the integer combination over the denominator d
-    vectors, d = _kernel_ints(system.num, system.cols)
+    # point is the integer combination over the denominator d; scaling a row
+    # of the system changes d and the vectors alike, not the point
+    vectors, d = _kernel_ints(system, ncols)
     coeffs = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in vectors]
-    solution = [sum(c * v[t] for c, v in zip(coeffs, vectors)) for t in range(system.cols)]
+    solution = [sum(c * v[t] for c, v in zip(coeffs, vectors)) for t in range(ncols)]
     blocks = []
     idx = 0
     for rows, cols in shapes:
@@ -385,6 +432,14 @@ def _random_kernel_blocks(
     return blocks
 
 
+def _offsets(shapes: list[tuple[int, int]]) -> list[int]:
+    """The first unknown of each row-major block, blocks laid out in order."""
+    out = [0]
+    for a, b in shapes:
+        out.append(out[-1] + a * b)
+    return out
+
+
 def _solve_right_maps(
     r_left: dict[Edge, RatMat], n: int, v, rng: random.Random
 ) -> dict[Edge, RatMat]:
@@ -392,25 +447,24 @@ def _solve_right_maps(
     ones; mu is linear in the rightward block.  Returns a random kernel point.
 
     With R_a the rightward map V_a -> V_{a+1} and L_{a+1} the leftward map
-    back, R_a enters mu_a as L_{a+1} R_a and mu_{a+1} as -R_a L_{a+1}; in
-    row-major coordinates these are L_{a+1} kron 1 and -(1 kron L_{a+1}^T).
-    Unknowns are ordered edge by edge, each block row-major.
+    back, R_a enters mu_a as L_{a+1} R_a and mu_{a+1} as -R_a L_{a+1}.  The
+    system is built directly as integer rows: the rows of mu_k are scaled by
+    the lcm of the denominators of the two left maps they mix, and zero rows
+    are left out.  Unknowns are ordered edge by edge, each block row-major.
     """
     right_edges = [(a, a + 1) for a in range(1, n - 1)]
-    grid = []
-    for k in range(1, n):
-        row = []
-        for a, _ in right_edges:
-            L = r_left[(a + 1, a)]
-            if k == a:
-                row.append(L.kron(RatMat.identity(v[a - 1])))
-            elif k == a + 1:
-                row.append(-RatMat.identity(v[a]).kron(L.transpose()))
-            else:
-                row.append(RatMat.zeros(v[k - 1] ** 2, v[a] * v[a - 1]))
-        grid.append(row)
     shapes = [(v[a], v[a - 1]) for a, _ in right_edges]
-    return dict(zip(right_edges, _random_kernel_blocks(RatMat.block(grid), shapes, rng)))
+    offsets = _offsets(shapes)
+    ncols = offsets[-1]
+    rows = []
+    for k in range(1, n):
+        terms = []
+        if k <= n - 2:
+            terms.append((offsets[k - 1], r_left[(k + 1, k)], True, 1))
+        if k >= 2:
+            terms.append((offsets[k - 2], r_left[(k, k - 1)], False, -1))
+        rows += _product_map_rows(v[k - 1], v[k - 1], terms, ncols)
+    return dict(zip(right_edges, _random_kernel_blocks(rows, shapes, rng)))
 
 
 def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> QuiverRep | None:
@@ -426,14 +480,15 @@ def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> Quive
     shape = r.shape
     incoming = shape.edges_into(k)
     # Unknowns: one s x v_out block per incoming edge, row-major; condition
-    # rows are the S-rows of mu_k against the old V_k, where N_h B_{bar h}
-    # is (1 kron B_{bar h}^T) on the row-major N_h.
-    system = RatMat.block([[
-        shape.sign(h) * RatMat.identity(s).kron(r.B[shape.bar(h)].transpose())
-        for h in incoming
-    ]])
+    # rows are the S-rows of mu_k against the old V_k.
     shapes = [(s, r.v[h[0] - 1]) for h in incoming]
-    blocks = dict(zip(incoming, _random_kernel_blocks(system, shapes, rng)))
+    offsets = _offsets(shapes)
+    terms = [
+        (offsets[t], r.B[shape.bar(h)], False, shape.sign(h))
+        for t, h in enumerate(incoming)
+    ]
+    rows = _product_map_rows(s, r.v[k - 1], terms, offsets[-1])
+    blocks = dict(zip(incoming, _random_kernel_blocks(rows, shapes, rng)))
     M = RatMat(
         [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(r.w[k - 1])] for _ in range(s)],
         cols=r.w[k - 1],

@@ -29,19 +29,17 @@ from .cartan import (
 from .errors import SampleExhaustedError
 from .flag import (
     composition_of,
-    epsilon_k_flag,
     flag_membership,
     flag_reduce,
     is_hecke_pair,
     s_k_exponent,
 )
 from .linalg import RatMat, canonicalize, embed, intersect_and_sum, preimage, rank
-from .maffei import ThetaContext, phi_maps, theta, theta_w1_special
+from .maffei import ThetaContext, theta, theta_w1_special, theta_with_phi_maps
 from .quiver import (
     QuiverRep,
     apply_gauge,
     dim_and_sign,
-    epsilon_k_point,
     joint_outgoing_kernel,
     kashiwara_reduce,
     quotient_by_invariant_subspace,
@@ -202,7 +200,13 @@ THETA_INVARIANTS = (
 def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> dict:
     """All per-point identities; returns counters, failure strings, the
     names (from THETA_INVARIANTS) of the invariants that failed and the flag
-    theta(r)."""
+    theta(r).
+
+    Each piece of exact work is done once per point: the phi maps are those
+    theta's flag F was built from, epsilon_k of the point is the dimension of
+    the joint kernel that the flag-subspace check uses, epsilon_k of F is the
+    multiplicity flag_reduce returns, and theta of a point that
+    kashiwara_reduce leaves unchanged (c = 0) is F itself."""
     failures: list[str] = []
     failed: set[str] = set()
     n = ctx.n
@@ -215,7 +219,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
         _record(failures, f"{tag}: {msg}")
 
     x = ctx.x()
-    F = theta(r, ctx)
+    F, phi_list = theta_with_phi_maps(r, ctx)
     a = a_of_vw(r.v, r.w)
     hecke_cases = 0
     if composition_of(F) != a:
@@ -231,7 +235,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
     )
     if d > 0 and not dominates(jordan_type(a), type_of_x):
         fail(None, "composition type does not dominate type of x")
-    phis = dict(enumerate(phi_maps(r, ctx), 1))
+    phis = dict(enumerate(phi_list, 1))
     for k in range(1, n):
         if rank(phis[k]) != r.v[k - 1]:
             fail("surjectivity", f"rank phi_{k} != v_{k}")
@@ -253,14 +257,14 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
         rhs_sub, _ = intersect_and_sum(preimage(x.x, F[k - 1]), F[k + 1])
         if lhs_sub != rhs_sub:
             fail("flag-subspace", f"flag-subspace fails at k={k}")
-        eps_pt = epsilon_k_point(r, k)
-        if eps_pt != epsilon_k_flag(F, x, k):
-            fail("epsilon-agreement", f"epsilon point/flag disagree at k={k}")
+        eps_pt = kernel_k.dim
         reduced, c_pt = kashiwara_reduce(r, k)
         F_red, c_fl = flag_reduce(F, x, k)
+        if eps_pt != c_fl:
+            fail("epsilon-agreement", f"epsilon point/flag disagree at k={k}")
         if c_pt != c_fl:
             fail("reduction-intertwining", f"reduction multiplicities differ at k={k}")
-        if theta(reduced, ctx) != F_red:
+        if (F if reduced is r else theta(reduced, ctx)) != F_red:
             fail("reduction-intertwining", f"reduction intertwining fails at k={k}")
         if eps_pt >= 1:
             line = canonicalize([kernel_k.basis.column(0)], r.v[k - 1])

@@ -69,14 +69,29 @@ def _malformed_points(payload):
     floats = json.loads(json.dumps(payload))
     floats["maps"]["i:1"]["entries"] = [[0.5]]
     maps_list = dict(payload, maps=list(payload["maps"].values()))
+    bool_entry = json.loads(json.dumps(payload))
+    bool_entry["maps"]["i:1"]["entries"] = [[True]]
+    spaced_key = json.loads(json.dumps(payload))
+    spaced_key["maps"]["i:1 "] = {"rows": 1, "cols": 1, "entries": [["2/1"]]}
+    padded_key = json.loads(json.dumps(payload))
+    padded_key["maps"]["i:01"] = padded_key["maps"].pop("i:1")
     return {
         "1/0 entry": div0,
         "float entry": floats,
+        "bool entry": bool_entry,
         "maps list": maps_list,
         "top-level array": [payload],
         "null n": dict(payload, n=None),
         "null v": dict(payload, v=None),
         "null w": dict(payload, w=None),
+        "float n": dict(payload, n=3.7),
+        "string n": dict(payload, n="3"),
+        "string v": dict(payload, v="11"),
+        "float v": dict(payload, v=[1.5, 1]),
+        "bool w": dict(payload, w=[True, 1]),
+        "spaced map key": spaced_key,
+        "padded map key": padded_key,
+        "bool cols": json.loads(json.dumps(payload).replace('"cols": 1', '"cols": true', 1)),
     }
 
 
@@ -88,6 +103,31 @@ def test_theta_malformed_input(p0_file, tmp_path):
     for name, payload in _malformed_points(json.loads(p0_file.read_text())).items():
         bad.write_text(json.dumps(payload))
         assert main(["theta", "--input", str(bad)]) == 2, name
+    # json keeps the last of two equal keys; the point reader refuses them
+    text = p0_file.read_text()
+    i1 = json.dumps(json.loads(text)["maps"]["i:1"])
+    bad.write_text(text.replace('"i:1": ', f'"i:1": {i1}, "i:1": ', 1))
+    assert main(["theta", "--input", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "crystal --n 3 --w 1,1 --out {missing}",
+        "quotients --n 3 --d 2 --out {missing}",
+        "verify --suite quotients --n 2 --d 2 --format text --out {missing}",
+        "verify --suite maffei --n 3 --w 1,1 --samples 2 --seed 1 --dump-bundles {missing}",
+        "verify --suite maffei --n 3 --w 1,1 --samples 2 --seed 1 --out {directory}",
+        "theta --input {point} --out {missing}",
+    ],
+)
+def test_unwritable_output_is_usage_error(p0_file, tmp_path, capsys, argv):
+    args = argv.format(
+        missing=tmp_path / "missing" / "out.json", directory=tmp_path, point=p0_file
+    ).split()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

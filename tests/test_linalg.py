@@ -282,7 +282,7 @@ def test_rref_and_kernel_match_reference(rows):
 def test_canonicalize_matches_reference(rows):
     ambient = len(rows[0])
     assert same_subspace(canonicalize(rows, ambient), ref.canonicalize(rows, ambient))
-    columns = RatMat(rows).transpose()
+    columns = RatMat(list(zip(*rows)), cols=len(rows))
     assert same_subspace(
         canonicalize(columns, ambient), ref.canonicalize(rows, ambient)
     )

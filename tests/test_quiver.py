@@ -11,7 +11,14 @@ from geocrystal.errors import (
     LambdaPreconditionError,
     SampleExhaustedError,
 )
-from geocrystal.linalg import RatMat, canonicalize, contains_image, rref, zero_space
+from geocrystal.linalg import (
+    RatMat,
+    _product_map_rows,
+    canonicalize,
+    contains_image,
+    rref,
+    zero_space,
+)
 from geocrystal.quiver import (
     ENTRY_HI,
     ENTRY_LO,
@@ -159,9 +166,9 @@ def test_predicates_are_proved_once_per_point(p0, monkeypatch):
     from geocrystal import quiver
 
     calls = []
-    closure = quiver.stable_closure
+    closure = quiver._closure_rows
     monkeypatch.setattr(
-        quiver, "stable_closure", lambda r: calls.append(r) or closure(r)
+        quiver, "_closure_rows", lambda r: calls.append(r) or closure(r)
     )
     for _ in range(3):
         assert is_stable(p0)
@@ -437,8 +444,12 @@ def test_stable_closure_matches_sweep():
     verdicts = []
     for r in points:
         closure = stable_closure(r)
-        assert closure == _sweep_closure(r)
-        verdicts.append(all(space.is_full() for space in closure.values()))
+        sweep = _sweep_closure(r)
+        assert closure == sweep
+        verdict = all(space.is_full() for space in sweep.values())
+        assert is_stable(r) == verdict
+        verdicts.append(verdict)
+    assert len(points) == 312
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 100
 
 
@@ -476,7 +487,7 @@ def test_random_kernel_blocks_match_fraction_route():
             cols=cols,
         )
         ours, theirs = random.Random(trial), random.Random(trial)
-        assert _random_kernel_blocks(system, shapes, ours) == fraction_route(
+        assert _random_kernel_blocks(system.num, shapes, ours) == fraction_route(
             system, shapes, theirs
         )
         assert ours.getstate() == theirs.getstate()
@@ -513,3 +524,105 @@ def test_sampler_proves_lambda_only_on_stable_candidates(monkeypatch):
             assert r._stable is True and r._in_lambda is True
     assert unstable and proved_in_lambda
     assert not {id(r) for r in unstable} & {id(r) for r in proved_in_lambda}
+
+
+def _kron(a, b):
+    """Kronecker product: entry (i*p + k, j*q + l) is a[i, j] * b[k, l] for b of
+    shape (p, q).  With row-major flattening, vec(A X B) = (A kron B^T) vec(X)."""
+    return RatMat(
+        [[x * y for x in ra for y in rb] for ra in a.entries for rb in b.entries],
+        cols=a.cols * b.cols,
+    )
+
+
+def _transposed(m):
+    return RatMat([[m[p, q] for p in range(m.rows)] for q in range(m.cols)], cols=m.rows)
+
+
+def _kron_right_system(left, n, v):
+    """The mu = 0 system of the rightward maps from Kronecker blocks, the
+    oracle for the sampler's integer rows: L_{a+1} kron 1 in mu_a and
+    -(1 kron L_{a+1}^T) in mu_{a+1}, assembled in one block matrix."""
+    right_edges = [(a, a + 1) for a in range(1, n - 1)]
+    grid = []
+    for k in range(1, n):
+        row = []
+        for a, _ in right_edges:
+            L = left[(a + 1, a)]
+            if k == a:
+                row.append(_kron(L, RatMat.identity(v[a - 1])))
+            elif k == a + 1:
+                row.append(-_kron(RatMat.identity(v[a]), _transposed(L)))
+            else:
+                row.append(RatMat.zeros(v[k - 1] ** 2, v[a] * v[a - 1]))
+        grid.append(row)
+    return RatMat.block(grid)
+
+
+def _random_entry(rng, rational):
+    if rng.random() < 0.4:
+        return 0
+    if rational and rng.random() < 0.6:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return rng.randint(-2, 2)
+
+
+def test_right_system_matches_kron_construction():
+    rng = random.Random(31)
+    fractions = zero_dims = 0
+    for trial in range(320):
+        n = rng.randint(2, 5)
+        v = tuple(rng.randint(0, 3) for _ in range(n - 1))
+        left = {
+            (k, k - 1): RatMat(
+                [[_random_entry(rng, trial % 2) for _ in range(v[k - 1])] for _ in range(v[k - 2])],
+                cols=v[k - 1],
+            )
+            for k in range(2, n)
+        }
+        fractions += any(m.den > 1 for m in left.values())
+        zero_dims += 0 in v
+        shapes = [(v[a], v[a - 1]) for a in range(1, n - 1)]
+        ours, theirs = random.Random(trial), random.Random(trial)
+        system = _kron_right_system(left, n, v)
+        expected = dict(
+            zip([(a, a + 1) for a in range(1, n - 1)], _random_kernel_blocks(system.num, shapes, theirs))
+        )
+        assert _solve_right_maps(left, n, v, ours) == expected
+        assert ours.getstate() == theirs.getstate()
+    assert fractions >= 50 and zero_dims >= 50
+
+
+def test_extension_system_matches_kron_construction():
+    # the S-rows of mu_k in the incoming blocks N_h: sign(h) (1 kron B_{bar h}^T)
+    rng = random.Random(37)
+    fractions = 0
+    for trial in range(300):
+        s, vk = rng.randint(1, 3), rng.randint(0, 3)
+        outs = [rng.randint(0, 3) for _ in range(rng.randint(0, 2))]
+        signs = [rng.choice((1, -1)) for _ in outs]
+        maps = [
+            RatMat([[_random_entry(rng, True) for _ in range(vk)] for _ in range(vo)], cols=vk)
+            for vo in outs
+        ]
+        fractions += any(m.den > 1 for m in maps)
+        offsets = [0]
+        for vo in outs:
+            offsets.append(offsets[-1] + s * vo)
+        terms = [(offsets[t], m, False, sign) for t, (m, sign) in enumerate(zip(maps, signs))]
+        rows = _product_map_rows(s, vk, terms, offsets[-1])
+        kron = RatMat.block(
+            [[_kron(RatMat.identity(s), _transposed(m)).scale(sign) for m, sign in zip(maps, signs)]]
+        )
+        if not outs:
+            assert rows == []
+            continue
+        assert all(any(row) for row in rows)
+        ours = rref(RatMat(rows, cols=offsets[-1]))
+        theirs = rref(kron)
+        # the same row space: equal reduced nonzero rows and pivots
+        assert ours[1] == theirs[1]
+        assert ours[0].select(range(len(ours[1])), range(offsets[-1])) == theirs[0].select(
+            range(len(theirs[1])), range(offsets[-1])
+        )
+    assert fractions >= 50

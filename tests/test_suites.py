@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 import re
 from itertools import product
 
@@ -6,8 +9,10 @@ import pytest
 from geocrystal import suites
 from geocrystal.cartan import a_of_vw, pair_with_coroot, weight_of_vw
 from geocrystal.errors import NotInImageError
-from geocrystal.flag import s_k_exponent
-from geocrystal.quiver import dim_and_sign
+from geocrystal.flag import Flag, s_k_exponent
+from geocrystal.linalg import full_space, zero_space
+from geocrystal.maffei import ThetaContext
+from geocrystal.quiver import dim_and_sign, sample_lambda_point
 
 
 def _signs_by_pair(n_max, max_entry):
@@ -68,3 +73,86 @@ def test_signs_failures_print_plain_ints(monkeypatch):
         for msg in report["failures"]
     )
     assert not any("np." in msg for msg in report["failures"])
+
+
+def _acceptance_points(per_config):
+    """The first sampled points of every acceptance config, with their
+    contexts and seeds, as criterion 3 draws them."""
+    for idx, (_, w) in enumerate(suites.ACCEPTANCE_MAFFEI_CONFIGS):
+        vs = suites.valid_dimvecs(w)
+        ctx = ThetaContext(w)
+        for a in range(1, per_config + 1):
+            seed = 7 + 1000 * idx + a
+            yield sample_lambda_point(vs[(a - 1) % len(vs)], w, seed), ctx, seed
+
+
+def test_theta_point_reports_unchanged():
+    # failures, failed invariants, Hecke counts and flags of the first 13
+    # points of each acceptance config
+    digest = hashlib.sha256()
+    for r, ctx, seed in _acceptance_points(13):
+        report = suites.check_theta_point(r, ctx, random.Random(seed))
+        digest.update(
+            json.dumps(
+                {
+                    "failures": report["failures"],
+                    "failed_invariants": sorted(report["failed_invariants"]),
+                    "hecke_cases": report["hecke_cases"],
+                    "flag": report["flag"].to_json(),
+                },
+                sort_keys=True,
+            ).encode()
+        )
+    assert digest.hexdigest() == (
+        "723686cdfe6bd488c2f65eeb1f69ad590146c83aebf016f8c274dd560c0d77b3"
+    )
+
+
+def _failed_with_flag_reduce(monkeypatch, patched):
+    """For each point, the failed invariants when flag_reduce returns
+    patched((F_red, c)) of the real (F_red, c), and whether patched changed
+    any of its results."""
+    real = suites.flag_reduce
+    changed = []
+
+    def flag_reduce(F, x, k):
+        out = real(F, x, k)
+        new = patched(out)
+        changed[-1] |= new != out
+        return new
+
+    monkeypatch.setattr(suites, "flag_reduce", flag_reduce)
+    out = []
+    for r, ctx, seed in _acceptance_points(3):
+        changed.append(False)
+        report = suites.check_theta_point(r, ctx, random.Random(seed))
+        out.append((report["failed_invariants"], changed[-1]))
+    return out
+
+
+def test_epsilon_of_flag_is_the_reduction_multiplicity(monkeypatch):
+    # epsilon_k of the flag is read from flag_reduce: a wrong multiplicity
+    # fails both invariants that use it, and nothing else
+    results = _failed_with_flag_reduce(monkeypatch, lambda out: (out[0], out[1] + 1))
+    assert all(changed for _, changed in results)
+    assert all(failed == {"epsilon-agreement", "reduction-intertwining"} for failed, _ in results)
+
+
+def _other_flag(F):
+    """A flag of F's size that differs from F."""
+    spaces = [zero_space(F.d)] + [full_space(F.d)] * F.n
+    if list(F.spaces) == spaces:
+        spaces[1] = zero_space(F.d)
+    return Flag(spaces, F.n)
+
+
+def test_unreduced_point_is_checked_against_flag_reduce(monkeypatch):
+    # where kashiwara_reduce leaves the point as it is (c = 0), theta of the
+    # reduction is theta's own flag; a flag_reduce that returns another flag
+    # there must still fail the intertwining
+    results = _failed_with_flag_reduce(
+        monkeypatch, lambda out: out if out[1] else (_other_flag(out[0]), 0)
+    )
+    assert sum(changed for _, changed in results) >= 20
+    for failed, changed in results:
+        assert failed == ({"reduction-intertwining"} if changed else set())
