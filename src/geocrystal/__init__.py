@@ -3,50 +3,4 @@ flag-side and quiver-side combinatorics, the explicit map between them,
 crystal structure, and quotient-dimension computations.
 """
 
-from . import cartan, cli, crystal, flag, linalg, maffei, quiver, repalg, suites
-from .cartan import (
-    Composition,
-    DimVec,
-    HighestWeight,
-    Partition,
-    Weight,
-    a_of_vw,
-    cartan_matrix,
-    comp_shift,
-    hw_to_partition,
-    is_partition_of,
-    jordan_type,
-    pair_with_coroot,
-    v_of_aw,
-)
-from .linalg import RatMat, Subspace
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "cartan",
-    "cli",
-    "crystal",
-    "flag",
-    "linalg",
-    "maffei",
-    "quiver",
-    "repalg",
-    "suites",
-    "Composition",
-    "DimVec",
-    "HighestWeight",
-    "Partition",
-    "Weight",
-    "RatMat",
-    "Subspace",
-    "a_of_vw",
-    "cartan_matrix",
-    "comp_shift",
-    "hw_to_partition",
-    "is_partition_of",
-    "jordan_type",
-    "pair_with_coroot",
-    "v_of_aw",
-    "__version__",
-]

@@ -220,14 +220,6 @@ class StembridgeReport:
     checks: int
     violation: str | None
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "vertices": self.vertices,
-            "checks": self.checks,
-            "violation": self.violation,
-        }
-
 
 def _chain_len(g: CrystalGraph, word: Word, k: int, direction: str) -> int:
     step = g.e if direction == "e" else g.f
@@ -341,14 +333,6 @@ class StrataReport:
     vertex_count: int
     stratum_sizes: dict
     violation: str | None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "vertex_count": self.vertex_count,
-            "stratum_sizes": {str(c): s for c, s in sorted(self.stratum_sizes.items())},
-            "violation": self.violation,
-        }
 
 
 def strata_maps(g: CrystalGraph, k: int) -> StrataReport:

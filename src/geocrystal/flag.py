@@ -29,7 +29,7 @@ from .linalg import (
     canonicalize,
     contains,
     contains_image,
-    intersect_and_sum,
+    intersect,
     power_ranks,
     preimage,
 )
@@ -68,13 +68,6 @@ class NilEndo:
 
     def __repr__(self):
         return f"NilEndo(d={self.d}, n={self.n})"
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "x": self.x.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NilEndo":
-        return cls(RatMat.from_json(obj["x"]), obj["n"])
 
 
 class Flag:
@@ -281,7 +274,7 @@ def _max_admissible(F: Flag, x: NilEndo, k: int) -> Subspace:
         raise InvalidRankError(f"index {k} out of range")
     if not flag_membership(x, F):
         raise MembershipError("flag is not compatible with x")
-    return intersect_and_sum(F[k + 1], preimage(x.x, F[k - 1]))[0]
+    return intersect(F[k + 1], preimage(x.x, F[k - 1]))
 
 
 def epsilon_k_flag(F: Flag, x: NilEndo, k: int) -> int:

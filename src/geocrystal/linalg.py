@@ -476,11 +476,6 @@ class Subspace:
     def to_json(self) -> dict:
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Subspace":
-        basis = RatMat.from_json(obj["basis"])
-        return canonicalize(basis, obj["ambient_dim"])
-
 
 def _span(vectors: Sequence[Sequence[int]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by integer vectors of length ambient_dim."""
@@ -517,20 +512,18 @@ def kernel(m: RatMat) -> Subspace:
     return _span(_kernel_ints(m.num, m.cols)[0], m.cols)
 
 
-def intersect_and_sum(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:
-    """(s1 ∩ s2, s1 + s2) inside the common ambient space."""
+def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """s1 ∩ s2 inside the common ambient space."""
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatchError("ambient mismatch")
-    total = _span(s1._rows() + s2._rows(), s1.ambient_dim)
     if s1.dim == 0 or s2.dim == 0:
-        return zero_space(s1.ambient_dim), total
+        return zero_space(s1.ambient_dim)
     # (x, y) in ker [N1 | N2] gives N1 x = -N2 y in both spans; scaling the
     # two bases by their denominators does not change the meet.
     n1 = s1.basis.num
     stacked = [ra + rb for ra, rb in zip(n1, s2.basis.num)]
     coeffs = [k[: s1.dim] for k in _kernel_ints(stacked, s1.dim + s2.dim)[0]]
-    meet = _span(_matmul(coeffs, _transpose(n1, s1.dim)), s1.ambient_dim)
-    return meet, total
+    return _span(_matmul(coeffs, _transpose(n1, s1.dim)), s1.ambient_dim)
 
 
 def preimage(m: RatMat, s: Subspace) -> Subspace:
@@ -565,15 +558,22 @@ def contains_image(s1: Subspace, m: RatMat, s2: Subspace) -> bool:
 
 
 def embed(s: Subspace, coords: Sequence[int], ambient_dim: int) -> Subspace:
-    """Push a subspace of Q^len(coords) into Q^ambient via coordinate inclusion."""
+    """Push a subspace of Q^len(coords) into Q^ambient via the inclusion of
+    ascending coordinates.
+
+    Such an inclusion keeps the reduced echelon form and its denominator, so
+    the canonical basis rows are placed at their coordinates and each pivot p
+    becomes coords[p]; coordinates that do not ascend raise
+    DimensionMismatchError.
+    """
     if len(coords) != s.ambient_dim:
         raise DimensionMismatchError("coordinate count != subspace ambient")
     if any(c < 0 or c >= ambient_dim for c in coords):
         raise DimensionMismatchError("coordinate out of range")
-    vectors = []
-    for col in s._rows():
-        v = [0] * ambient_dim
-        for c, a in zip(coords, col):
-            v[c] = a
-        vectors.append(v)
-    return _span(vectors, ambient_dim)
+    if any(a >= b for a, b in zip(coords, coords[1:])):
+        raise DimensionMismatchError("coordinates do not ascend")
+    rows = [(0,) * s.dim] * ambient_dim
+    for c, row in zip(coords, s.basis.num):
+        rows[c] = row
+    basis = RatMat._exact(tuple(rows), s.dim, s.basis.den)
+    return Subspace(ambient_dim, basis, tuple(coords[p] for p in s.pivots))

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .cartan import DimVec, HighestWeight, alpha_weight, as_dimvec, as_highest_weight
+from .cartan import (
+    DimVec,
+    HighestWeight,
+    a_of_vw,
+    alpha_weight,
+    as_dimvec,
+    as_highest_weight,
+)
+from .crystal import highest_weight_crystal
 from .errors import (
     DimensionMismatchError,
     GeoCrystalError,
@@ -100,6 +108,24 @@ class QuiverShape:
         return [h for h in self.edges() if h[0] == k]
 
 
+def _take_maps(name: str, given, keys, shape_of) -> dict:
+    """The maps of given at every key, zero where absent, as a new dict; a
+    map of the wrong shape or a key outside keys raises DimensionMismatchError."""
+    given = dict(given or {})
+    out = {}
+    for key in keys:
+        m = given.pop(key, None)
+        expected = shape_of(key)
+        if m is None:
+            m = RatMat.zeros(*expected)
+        elif m.shape != expected:
+            raise DimensionMismatchError(f"{name}[{key}] has shape {m.shape}, want {expected}")
+        out[key] = m
+    if given:
+        raise DimensionMismatchError(f"unknown {name} keys {sorted(given)}")
+    return out
+
+
 class QuiverRep:
     """A point (B, i, j) on graded spaces (V, W) for the A_{n-1} quiver.
 
@@ -117,37 +143,9 @@ class QuiverRep:
         w = as_highest_weight(w)
         if v.n != n or w.n != n:
             raise DimensionMismatchError("v or w rank does not match n")
-        B = dict(B or {})
-        i = dict(i or {})
-        j = dict(j or {})
-        full_B: dict[Edge, RatMat] = {}
-        for h in shape.edges():
-            m = B.pop(h, None)
-            expected = (v[h[1] - 1], v[h[0] - 1])
-            if m is None:
-                m = RatMat.zeros(*expected)
-            elif m.shape != expected:
-                raise DimensionMismatchError(f"B{h} has shape {m.shape}, want {expected}")
-            full_B[h] = m
-        if B:
-            raise DimensionMismatchError(f"unknown edges {sorted(B)}")
-        full_i: dict[int, RatMat] = {}
-        full_j: dict[int, RatMat] = {}
-        for k in shape.vertices:
-            mi = i.pop(k, None)
-            if mi is None:
-                mi = RatMat.zeros(v[k - 1], w[k - 1])
-            elif mi.shape != (v[k - 1], w[k - 1]):
-                raise DimensionMismatchError(f"i[{k}] has wrong shape")
-            full_i[k] = mi
-            mj = j.pop(k, None)
-            if mj is None:
-                mj = RatMat.zeros(w[k - 1], v[k - 1])
-            elif mj.shape != (w[k - 1], v[k - 1]):
-                raise DimensionMismatchError(f"j[{k}] has wrong shape")
-            full_j[k] = mj
-        if i or j:
-            raise DimensionMismatchError("unknown framing vertices")
+        full_B = _take_maps("B", B, shape.edges(), lambda h: (v[h[1] - 1], v[h[0] - 1]))
+        full_i = _take_maps("i", i, shape.vertices, lambda k: (v[k - 1], w[k - 1]))
+        full_j = _take_maps("j", j, shape.vertices, lambda k: (w[k - 1], v[k - 1]))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
@@ -345,13 +343,13 @@ def quotient_by_invariant_subspace(r: QuiverRep, k: int, S: Subspace) -> QuiverR
     for h in r.shape.edges_out_of(k):
         if not (r.B[h] * S.basis).is_zero():
             raise IncompatibleError(f"S is not B-invariant along {h}")
-    # Complete the S-basis by standard vectors, then the quotient map is
-    # "last coordinates" of the inverse change of basis.  The pivot columns
-    # of [S | 1] are the S basis followed by the standard vectors that
-    # complete it, each taken when it is not in the span of those before.
+    # The pivot columns P of [S | 1] are the S basis followed by the standard
+    # vectors that complete it, each taken when it is not in the span of those
+    # before.  The reduced rows are P^-1 [S | 1], so the right block is P^-1,
+    # whose last vk - sk rows are the quotient map.
     both = RatMat.block([[S.basis, RatMat.identity(vk)]])
-    pivots = rref(both)[1]
-    proj = both.select(range(vk), pivots).inverse().select(range(sk, vk), range(vk))
+    red, pivots = rref(both)
+    proj = red.select(range(sk, vk), range(sk, sk + vk))
     emb = both.select(range(vk), pivots[sk:])
     newB = dict(r.B)
     for h in r.shape.edges_into(k):
@@ -517,8 +515,6 @@ def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> Quive
 
 @lru_cache(maxsize=64)
 def _cached_crystal(w_tuple: tuple[int, ...]):
-    from .crystal import highest_weight_crystal
-
     return highest_weight_crystal(w_tuple)
 
 
@@ -531,26 +527,19 @@ def _crystal_guided_sample(v: DimVec, w: HighestWeight, seed: int) -> QuiverRep 
     Needed because rejection sampling essentially never lands on the stable
     irreducible component in deep strata.
     """
-    from .cartan import a_of_vw
-    from .crystal import e_op
-
     try:
         a = a_of_vw(v, w)
     except GeoCrystalError:
         return None
     graph = _cached_crystal(w.w)
-    target = None
-    for word in graph.sorted_words():
-        if graph.vertices[word].a == a:
-            target = word
-            break
+    target = min((word for word, vx in graph.vertices.items() if vx.a == a), default=None)
     if target is None:
         return None
     path = []
     word = target
     while word != graph.highest:
         for k in range(1, w.n):
-            up = e_op(word, k)
+            up = graph.e(word, k)
             if up is not None:
                 path.append(k)
                 word = up

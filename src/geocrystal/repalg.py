@@ -182,9 +182,7 @@ def _rank_exact(rows: int, cols: int, triplets: list[tuple[int, int, int]]) -> i
     return rank(RatMat(data, cols=cols))
 
 
-def _singular_multiplicities(
-    n: int, d: int, exact_only: bool = False
-) -> dict[tuple[int, ...], int]:
+def _singular_multiplicities(n: int, d: int) -> dict[tuple[int, ...], int]:
     """Multiplicity of each dominant content, certified exact via checksum."""
     blocks = _contents_by_word(n, d)
     dominant = sorted(
@@ -192,7 +190,7 @@ def _singular_multiplicities(
         reverse=True,
     )
 
-    def kernels(use_exact: bool) -> dict[tuple[int, ...], int]:
+    def kernels(rank_fn) -> dict[tuple[int, ...], int]:
         mults = {}
         for a in dominant:
             source = blocks[a]
@@ -209,18 +207,13 @@ def _singular_multiplicities(
                 for r, c, vt in _raising_block(source, tgt_index, k):
                     triplets.append((row_offset + r, c, vt))
                 row_offset += len(tgt_words)
-            rank_fn = _rank_exact if use_exact else _rank_mod_p
-            rank = rank_fn(row_offset, len(source), triplets)
-            mults[a] = len(source) - rank
+            mults[a] = len(source) - rank_fn(row_offset, len(source), triplets)
         return mults
 
-    mults = kernels(exact_only)
-    if not exact_only:
-        checksum = sum(
-            m * irrep_dim(_partition_of_content(a), n) for a, m in mults.items()
-        )
-        if checksum != n**d:
-            mults = kernels(True)
+    mults = kernels(_rank_mod_p)
+    checksum = sum(m * irrep_dim(_partition_of_content(a), n) for a, m in mults.items())
+    if checksum != n**d:
+        mults = kernels(_rank_exact)
     return mults
 
 

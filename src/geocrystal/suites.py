@@ -34,7 +34,7 @@ from .flag import (
     is_hecke_pair,
     s_k_exponent,
 )
-from .linalg import RatMat, canonicalize, embed, intersect_and_sum, preimage, rank
+from .linalg import RatMat, canonicalize, embed, intersect, preimage, rank
 from .maffei import ThetaContext, theta, theta_w1_special, theta_with_phi_maps
 from .quiver import (
     QuiverRep,
@@ -254,7 +254,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
                 fail("comm2", f"comm2 fails at k={k}")
         kernel_k = joint_outgoing_kernel(r, k)
         lhs_sub = embed(preimage(phis[k], kernel_k), ctx.wleq_coords(k), d)
-        rhs_sub, _ = intersect_and_sum(preimage(x.x, F[k - 1]), F[k + 1])
+        rhs_sub = intersect(preimage(x.x, F[k - 1]), F[k + 1])
         if lhs_sub != rhs_sub:
             fail("flag-subspace", f"flag-subspace fails at k={k}")
         eps_pt = kernel_k.dim

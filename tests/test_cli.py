@@ -255,12 +255,14 @@ def test_determinism_byte_identical(p0_file, tmp_path):
 
 
 def test_verify_text_format():
-    result = run_cli(
-        "verify", "--suite", "quotients", "--n", "2", "--d", "2", "--format", "text"
-    )
+    args = ("verify", "--suite", "quotients", "--n", "2", "--d", "2", "--format", "text")
+    result = run_cli(*args)
     assert result.returncode == 0
-    assert result.stdout.startswith("schema_version 1")
-    assert "dim_quotient_Id = 10" in result.stdout
+    lines = result.stdout.splitlines()
+    assert lines[0] == "schema_version 1"
+    assert "pass = True" in lines
+    assert "dim_quotient_Id = 10" in lines
+    assert run_cli(*args).stdout.encode() == result.stdout.encode()
 
 
 def test_bundle_dump(tmp_path):

@@ -1,0 +1,58 @@
+"""Every module-level function and class of the package has a caller in the
+package or the benchmark, or is kept on purpose with a stated reason."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Names no code in src/ or bench/ calls, each kept for what it states.
+KEPT = {
+    "gl_partitions": "index set of the RSK identity in criterion 6",
+    "v_of_aw": "inverse of the a(v, w) bijection, a definition of the paper",
+    "epsilon_k_flag": "the paper's epsilon_k on the flag side",
+    "epsilon_k_point": "the paper's epsilon_k on the quiver side",
+    "flag_bundle_from_json": "reads the file that verify --dump-bundles writes",
+    "flag_dim": "dimension of Ginzburg's flag variety",
+    "jordan_nilpotent": "nilpotent of a Jordan type, for the Slodowy slice",
+    "nilpotent_jordan_type": "Jordan type of a nilpotent, the fibre's dominance condition",
+    "sl2_slice": "the transversal slice of Maffei's isomorphism",
+    "enum_paths": "the path set behind phi_k",
+    "phi_k": "the paper's phi_k, one block of phi_maps",
+    "stable_closure": "the B-closure of im i that defines stability",
+    "suite_maffei_acceptance": "the acceptance harness of criterion 3",
+}
+
+
+def _modules(pattern):
+    return [(path, ast.parse(path.read_text(), str(path))) for path in sorted(ROOT.glob(pattern))]
+
+
+def _referenced(trees) -> set[str]:
+    """Names read as a Name, an Attribute or an import alias."""
+    names = set()
+    for path, tree in trees:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_no_unreferenced_definitions():
+    src = _modules("src/geocrystal/*.py")
+    defined = {
+        node.name: path.name
+        for path, tree in src
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    referenced = _referenced(src + _modules("bench/*.py"))
+    unreferenced = {name: where for name, where in defined.items() if name not in referenced}
+    assert sorted(set(unreferenced) - set(KEPT)) == [], unreferenced
+    assert sorted(set(KEPT) - set(defined)) == []

@@ -14,7 +14,7 @@ from geocrystal.linalg import (
     contains_image,
     embed,
     full_space,
-    intersect_and_sum,
+    intersect,
     kernel,
     kernel_basis,
     power_ranks,
@@ -69,16 +69,12 @@ def test_kernel_and_image_examples():
 def test_intersect_and_sum_examples():
     s1 = canonicalize([(1, 0, 0), (0, 1, 0)], 3)
     s2 = canonicalize([(0, 1, 0), (0, 0, 1)], 3)
-    meet, total = intersect_and_sum(s1, s2)
+    meet = intersect(s1, s2)
     assert meet.basis.column(0) == (Fraction(0), Fraction(1), Fraction(0))
-    assert total.is_full()
 
-    meet, total = intersect_and_sum(s1, zero_space(3))
-    assert meet.is_zero() and total == s1
+    assert intersect(s1, zero_space(3)).is_zero()
 
-    meet, _ = intersect_and_sum(
-        canonicalize([(1, 1)], 2), canonicalize([(1, -1)], 2)
-    )
+    meet = intersect(canonicalize([(1, 1)], 2), canonicalize([(1, -1)], 2))
     assert meet.is_zero()
 
 
@@ -100,7 +96,7 @@ def test_contains_examples():
 
 def test_ambient_mismatch_errors():
     with pytest.raises(DimensionMismatchError):
-        intersect_and_sum(zero_space(2), zero_space(3))
+        intersect(zero_space(2), zero_space(3))
     with pytest.raises(DimensionMismatchError):
         contains(zero_space(2), zero_space(3))
     with pytest.raises(DimensionMismatchError):
@@ -117,6 +113,10 @@ def test_embed():
         Fraction(1),
         Fraction(0),
     )
+    with pytest.raises(DimensionMismatchError):
+        embed(s, [2, 0], 4)
+    with pytest.raises(DimensionMismatchError):
+        embed(s, [1, 1], 4)
 
 
 def test_block_edges():
@@ -170,7 +170,8 @@ def two_subspaces(draw):
 @given(two_subspaces())
 def test_modular_dimension_law(pair):
     s1, s2 = pair
-    meet, total = intersect_and_sum(s1, s2)
+    meet = intersect(s1, s2)
+    total = canonicalize(s1.basis.columns() + s2.basis.columns(), s1.ambient_dim)
     assert meet.dim + total.dim == s1.dim + s2.dim
     assert contains(s1, meet) and contains(s2, meet)
     assert contains(total, s1) and contains(total, s2)
@@ -199,7 +200,7 @@ def map_and_subspace(draw):
 def test_preimage_dimension_formula(pair):
     m, s = pair
     ker, img = kernel(m), canonicalize(m, m.rows)
-    meet, _ = intersect_and_sum(s, img)
+    meet = intersect(s, img)
     assert preimage(m, s).dim == ker.dim + meet.dim
 
 
@@ -301,12 +302,30 @@ def two_spanning_sets(draw):
 @given(two_spanning_sets())
 def test_intersect_and_sum_match_reference(data):
     ambient, (v1, v2) = data
-    new = intersect_and_sum(canonicalize(v1, ambient), canonicalize(v2, ambient))
+    new = intersect(canonicalize(v1, ambient), canonicalize(v2, ambient))
     old = ref.intersect_and_sum(
         ref.canonicalize(v1, ambient), ref.canonicalize(v2, ambient)
-    )
-    assert same_subspace(new[0], old[0])
-    assert same_subspace(new[1], old[1])
+    )[0]
+    assert same_subspace(new, old)
+
+
+@st.composite
+def span_and_coords(draw):
+    """A spanning set of Q^m and m ascending coordinates of a larger space."""
+    ambient = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=ambient))
+    coords = sorted(draw(st.sets(st.integers(0, ambient - 1), min_size=m, max_size=m)))
+    k = draw(st.integers(min_value=0, max_value=m))
+    return ambient, coords, draw(rational_rows(k, m)) if k else []
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_and_coords())
+def test_embed_matches_reference(data):
+    ambient, coords, vecs = data
+    m = len(coords)
+    new = embed(canonicalize(vecs, m), coords, ambient)
+    assert same_subspace(new, ref.embed(ref.canonicalize(vecs, m), coords, ambient))
 
 
 @st.composite

@@ -55,10 +55,21 @@ def test_decompose_3_3():
     assert dec.total == 27
 
 
-def test_exact_fallback_matches_modp():
-    assert _singular_multiplicities(3, 3) == _singular_multiplicities(
-        3, 3, exact_only=True
-    )
+def test_exact_fallback_matches_modp(monkeypatch):
+    """A mod-p rank that under-reports fails the checksum, and the exact
+    ranks that replace it give the unpatched multiplicities."""
+    expected = _singular_multiplicities(3, 3)
+    rank_exact = repalg._rank_exact
+    exact_calls = []
+
+    def exact(*args):
+        exact_calls.append(args)
+        return rank_exact(*args)
+
+    monkeypatch.setattr(repalg, "_rank_mod_p", lambda rows, cols, triplets: 0)
+    monkeypatch.setattr(repalg, "_rank_exact", exact)
+    assert _singular_multiplicities(3, 3) == expected
+    assert exact_calls
 
 
 @st.composite
