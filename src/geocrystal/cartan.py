@@ -9,6 +9,7 @@ is modulo the all-ones vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import IncompatibleError, InvalidRankError, NotInImageError
@@ -42,15 +43,9 @@ class Weight:
 
     @property
     def eps(self) -> tuple[int, ...]:
-        """eps-coordinates normalized so the last entry is 0."""
-        out = []
-        acc = 0
-        for c in reversed(self.omega):
-            acc += c
-            out.append(acc)
-        out.reverse()
-        out.append(0)
-        return tuple(out)
+        """eps-coordinates normalized so the last entry is 0: eps_k is the
+        suffix sum omega_k + ... + omega_{n-1}."""
+        return tuple(accumulate(reversed(self.omega)))[::-1] + (0,)
 
     @classmethod
     def from_eps(cls, eps: Sequence[int]) -> "Weight":
@@ -255,15 +250,9 @@ def weight_of_vw(v, w) -> Weight:
 
 
 def hw_to_partition(w) -> Partition:
-    """Partition with lambda_k = w_k + ... + w_{n-1}; trailing zeros dropped."""
-    w = as_highest_weight(w)
-    lam = []
-    acc = 0
-    for c in reversed(w.w):
-        acc += c
-        lam.append(acc)
-    lam.reverse()
-    return Partition(tuple(p for p in lam if p > 0))
+    """Partition with lambda_k = w_k + ... + w_{n-1}; trailing zeros dropped.
+    Its conjugate is the Jordan type of the block-shift nilpotent of w."""
+    return Partition(tuple(p for p in omega_weight(w).eps if p > 0))
 
 
 def is_partition_of(w, d: int) -> bool:
@@ -334,9 +323,7 @@ def a_of_vw(v, w) -> Composition:
     if v.n != w.n:
         raise IncompatibleError(f"rank mismatch: v has n={v.n}, w has n={w.n}")
     n = w.n
-    suffix = [0] * n  # suffix[k] = w_{k+1} + ... + w_{n-1} with 0-based k
-    for k in range(n - 2, -1, -1):
-        suffix[k] = suffix[k + 1] + w[k]
+    suffix = omega_weight(w).eps  # suffix[k] = w_{k+1} + ... + w_{n-1} with 0-based k
     a = []
     for k in range(n):
         if k == n - 1:
@@ -363,9 +350,7 @@ def v_of_aw(a, w) -> DimVec:
             f"sum of a is {a.d} but w is a partition of {w.level_d}"
         )
     n = w.n
-    suffix = [0] * n
-    for k in range(n - 2, -1, -1):
-        suffix[k] = suffix[k + 1] + w[k]
+    suffix = omega_weight(w).eps
     v = [0] * (n - 1)
     v[n - 2] = a[n - 1]
     for k in range(n - 2, 0, -1):  # solve a_{k+1} = suffix[k] - v[k] + v[k-1]

@@ -12,13 +12,14 @@ import argparse
 import json
 import random
 import sys
+from itertools import islice
 
 from . import crystal as crystal_mod
 from . import suites
 from .cartan import HighestWeight, a_of_vw
 from .errors import GeoCrystalError
-from .flag import composition_of, flag_membership
-from .maffei import ThetaContext
+from .flag import composition_of, flag_bundle_to_json, flag_membership
+from .maffei import ThetaContext, theta
 from .quiver import QuiverRep, is_stable, lambda_failure
 from .repalg import size_budget
 
@@ -167,7 +168,7 @@ def cmd_verify(args) -> int:
             return USAGE_ERROR
         report = suites.suite_maffei(n, w, args.samples, args.seed)
         if getattr(args, "dump_bundles", None):
-            _dump_bundles(n, w, args.samples, args.seed, args.dump_bundles)
+            _dump_bundles(w, args.samples, args.seed, args.dump_bundles)
             report["bundles_written_to"] = args.dump_bundles
     elif suite == "crystal":
         report = suites.suite_crystal(n_max=args.n_max)
@@ -182,23 +183,13 @@ def cmd_verify(args) -> int:
     return _finish(report, args.fmt, args.out)
 
 
-def _dump_bundles(n: int, w, samples: int, seed: int, path: str) -> None:
-    from .flag import flag_bundle_to_json
-    from .maffei import ThetaContext, theta
-    from .quiver import sample_lambda_point
-    from .suites import valid_dimvecs
-
+def _dump_bundles(w, samples: int, seed: int, path: str) -> None:
+    """Write x and theta of the first min(samples, 16) points suite_maffei
+    checks, in order, as a flag bundle."""
     ctx = ThetaContext(HighestWeight(tuple(w)))
-    x = ctx.x()
-    flags = []
-    vs = valid_dimvecs(w)
-    for t in range(min(samples, 16)):
-        try:
-            r = sample_lambda_point(vs[t % len(vs)], w, seed + t)
-        except GeoCrystalError:
-            continue
-        flags.append(theta(r, ctx))
-    payload = flag_bundle_to_json(x, flags)
+    checked = (r for r in suites.maffei_points(w, samples, seed) if r is not None)
+    flags = [theta(r, ctx) for r in islice(checked, 16)]
+    payload = flag_bundle_to_json(ctx.x(), flags)
     _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 

@@ -139,12 +139,6 @@ class CrystalGraph:
     def e(self, word: Word, k: int) -> Word | None:
         return self.e_edges.get((tuple(word), k))
 
-    def stats(self, word) -> CrystalVertex:
-        word = tuple(word)
-        if word not in self.vertices:
-            raise IncompatibleError(f"word {word} not a vertex")
-        return self.vertices[word]
-
 
 def _vertex_of(word: Word, n: int) -> CrystalVertex:
     a = word_content(word, n)

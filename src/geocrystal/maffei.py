@@ -24,11 +24,8 @@ from .quiver import QuiverRep, in_Lambda, is_stable
 
 @dataclass(frozen=True)
 class LeftRightPath:
-    """Path descending start -> bottom then ascending bottom -> end.
-
-    ord is the number of leftward edges (= start - bottom); the empty path at
-    a vertex is start = bottom = end.
-    """
+    """Path descending start -> bottom then ascending bottom -> end; the
+    empty path at a vertex is start = bottom = end."""
 
     start: int
     bottom: int
@@ -39,18 +36,6 @@ class LeftRightPath:
             raise IncompatibleError(
                 f"bottom {self.bottom} not in [1, min({self.start}, {self.end})]"
             )
-
-    @property
-    def ord(self) -> int:
-        return self.start - self.bottom
-
-    @property
-    def out(self) -> int:
-        return self.start
-
-    @property
-    def inc(self) -> int:
-        return self.end
 
     def edges(self) -> list[tuple[int, int]]:
         down = [(a, a - 1) for a in range(self.start, self.bottom, -1)]
@@ -71,30 +56,49 @@ def enum_paths(n: int) -> list[LeftRightPath]:
 
 
 class ThetaContext:
-    """Fixed identification of the sum of copies W_k^(m) with Q^d.
+    """Fixed identification of the sum of copies W_k^(m) with Q^d, and the
+    pieces of it that theta and its checks read, built once per w.
 
     Blocks are laid out lexicographically by (k, m), as in block_shift_x;
-    block (k, m) has size w_k.  W^{<=k} collects the copies with m <= k and
-    its dimension is sum_l min(l, k) w_l.
+    block (k, m) has size w_k.  W^{<=k} collects the copies with m <= k, so
+    it is ker x^k, and its dimension is sum_l min(l, k) w_l.
+
+    - wleq[k], 0 <= k <= n-1: the global coordinates of W^{<=k}, ascending.
+    - x_down[k], 2 <= k <= n-1: x as a map W^{<=k} -> W^{<=k-1} in those
+      coordinates (the flag-side image of B_{k,k-1}).
+    - inclusion[k], 1 <= k <= n-2: the positions of W^{<=k} in W^{<=k+1}
+      (the flag-side image of B_{k,k+1}).
+    - phi_columns[k], 1 <= k <= n-1: the column of each coordinate of
+      W^{<=k} in the grouped block of phi_maps, which orders the copies
+      W_s^(m) by (m, s): the coordinate's rank in that order, whatever k is.
     """
 
-    __slots__ = ("n", "w", "d", "labels", "_x")
+    __slots__ = ("n", "w", "d", "wleq", "x_down", "inclusion", "phi_columns", "_x")
 
     def __init__(self, w):
         w = as_highest_weight(w)
         x, labels = block_shift_x(w)
-        object.__setattr__(self, "n", w.n)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "d", x.d)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_x", x)
+        n, d = w.n, x.d
+        wleq = tuple(tuple(c for c, (_, m) in enumerate(labels) if m <= k) for k in range(n))
+        by_bottom = sorted(range(d), key=lambda c: (labels[c][1], labels[c][0], c))
+        rank = {c: col for col, c in enumerate(by_bottom)}
+        fields = {
+            "n": n,
+            "w": w,
+            "d": d,
+            "wleq": wleq,
+            "x_down": {k: x.x.select(wleq[k - 1], wleq[k]) for k in range(2, n)},
+            "inclusion": {
+                k: tuple(wleq[k + 1].index(c) for c in wleq[k]) for k in range(1, n - 1)
+            },
+            "phi_columns": {k: tuple(rank[c] for c in wleq[k]) for k in range(1, n)},
+            "_x": x,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaContext is immutable")
-
-    def wleq_coords(self, k: int) -> list[int]:
-        """Global coordinates of W^{<=k}, in ascending order."""
-        return [c for c, (_, m) in enumerate(self.labels) if m <= k]
 
     def x(self) -> NilEndo:
         """The canonical block-shift nilpotent of w on this layout."""
@@ -106,16 +110,17 @@ def phi_maps(r: QuiverRep, ctx: ThetaContext) -> list[RatMat]:
 
     The block of phi_k on the copy W_s^(m) (m <= min(s, k)) is B_p i_s for
     the unique path p descending s -> m then ascending m -> k; the empty path
-    at k contributes i_k on W_k^(k).  Columns follow the W^{<=k} coordinate
-    order.  Paths share their prefixes: D_m = [B_p i_s for s >= m], p
-    descending s -> m, is [i_m | B_{m+1,m} D_{m+1}], and its ascent to k is
-    B_{k-1,k} times its ascent to k - 1, so each point costs O(n^2) products.
+    at k contributes i_k on W_k^(k).  Paths share their prefixes: D_m =
+    [B_p i_s for s >= m], p descending s -> m, is [i_m | B_{m+1,m} D_{m+1}],
+    and its ascent to k is B_{k-1,k} times its ascent to k - 1, so each point
+    costs O(n^2) products.  The ascents of D_1, ..., D_k, side by side, hold
+    the copies by (m, s); ctx.phi_columns puts them in W^{<=k} order.
     """
     if r.w != ctx.w:
         raise DimensionMismatchError("context built for a different w")
     if any(not m.is_zero() for m in r.j.values()):
         raise LambdaPreconditionError("phi_k requires j = 0")
-    n, w = ctx.n, ctx.w
+    n = ctx.n
     descents = {n - 1: r.i[n - 1]}
     for m in range(n - 2, 0, -1):
         descents[m] = RatMat.block([[r.i[m], r.B[(m + 1, m)] * descents[m + 1]]])
@@ -128,22 +133,8 @@ def phi_maps(r: QuiverRep, ctx: ThetaContext) -> list[RatMat]:
             ascents[k].append(a)
     maps = []
     for k in range(1, n):
-        # the columns of [ascent of D_1 | ... | ascent of D_k], grouped by
-        # bottom m and then source s, reordered by source and then bottom
-        start = {}
-        col = 0
-        for m in range(1, k + 1):
-            for s in range(m, n):
-                start[(s, m)] = col
-                col += w[s - 1]
-        order = [
-            start[(s, m)] + t
-            for s in range(1, n)
-            for m in range(1, min(s, k) + 1)
-            for t in range(w[s - 1])
-        ]
         grouped = RatMat.block([ascents[k]])
-        maps.append(grouped.select(range(grouped.rows), order))
+        maps.append(grouped.select(range(grouped.rows), ctx.phi_columns[k]))
     return maps
 
 
@@ -165,7 +156,7 @@ def theta_with_phi_maps(r: QuiverRep, ctx: ThetaContext) -> tuple[Flag, list[Rat
     phis = phi_maps(r, ctx)
     spaces = [zero_space(d)]
     for k, phi in enumerate(phis, 1):
-        spaces.append(embed(kernel(phi), ctx.wleq_coords(k), d))
+        spaces.append(embed(kernel(phi), ctx.wleq[k], d))
     spaces.append(full_space(d))
     return Flag(spaces, n), phis
 

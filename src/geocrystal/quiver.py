@@ -430,12 +430,37 @@ def _random_kernel_blocks(
     return blocks
 
 
-def _offsets(shapes: list[tuple[int, int]]) -> list[int]:
-    """The first unknown of each row-major block, blocks laid out in order."""
-    out = [0]
-    for a, b in shapes:
-        out.append(out[-1] + a * b)
-    return out
+def _moment_map_rows(
+    shape: QuiverShape, known: dict[Edge, RatMat], unknown: dict[Edge, tuple[int, int]], vertices
+) -> list[list[int]]:
+    """The integer rows of mu_k = sum over edges h into k of sign(h) B_h
+    B_hbar (with j = 0), for k in vertices, as a linear map of the unknown
+    maps; every term must have exactly one unknown factor.
+
+    unknown gives the shape of each unknown map; its unknowns are laid out
+    in that order, each block row-major.  The term of h is sign(h) X_h B_hbar
+    when h is unknown and sign(h) B_h X_hbar otherwise, and its rows are those
+    of :func:`linalg._product_map_rows`: each mu_k scaled by the lcm of the
+    known maps' denominators, zero rows left out.
+    """
+    offsets, ncols = {}, 0
+    for h, (a, b) in unknown.items():
+        offsets[h] = ncols
+        ncols += a * b
+    rows: list[list[int]] = []
+    for k in vertices:
+        terms = []
+        for h in shape.edges_into(k):
+            hbar, sign = shape.bar(h), shape.sign(h)
+            if h in offsets:
+                terms.append((offsets[h], known[hbar], False, sign))
+                size = (unknown[h][0], known[hbar].cols)
+            else:
+                terms.append((offsets[hbar], known[h], True, sign))
+                size = (known[h].rows, unknown[hbar][1])
+        if terms:
+            rows += _product_map_rows(*size, terms, ncols)
+    return rows
 
 
 def _solve_right_maps(
@@ -444,25 +469,15 @@ def _solve_right_maps(
     """Solve mu = 0 (with j = 0) for the rightward maps, given the leftward
     ones; mu is linear in the rightward block.  Returns a random kernel point.
 
-    With R_a the rightward map V_a -> V_{a+1} and L_{a+1} the leftward map
-    back, R_a enters mu_a as L_{a+1} R_a and mu_{a+1} as -R_a L_{a+1}.  The
-    system is built directly as integer rows: the rows of mu_k are scaled by
-    the lcm of the denominators of the two left maps they mix, and zero rows
-    are left out.  Unknowns are ordered edge by edge, each block row-major.
+    The system is :func:`_moment_map_rows` at every vertex with the rightward
+    maps unknown, ordered edge by edge, so R_a, the rightward map V_a ->
+    V_{a+1}, enters mu_a as L_{a+1} R_a and mu_{a+1} as -R_a L_{a+1}, for
+    L_{a+1} the leftward map back.
     """
-    right_edges = [(a, a + 1) for a in range(1, n - 1)]
-    shapes = [(v[a], v[a - 1]) for a, _ in right_edges]
-    offsets = _offsets(shapes)
-    ncols = offsets[-1]
-    rows = []
-    for k in range(1, n):
-        terms = []
-        if k <= n - 2:
-            terms.append((offsets[k - 1], r_left[(k + 1, k)], True, 1))
-        if k >= 2:
-            terms.append((offsets[k - 2], r_left[(k, k - 1)], False, -1))
-        rows += _product_map_rows(v[k - 1], v[k - 1], terms, ncols)
-    return dict(zip(right_edges, _random_kernel_blocks(rows, shapes, rng)))
+    shape = QuiverShape(n)
+    unknown = {h: (v[h[1] - 1], v[h[0] - 1]) for h in map(shape.bar, shape.omega())}
+    rows = _moment_map_rows(shape, r_left, unknown, shape.vertices)
+    return dict(zip(unknown, _random_kernel_blocks(rows, list(unknown.values()), rng)))
 
 
 def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> QuiverRep | None:
@@ -477,16 +492,11 @@ def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> Quive
     n = r.n
     shape = r.shape
     incoming = shape.edges_into(k)
-    # Unknowns: one s x v_out block per incoming edge, row-major; condition
-    # rows are the S-rows of mu_k against the old V_k.
-    shapes = [(s, r.v[h[0] - 1]) for h in incoming]
-    offsets = _offsets(shapes)
-    terms = [
-        (offsets[t], r.B[shape.bar(h)], False, shape.sign(h))
-        for t, h in enumerate(incoming)
-    ]
-    rows = _product_map_rows(s, r.v[k - 1], terms, offsets[-1])
-    blocks = dict(zip(incoming, _random_kernel_blocks(rows, shapes, rng)))
+    # Unknowns: one s x v_out block per incoming edge; the condition rows are
+    # the S-rows of mu_k against the old V_k.
+    unknown = {h: (s, r.v[h[0] - 1]) for h in incoming}
+    rows = _moment_map_rows(shape, r.B, unknown, (k,))
+    blocks = dict(zip(incoming, _random_kernel_blocks(rows, list(unknown.values()), rng)))
     M = RatMat(
         [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(r.w[k - 1])] for _ in range(s)],
         cols=r.w[k - 1],
@@ -572,22 +582,22 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
 
     Draws the leftward maps with small random integers (zeroing each edge by
     a coin flip, since stability sometimes forces vanishing leftward maps),
-    solves the moment map equations exactly for the rightward maps (falling
-    back to zero rightward maps on every fourth attempt), then rejects a
-    candidate that is not stable, and proves only the stable ones in Lambda
-    (j = 0 and moment map = 0, which force B nilpotent by Lusztig's theorem,
-    see lambda_failure); the solved candidates are nearly always in Lambda,
-    so most rejections are on stability.  Every returned point is proved both
-    ways.  Deep strata where rejection sampling cannot find the stable
-    component fall through to the crystal-guided constructive walk.  Raises
-    SampleExhaustedError when the locus appears empty.
+    solves the moment map equations exactly for the rightward maps (leaving
+    them zero on every fourth attempt), then rejects a candidate that is not
+    stable, and proves only the stable ones in Lambda (j = 0 and moment map
+    = 0, which force B nilpotent by Lusztig's theorem, see lambda_failure);
+    the solved candidates are nearly always in Lambda, so most rejections are
+    on stability.  Every returned point is proved both ways.  Deep strata
+    where rejection sampling cannot find the stable component fall through to
+    the crystal-guided constructive walk.  Raises SampleExhaustedError when
+    the locus appears empty.
     """
     v, w = as_dimvec(v), as_highest_weight(w)
     if v.n != w.n:
         raise DimensionMismatchError("rank mismatch")
     n = v.n
     rng = random.Random(seed)
-    left_edges = [(k, k - 1) for k in range(2, n)]
+    left_edges = QuiverShape(n).omega()
 
     def draw_left(rows: int, cols: int) -> RatMat:
         # zero / rank-one / dense mix: full-rank draws force a trivial
@@ -605,15 +615,9 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
         )
 
     for attempt in range(MAX_TRIES):
-        left = {
-            h: draw_left(v[h[1] - 1], v[h[0] - 1]) for h in left_edges
-        }
-        if attempt % 4 == 3:
-            right = {
-                (k, k + 1): RatMat.zeros(v[k], v[k - 1]) for k in range(1, n - 1)
-            }
-        else:
-            right = _solve_right_maps(left, n, v, rng)
+        left = {h: draw_left(v[h[1] - 1], v[h[0] - 1]) for h in left_edges}
+        # QuiverRep zero-fills the maps it is not given
+        right = {} if attempt % 4 == 3 else _solve_right_maps(left, n, v, rng)
         i = {}
         for k in range(1, n):
             i[k] = RatMat(

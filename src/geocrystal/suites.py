@@ -9,12 +9,12 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
+from typing import Iterator
 
 from . import crystal as crystal_mod
 from . import repalg
 from .cartan import (
     HighestWeight,
-    Partition,
     a_of_vw,
     as_composition,
     as_highest_weight,
@@ -34,7 +34,7 @@ from .flag import (
     is_hecke_pair,
     s_k_exponent,
 )
-from .linalg import RatMat, canonicalize, embed, intersect, preimage, rank
+from .linalg import canonicalize, embed, intersect, preimage, rank
 from .maffei import ThetaContext, theta, theta_w1_special, theta_with_phi_maps
 from .quiver import (
     QuiverRep,
@@ -176,13 +176,6 @@ def valid_dimvecs(w) -> list[tuple[int, ...]]:
     return out
 
 
-def _restricted_x_matrix(ctx: ThetaContext, x_full: RatMat, k: int) -> RatMat:
-    """Matrix of x as a map W^{<=k} -> W^{<=k-1} in the prefix coordinates."""
-    src = ctx.wleq_coords(k)
-    dst = ctx.wleq_coords(k - 1)
-    return x_full.select(dst, src)
-
-
 # The per-point invariants a theta run reports by name; the other checks of
 # check_theta_point (composition, fiber, dominance, gauge, special form) fail
 # the point without naming one of these.
@@ -226,14 +219,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
         fail(None, "composition_of(theta) != a(v,w)")
     if not flag_membership(x, F):
         fail(None, "theta output not in the fiber of x")
-    type_of_x = Partition(
-        tuple(
-            sorted(
-                (k for k in range(1, n) for _ in range(r.w[k - 1])), reverse=True
-            )
-        )
-    )
-    if d > 0 and not dominates(jordan_type(a), type_of_x):
+    if d > 0 and not dominates(jordan_type(a), hw_to_partition(r.w).conjugate()):
         fail(None, "composition type does not dominate type of x")
     phis = dict(enumerate(phi_list, 1))
     for k in range(1, n):
@@ -241,19 +227,16 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
             fail("surjectivity", f"rank phi_{k} != v_{k}")
         if k >= 2:
             lhs = r.B[(k, k - 1)] * phis[k]
-            rhs = phis[k - 1] * _restricted_x_matrix(ctx, x.x, k)
+            rhs = phis[k - 1] * ctx.x_down[k]
             if lhs != rhs:
                 fail("comm1", f"comm1 fails at k={k}")
         if k <= n - 2:
             lhs = r.B[(k, k + 1)] * phis[k]
-            src = ctx.wleq_coords(k)
-            positions = {c: idx for idx, c in enumerate(ctx.wleq_coords(k + 1))}
-            cols = [positions[c] for c in src]
-            restricted = phis[k + 1].select(range(phis[k + 1].rows), cols)
+            restricted = phis[k + 1].select(range(phis[k + 1].rows), ctx.inclusion[k])
             if lhs != restricted:
                 fail("comm2", f"comm2 fails at k={k}")
         kernel_k = joint_outgoing_kernel(r, k)
-        lhs_sub = embed(preimage(phis[k], kernel_k), ctx.wleq_coords(k), d)
+        lhs_sub = embed(preimage(phis[k], kernel_k), ctx.wleq[k], d)
         rhs_sub = intersect(preimage(x.x, F[k - 1]), F[k + 1])
         if lhs_sub != rhs_sub:
             fail("flag-subspace", f"flag-subspace fails at k={k}")
@@ -267,7 +250,8 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
         if (F if reduced is r else theta(reduced, ctx)) != F_red:
             fail("reduction-intertwining", f"reduction intertwining fails at k={k}")
         if eps_pt >= 1:
-            line = canonicalize([kernel_k.basis.column(0)], r.v[k - 1])
+            vk = r.v[k - 1]
+            line = canonicalize(kernel_k.basis.select(range(vk), (0,)), vk)
             quotient = quotient_by_invariant_subspace(r, k, line)
             F_q = theta(quotient, ctx)
             hecke_cases += 1
@@ -292,25 +276,38 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
     }
 
 
+def maffei_points(w, samples: int, seed: int) -> Iterator[QuiverRep | None]:
+    """The points suite_maffei checks, in order: attempt a samples
+    vs[a % len(vs)] with seed + a + 1, for vs the valid dimension vectors,
+    until samples points are drawn or 4 * samples attempts are made.  An
+    attempt whose locus looks empty yields None."""
+    vs = valid_dimvecs(w)
+    points = 0
+    for a in range(4 * samples):
+        if points == samples:
+            return
+        try:
+            r = sample_lambda_point(vs[a % len(vs)], w, seed + a + 1)
+        except SampleExhaustedError:
+            yield None
+            continue
+        points += 1
+        yield r
+
+
 def suite_maffei(n: int, w, samples: int, seed: int) -> dict:
     """Sample stable Lagrangian points for one (n, w) and run every identity."""
     w = as_highest_weight(w)
     if w.n != n:
         raise ValueError(f"w={w.w} does not match n={n}")
     ctx = ThetaContext(w)
-    vs = valid_dimvecs(w)
     failures: list[str] = []
     rng = random.Random(seed)
     points = 0
     hecke_cases = 0
     exhausted = 0
-    attempts = 0
-    while points < samples and attempts < 4 * samples:
-        v = vs[attempts % len(vs)]
-        attempts += 1
-        try:
-            r = sample_lambda_point(v, w, seed + attempts)
-        except SampleExhaustedError:
+    for r in maffei_points(w, samples, seed):
+        if r is None:
             exhausted += 1
             continue
         result = check_theta_point(r, ctx, rng)

@@ -276,3 +276,12 @@ def test_bundle_dump(tmp_path):
 
     x, flags = flag_bundle_from_json(json.loads(out.read_text()))
     assert x.d == 3 and len(flags) >= 1
+    # the flags are theta of the points the suite checked, in order
+    from geocrystal.maffei import ThetaContext, theta
+    from geocrystal.quiver import sample_lambda_point
+
+    w = (1, 1)
+    ctx = ThetaContext(w)
+    vs = suites.valid_dimvecs(w)
+    expected = [theta(sample_lambda_point(vs[a % len(vs)], w, 3 + a + 1), ctx) for a in range(4)]
+    assert flags == expected

@@ -1,5 +1,3 @@
-import pytest
-
 from geocrystal.cartan import HighestWeight, Weight, pair_with_coroot
 from geocrystal.crystal import (
     CrystalGraph,
@@ -15,7 +13,6 @@ from geocrystal.crystal import (
     weight_multiplicity,
     yamanouchi_seed,
 )
-from geocrystal.errors import IncompatibleError
 from geocrystal.repalg import irrep_dim, kostka
 from geocrystal.cartan import hw_to_partition
 
@@ -29,7 +26,7 @@ def test_standard_crystal():
     assert g3.f((1,), 1) == (2,)
     assert g3.f((2,), 2) == (3,)
     assert g3.f((2,), 1) is None
-    vx = g3.stats((2,))
+    vx = g3.vertices[(2,)]
     assert vx.eps[0] == 1 and vx.phi[0] == 0
 
 
@@ -64,21 +61,20 @@ def test_highest_weight_crystal_sizes():
 
 def test_vertex_stats():
     g = highest_weight_crystal((1, 1))
-    top = g.stats(g.highest)
+    top = g.vertices[g.highest]
     assert top.a.parts == (2, 1, 0)
     assert top.eps == (0, 0)
     assert top.wt == Weight((1, 1))
     lowest = next(
         w for w in g.sorted_words() if g.vertices[w].phi == (0, 0)
     )
-    low = g.stats(lowest)
+    low = g.vertices[lowest]
     assert low.a.parts == (0, 1, 2) and low.phi == (0, 0)
     for word in g.sorted_words():
-        vx = g.stats(word)
+        vx = g.vertices[word]
         for k in (1, 2):
             assert vx.phi[k - 1] - vx.eps[k - 1] == pair_with_coroot(vx.wt, k)
-    with pytest.raises(IncompatibleError):
-        g.stats((9, 9, 9))
+    assert (9, 9, 9) not in g.vertices
 
 
 def test_weight_multiplicity():

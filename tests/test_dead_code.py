@@ -1,12 +1,14 @@
-"""Every module-level function and class of the package has a caller in the
-package or the benchmark, or is kept on purpose with a stated reason."""
+"""Every module-level function and class of the package, and every method and
+property of its classes, has a caller in the package or the benchmark, or is
+kept on purpose with a stated reason."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Names no code in src/ or bench/ calls, each kept for what it states.
+# Names no code in src/ or bench/ calls, each kept for what it states; a
+# method or property is named Class.name.
 KEPT = {
     "gl_partitions": "index set of the RSK identity in criterion 6",
     "v_of_aw": "inverse of the a(v, w) bijection, a definition of the paper",
@@ -44,6 +46,33 @@ def _referenced(trees) -> set[str]:
     return names
 
 
+def _methods(trees) -> dict[str, str]:
+    """The non-dunder methods and properties of every class, as
+    Class.name -> file."""
+    out = {}
+    for path, tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    out[f"{cls.name}.{node.name}"] = path.name
+    return out
+
+
+def test_no_unreferenced_methods():
+    src = _modules("src/geocrystal/*.py")
+    referenced = _referenced(src + _modules("bench/*.py"))
+    unreferenced = {
+        name: where
+        for name, where in _methods(src).items()
+        if name.split(".")[1] not in referenced
+    }
+    assert sorted(set(unreferenced) - set(KEPT)) == [], unreferenced
+
+
 def test_no_unreferenced_definitions():
     src = _modules("src/geocrystal/*.py")
     defined = {
@@ -55,4 +84,4 @@ def test_no_unreferenced_definitions():
     referenced = _referenced(src + _modules("bench/*.py"))
     unreferenced = {name: where for name, where in defined.items() if name not in referenced}
     assert sorted(set(unreferenced) - set(KEPT)) == [], unreferenced
-    assert sorted(set(KEPT) - set(defined)) == []
+    assert sorted(set(KEPT) - set(defined) - set(_methods(src))) == []

@@ -8,7 +8,7 @@ import pytest
 from geocrystal.cartan import HighestWeight
 from geocrystal.errors import IncompatibleError, InvalidRankError, LambdaPreconditionError
 from geocrystal.flag import composition_of, flag_membership
-from geocrystal.linalg import RatMat, canonicalize
+from geocrystal.linalg import RatMat, canonicalize, kernel
 from geocrystal.maffei import (
     LeftRightPath,
     ThetaContext,
@@ -27,21 +27,15 @@ from geocrystal.quiver import (
     random_gauge,
     sample_lambda_point,
 )
-from geocrystal.suites import check_theta_point, valid_dimvecs
+from geocrystal.suites import ACCEPTANCE_MAFFEI_CONFIGS, check_theta_point, valid_dimvecs
 
 
 def test_enum_paths_small():
     assert [(p.start, p.bottom, p.end) for p in enum_paths(2)] == [(1, 1, 1)]
-    triples = {(p.start, p.bottom, p.end, p.ord) for p in enum_paths(3)}
-    assert triples == {
-        (1, 1, 1, 0),
-        (2, 2, 2, 0),
-        (2, 1, 1, 1),
-        (1, 1, 2, 0),
-        (2, 1, 2, 1),
-    }
+    triples = {(p.start, p.bottom, p.end) for p in enum_paths(3)}
+    assert triples == {(1, 1, 1), (2, 2, 2), (2, 1, 1), (1, 1, 2), (2, 1, 2)}
     for p in enum_paths(5):
-        assert p.out - p.ord >= 1
+        assert 1 <= p.bottom <= min(p.start, p.end)
 
 
 def test_path_validation():
@@ -55,16 +49,40 @@ def test_path_validation():
 def test_theta_context_layout():
     ctx = ThetaContext((1, 1))
     assert ctx.d == 3
-    assert ctx.labels == ((1, 1), (2, 1), (2, 2))
-    assert ctx.wleq_coords(1) == [0, 1]
-    assert ctx.wleq_coords(2) == [0, 1, 2]
-    assert len(ctx.wleq_coords(1)) == 2
+    assert ctx.wleq[1] == (0, 1)
+    assert ctx.wleq[2] == (0, 1, 2)
+    assert len(ctx.wleq[1]) == 2
     ctx2 = ThetaContext((2, 0, 1))
     assert ctx2.d == 5
     # W^{<=1} takes one copy of each vertex block
-    assert len(ctx2.wleq_coords(1)) == 2 + 0 + 1
-    assert len(ctx2.wleq_coords(2)) == 2 + 0 + 2
-    assert len(ctx2.wleq_coords(3)) == 5
+    assert len(ctx2.wleq[1]) == 2 + 0 + 1
+    assert len(ctx2.wleq[2]) == 2 + 0 + 2
+    assert len(ctx2.wleq[3]) == 5
+
+
+@pytest.mark.parametrize(
+    "w",
+    sorted({w for _, w in ACCEPTANCE_MAFFEI_CONFIGS} | {(2, 0, 1), (1, 1, 1, 1), (2, 1, 1)}),
+    ids=str,
+)
+def test_theta_context_pieces(w):
+    # W^{<=k} is ker x^k, x maps it into W^{<=k-1} as x_down, and the
+    # inclusion positions pick W^{<=k} out of W^{<=k+1}
+    ctx = ThetaContext(w)
+    x, n, d = ctx.x().x, ctx.n, ctx.d
+    power = RatMat.identity(d)
+    below = None
+    for k in range(n):
+        coords = ctx.wleq[k]
+        unit = RatMat([[int(c == e) for e in coords] for c in range(d)], cols=len(coords))
+        assert canonicalize(unit, d) == kernel(power)
+        if k >= 2:
+            assert x * unit == below * ctx.x_down[k]
+        if 1 <= k <= n - 2:
+            assert tuple(ctx.wleq[k + 1][p] for p in ctx.inclusion[k]) == coords
+        if k >= 1:
+            assert sorted(ctx.phi_columns[k]) == list(range(len(coords)))
+        power, below = power * x, unit
 
 
 def test_phi_k_on_worked_example(p0):

@@ -13,7 +13,6 @@ from geocrystal.errors import (
 )
 from geocrystal.linalg import (
     RatMat,
-    _product_map_rows,
     canonicalize,
     contains_image,
     rref,
@@ -37,6 +36,7 @@ from geocrystal.quiver import (
     random_gauge,
     sample_lambda_point,
     stable_closure,
+    _moment_map_rows,
     _random_kernel_blocks,
     _solve_right_maps,
 )
@@ -594,35 +594,43 @@ def test_right_system_matches_kron_construction():
 
 
 def test_extension_system_matches_kron_construction():
-    # the S-rows of mu_k in the incoming blocks N_h: sign(h) (1 kron B_{bar h}^T)
+    # the S-rows of mu_k in the incoming blocks N_h: sign(h) (1 kron B_{bar h}^T),
+    # against the rows _extend_at_vertex builds through _moment_map_rows
     rng = random.Random(37)
     fractions = 0
     for trial in range(300):
+        shape = QuiverShape(rng.randint(2, 5))
+        k = rng.choice(shape.vertices)
         s, vk = rng.randint(1, 3), rng.randint(0, 3)
-        outs = [rng.randint(0, 3) for _ in range(rng.randint(0, 2))]
-        signs = [rng.choice((1, -1)) for _ in outs]
-        maps = [
-            RatMat([[_random_entry(rng, True) for _ in range(vk)] for _ in range(vo)], cols=vk)
-            for vo in outs
-        ]
-        fractions += any(m.den > 1 for m in maps)
-        offsets = [0]
-        for vo in outs:
-            offsets.append(offsets[-1] + s * vo)
-        terms = [(offsets[t], m, False, sign) for t, (m, sign) in enumerate(zip(maps, signs))]
-        rows = _product_map_rows(s, vk, terms, offsets[-1])
+        incoming = shape.edges_into(k)
+        outs = [rng.randint(0, 3) for _ in incoming]
+        known = {
+            shape.bar(h): RatMat(
+                [[_random_entry(rng, True) for _ in range(vk)] for _ in range(vo)], cols=vk
+            )
+            for h, vo in zip(incoming, outs)
+        }
+        fractions += any(m.den > 1 for m in known.values())
+        unknown = {h: (s, vo) for h, vo in zip(incoming, outs)}
+        ncols = s * sum(outs)
+        rows = _moment_map_rows(shape, known, unknown, (k,))
         kron = RatMat.block(
-            [[_kron(RatMat.identity(s), _transposed(m)).scale(sign) for m, sign in zip(maps, signs)]]
+            [
+                [
+                    _kron(RatMat.identity(s), _transposed(known[shape.bar(h)])).scale(shape.sign(h))
+                    for h in incoming
+                ]
+            ]
         )
-        if not outs:
+        if not incoming:
             assert rows == []
             continue
         assert all(any(row) for row in rows)
-        ours = rref(RatMat(rows, cols=offsets[-1]))
+        ours = rref(RatMat(rows, cols=ncols))
         theirs = rref(kron)
         # the same row space: equal reduced nonzero rows and pivots
         assert ours[1] == theirs[1]
-        assert ours[0].select(range(len(ours[1])), range(offsets[-1])) == theirs[0].select(
-            range(len(theirs[1])), range(offsets[-1])
+        assert ours[0].select(range(len(ours[1])), range(ncols)) == theirs[0].select(
+            range(len(theirs[1])), range(ncols)
         )
     assert fractions >= 50
