@@ -8,7 +8,6 @@ is modulo the all-ones vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -26,16 +25,30 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
 class Weight:
     """sl_n weight stored in fundamental-weight coordinates."""
 
-    omega: tuple[int, ...]
+    __slots__ = ("omega",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(int(c) for c in self.omega))
-        if len(self.omega) < 1:
+    def __init__(self, omega: tuple[int, ...]):
+        omega = tuple(int(c) for c in omega)
+        if len(omega) < 1:
             raise InvalidRankError("weight needs at least one omega coordinate")
+        object.__setattr__(self, "omega", omega)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Weight is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.omega == other.omega
+
+    def __hash__(self):
+        return hash((self.omega,))
+
+    def __repr__(self):
+        return f"Weight(omega={self.omega!r})"
 
     @property
     def n(self) -> int:
@@ -71,18 +84,32 @@ class Weight:
         return list(self.omega)
 
 
-@dataclass(frozen=True)
 class HighestWeight:
     """Dominant weight given by n-1 non-negative integers w_k."""
 
-    w: tuple[int, ...]
+    __slots__ = ("w",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", tuple(int(c) for c in self.w))
-        if len(self.w) < 1:
+    def __init__(self, w: tuple[int, ...]):
+        w = tuple(int(c) for c in w)
+        if len(w) < 1:
             raise InvalidRankError("highest weight needs n >= 2")
-        if any(c < 0 for c in self.w):
-            raise IncompatibleError(f"negative entry in highest weight {self.w}")
+        if any(c < 0 for c in w):
+            raise IncompatibleError(f"negative entry in highest weight {w}")
+        object.__setattr__(self, "w", w)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HighestWeight is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not HighestWeight:
+            return NotImplemented
+        return self.w == other.w
+
+    def __hash__(self):
+        return hash((self.w,))
+
+    def __repr__(self):
+        return f"HighestWeight(w={self.w!r})"
 
     @property
     def n(self) -> int:
@@ -106,16 +133,30 @@ class HighestWeight:
         return list(self.w)
 
 
-@dataclass(frozen=True)
 class Composition:
     """Composition of d into len(parts) non-negative integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(c) for c in self.parts))
-        if any(c < 0 for c in self.parts):
-            raise IncompatibleError(f"negative part in composition {self.parts}")
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(c) for c in parts)
+        if any(c < 0 for c in parts):
+            raise IncompatibleError(f"negative part in composition {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Composition is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Composition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"Composition(parts={self.parts!r})"
 
     @property
     def d(self) -> int:
@@ -138,18 +179,32 @@ class Composition:
         return list(self.parts)
 
 
-@dataclass(frozen=True)
 class DimVec:
     """Graded dimension vector over the n-1 quiver vertices."""
 
-    v: tuple[int, ...]
+    __slots__ = ("v",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(c) for c in self.v))
-        if len(self.v) < 1:
+    def __init__(self, v: tuple[int, ...]):
+        v = tuple(int(c) for c in v)
+        if len(v) < 1:
             raise InvalidRankError("dimension vector needs n >= 2")
-        if any(c < 0 for c in self.v):
-            raise IncompatibleError(f"negative entry in dimension vector {self.v}")
+        if any(c < 0 for c in v):
+            raise IncompatibleError(f"negative entry in dimension vector {v}")
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DimVec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not DimVec:
+            return NotImplemented
+        return self.v == other.v
+
+    def __hash__(self):
+        return hash((self.v,))
+
+    def __repr__(self):
+        return f"DimVec(v={self.v!r})"
 
     @property
     def n(self) -> int:
@@ -168,20 +223,32 @@ class DimVec:
         return list(self.v)
 
 
-@dataclass(frozen=True)
 class Partition:
     """Weakly decreasing positive integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(c) for c in self.parts))
-        if any(c <= 0 for c in self.parts):
-            raise IncompatibleError(f"non-positive part in partition {self.parts}")
-        if any(
-            self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)
-        ):
-            raise IncompatibleError(f"parts not weakly decreasing: {self.parts}")
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(int(c) for c in parts)
+        if any(c <= 0 for c in parts):
+            raise IncompatibleError(f"non-positive part in partition {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise IncompatibleError(f"parts not weakly decreasing: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Partition is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"Partition(parts={self.parts!r})"
 
     @property
     def size(self) -> int:

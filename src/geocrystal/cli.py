@@ -4,24 +4,20 @@ All outputs are deterministic for a fixed configuration (seeds are explicit,
 JSON keys are sorted) and carry a schema-version field.  Exit codes: 0 all
 checks pass, 1 a verified invariant or predicate failed, 2 usage or parse
 errors, an output file that cannot be written among them.
+
+Each command imports the modules it runs inside its own function, so a
+process pays only for those: `theta` never loads the crystal, the
+representation algebra or the suites, and `crystal` loads only `cartan` and
+`crystal`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from itertools import islice
 
-from . import crystal as crystal_mod
-from . import suites
-from .cartan import HighestWeight, a_of_vw
 from .errors import GeoCrystalError
-from .flag import composition_of, flag_bundle_to_json, flag_membership
-from .maffei import ThetaContext, theta
-from .quiver import QuiverRep, is_stable, lambda_failure
-from .repalg import size_budget
 
 SCHEMA_VERSION = "1"
 
@@ -149,6 +145,8 @@ def _finish(report: dict, fmt: str, out: str | None) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suites
+
     suite = args.suite
     if suite in ("maffei", "all") and args.seed is None:
         print("error: --seed is required for sampling suites", file=sys.stderr)
@@ -166,9 +164,10 @@ def cmd_verify(args) -> int:
         if len(w) != n - 1:
             print(f"error: --w needs {n - 1} entries", file=sys.stderr)
             return USAGE_ERROR
-        report = suites.suite_maffei(n, w, args.samples, args.seed)
-        if getattr(args, "dump_bundles", None):
-            _dump_bundles(w, args.samples, args.seed, args.dump_bundles)
+        flags = [] if args.dump_bundles else None
+        report = suites.suite_maffei(n, w, args.samples, args.seed, flags)
+        if args.dump_bundles:
+            _dump_bundles(w, flags[:16], args.dump_bundles)
             report["bundles_written_to"] = args.dump_bundles
     elif suite == "crystal":
         report = suites.suite_crystal(n_max=args.n_max)
@@ -183,17 +182,19 @@ def cmd_verify(args) -> int:
     return _finish(report, args.fmt, args.out)
 
 
-def _dump_bundles(w, samples: int, seed: int, path: str) -> None:
-    """Write x and theta of the first min(samples, 16) points suite_maffei
-    checks, in order, as a flag bundle."""
-    ctx = ThetaContext(HighestWeight(tuple(w)))
-    checked = (r for r in suites.maffei_points(w, samples, seed) if r is not None)
-    flags = [theta(r, ctx) for r in islice(checked, 16)]
-    payload = flag_bundle_to_json(ctx.x(), flags)
+def _dump_bundles(w, flags, path: str) -> None:
+    """Write the block-shift nilpotent of w and the given flags, theta of the
+    points suite_maffei checked, as a flag bundle."""
+    from .flag import block_shift_x, flag_bundle_to_json
+
+    payload = flag_bundle_to_json(block_shift_x(w)[0], flags)
     _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_crystal(args) -> int:
+    from . import crystal as crystal_mod
+    from .cartan import HighestWeight
+
     w = args.w
     if len(w) != args.n - 1:
         print(f"error: --w needs {args.n - 1} entries", file=sys.stderr)
@@ -216,6 +217,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def cmd_theta(args) -> int:
+    import random
+
+    from .cartan import a_of_vw
+    from .flag import composition_of, flag_membership
+    from .maffei import THETA_INVARIANTS, ThetaContext, check_theta_point
+    from .quiver import QuiverRep, is_stable, lambda_failure
+
     try:
         with open(args.input_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, object_pairs_hook=_unique_keys)
@@ -232,10 +240,10 @@ def cmd_theta(args) -> int:
         return CHECK_FAILED
     ctx = ThetaContext(point.w)
     rng = random.Random(args.seed)
-    result = suites.check_theta_point(point, ctx, rng)
+    result = check_theta_point(point, ctx, rng)
     flag = result["flag"]
     failed = result["failed_invariants"]
-    invariants = {name: name not in failed for name in suites.THETA_INVARIANTS}
+    invariants = {name: name not in failed for name in THETA_INVARIANTS}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "theta",
@@ -255,6 +263,8 @@ def cmd_theta(args) -> int:
 
 
 def cmd_quotients(args) -> int:
+    from . import suites
+
     report = suites.suite_quotients(args.n, args.d, args.budget)
     report["command"] = "quotients"
     return _finish(report, args.fmt, args.out)
@@ -267,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     if hasattr(args, "budget"):
+        from .repalg import size_budget
+
         # resolved here so a malformed GEOCRYSTAL_BUDGET is a usage error
         try:
             args.budget = size_budget(args.budget)

@@ -12,8 +12,6 @@ operator instead of trusting the convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cartan import (
     Composition,
     HighestWeight,
@@ -88,13 +86,40 @@ def word_weight(word: Word, n: int) -> Weight:
     return Weight.from_eps(word_content(word, n).parts)
 
 
-@dataclass(frozen=True)
 class CrystalVertex:
-    word: Word
-    wt: Weight
-    a: Composition
-    eps: tuple[int, ...]
-    phi: tuple[int, ...]
+    __slots__ = ("word", "wt", "a", "eps", "phi")
+
+    def __init__(
+        self, word: Word, wt: Weight, a: Composition, eps: tuple[int, ...], phi: tuple[int, ...]
+    ):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "wt", wt)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "phi", phi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CrystalVertex is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not CrystalVertex:
+            return NotImplemented
+        return (
+            self.word == other.word
+            and self.wt == other.wt
+            and self.a == other.a
+            and self.eps == other.eps
+            and self.phi == other.phi
+        )
+
+    def __hash__(self):
+        return hash((self.word, self.wt, self.a, self.eps, self.phi))
+
+    def __repr__(self):
+        return (
+            f"CrystalVertex(word={self.word!r}, wt={self.wt!r}, a={self.a!r}, "
+            f"eps={self.eps!r}, phi={self.phi!r})"
+        )
 
 
 class CrystalGraph:
@@ -207,12 +232,36 @@ def weight_multiplicity(g: CrystalGraph, a) -> int:
     return sum(1 for vx in g.vertices.values() if vx.a.parts == a)
 
 
-@dataclass(frozen=True)
 class StembridgeReport:
-    ok: bool
-    vertices: int
-    checks: int
-    violation: str | None
+    __slots__ = ("ok", "vertices", "checks", "violation")
+
+    def __init__(self, ok: bool, vertices: int, checks: int, violation: str | None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "violation", violation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StembridgeReport is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not StembridgeReport:
+            return NotImplemented
+        return (
+            self.ok == other.ok
+            and self.vertices == other.vertices
+            and self.checks == other.checks
+            and self.violation == other.violation
+        )
+
+    def __hash__(self):
+        return hash((self.ok, self.vertices, self.checks, self.violation))
+
+    def __repr__(self):
+        return (
+            f"StembridgeReport(ok={self.ok!r}, vertices={self.vertices!r}, "
+            f"checks={self.checks!r}, violation={self.violation!r})"
+        )
 
 
 def _chain_len(g: CrystalGraph, word: Word, k: int, direction: str) -> int:
@@ -321,12 +370,36 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
     return StembridgeReport(True, len(g), checks, None)
 
 
-@dataclass(frozen=True)
 class StrataReport:
-    ok: bool
-    vertex_count: int
-    stratum_sizes: dict
-    violation: str | None
+    __slots__ = ("ok", "vertex_count", "stratum_sizes", "violation")
+
+    def __init__(self, ok: bool, vertex_count: int, stratum_sizes: dict, violation: str | None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "stratum_sizes", stratum_sizes)
+        object.__setattr__(self, "violation", violation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StrataReport is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not StrataReport:
+            return NotImplemented
+        return (
+            self.ok == other.ok
+            and self.vertex_count == other.vertex_count
+            and self.stratum_sizes == other.stratum_sizes
+            and self.violation == other.violation
+        )
+
+    def __hash__(self):
+        return hash((self.ok, self.vertex_count, self.stratum_sizes, self.violation))
+
+    def __repr__(self):
+        return (
+            f"StrataReport(ok={self.ok!r}, vertex_count={self.vertex_count!r}, "
+            f"stratum_sizes={self.stratum_sizes!r}, violation={self.violation!r})"
+        )
 
 
 def strata_maps(g: CrystalGraph, k: int) -> StrataReport:

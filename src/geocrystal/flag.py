@@ -5,7 +5,6 @@ pairs, epsilon and the maximal stratum reduction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cartan import (
@@ -138,19 +137,33 @@ class Flag:
         return cls(spaces, obj["n"])
 
 
-@dataclass(frozen=True)
 class Sl2Triple:
-    x: RatMat
-    y: RatMat
-    h: RatMat
+    __slots__ = ("x", "y", "h")
 
-    def __post_init__(self):
+    def __init__(self, x: RatMat, y: RatMat, h: RatMat):
         if not (
-            self.h * self.x - self.x * self.h == self.x.scale(2)
-            and self.h * self.y - self.y * self.h == self.y.scale(-2)
-            and self.x * self.y - self.y * self.x == self.h
+            h * x - x * h == x.scale(2)
+            and h * y - y * h == y.scale(-2)
+            and x * y - y * x == h
         ):
             raise IncompatibleError("sl_2 triple relations fail")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "h", h)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Sl2Triple is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Sl2Triple:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and self.h == other.h
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.h))
+
+    def __repr__(self):
+        return f"Sl2Triple(x={self.x!r}, y={self.y!r}, h={self.h!r})"
 
 
 def jordan_nilpotent(lam, d: int, n: int | None = None) -> NilEndo:

@@ -1,58 +1,62 @@
 """The explicit map from stable Lagrangian quiver points to flags, built from
-the left-then-right path set and the block maps phi_k with F_k = ker phi_k.
+the block maps phi_k with F_k = ker phi_k, and the per-point check of the
+identities it satisfies.
 
-The length-zero path at each vertex is included in the path set; it carries
-the direct i_k block, and without it the composition of the output flag would
-be wrong on the v = 0 point.
+The length-zero path at each vertex contributes the direct i_k block to
+phi_k; without it the composition of the output flag would be wrong on the
+v = 0 point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
 
-from .cartan import as_highest_weight
-from .errors import (
-    DimensionMismatchError,
-    IncompatibleError,
-    InvalidRankError,
-    LambdaPreconditionError,
+from .cartan import (
+    a_of_vw,
+    as_highest_weight,
+    comp_shift,
+    dominates,
+    hw_to_partition,
+    jordan_type,
 )
-from .flag import Flag, NilEndo, block_shift_x
-from .linalg import RatMat, embed, full_space, kernel, zero_space
-from .quiver import QuiverRep, in_Lambda, is_stable
+from .errors import DimensionMismatchError, IncompatibleError, LambdaPreconditionError
+from .flag import (
+    Flag,
+    NilEndo,
+    block_shift_x,
+    composition_of,
+    flag_membership,
+    flag_reduce,
+    is_hecke_pair,
+)
+from .linalg import (
+    RatMat,
+    canonicalize,
+    embed,
+    full_space,
+    intersect,
+    kernel,
+    preimage,
+    rank,
+    zero_space,
+)
+from .quiver import (
+    QuiverRep,
+    apply_gauge,
+    in_Lambda,
+    is_stable,
+    joint_outgoing_kernel,
+    kashiwara_reduce,
+    quotient_by_invariant_subspace,
+    random_gauge,
+)
+
+MAX_RECORDED_FAILURES = 20
 
 
-@dataclass(frozen=True)
-class LeftRightPath:
-    """Path descending start -> bottom then ascending bottom -> end; the
-    empty path at a vertex is start = bottom = end."""
-
-    start: int
-    bottom: int
-    end: int
-
-    def __post_init__(self):
-        if not 1 <= self.bottom <= min(self.start, self.end):
-            raise IncompatibleError(
-                f"bottom {self.bottom} not in [1, min({self.start}, {self.end})]"
-            )
-
-    def edges(self) -> list[tuple[int, int]]:
-        down = [(a, a - 1) for a in range(self.start, self.bottom, -1)]
-        up = [(a, a + 1) for a in range(self.bottom, self.end)]
-        return down + up
-
-
-def enum_paths(n: int) -> list[LeftRightPath]:
-    """All left-then-right paths on vertices 1..n-1, empty paths included."""
-    if n < 2:
-        raise InvalidRankError(f"n must be >= 2, got {n}")
-    paths = []
-    for start in range(1, n):
-        for end in range(1, n):
-            for bottom in range(1, min(start, end) + 1):
-                paths.append(LeftRightPath(start, bottom, end))
-    return paths
+def _record(failures: list[str], msg: str) -> None:
+    if len(failures) < MAX_RECORDED_FAILURES:
+        failures.append(msg)
 
 
 class ThetaContext:
@@ -138,13 +142,6 @@ def phi_maps(r: QuiverRep, ctx: ThetaContext) -> list[RatMat]:
     return maps
 
 
-def phi_k(r: QuiverRep, ctx: ThetaContext, k: int) -> RatMat:
-    """The block map W^{<=k} -> V_k; see :func:`phi_maps`."""
-    if not 1 <= k <= ctx.n - 1:
-        raise InvalidRankError(f"vertex {k} out of range")
-    return phi_maps(r, ctx)[k - 1]
-
-
 def theta_with_phi_maps(r: QuiverRep, ctx: ThetaContext) -> tuple[Flag, list[RatMat]]:
     """theta(r) together with the maps [phi_1, ..., phi_{n-1}] whose kernels
     it is built from, for callers that check identities on both."""
@@ -192,3 +189,101 @@ def theta_w1_special(r: QuiverRep) -> tuple[RatMat, Flag]:
     return x, Flag(spaces, n)
 
 
+# The per-point invariants a theta run reports by name; the other checks of
+# check_theta_point (composition, fiber, dominance, gauge, special form) fail
+# the point without naming one of these.
+THETA_INVARIANTS = (
+    "comm1",
+    "comm2",
+    "flag-subspace",
+    "surjectivity",
+    "epsilon-agreement",
+    "reduction-intertwining",
+    "hecke-compatibility",
+)
+
+
+def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> dict:
+    """All per-point identities; returns counters, failure strings, the
+    names (from THETA_INVARIANTS) of the invariants that failed and the flag
+    theta(r).
+
+    Each piece of exact work is done once per point: the phi maps are those
+    theta's flag F was built from, epsilon_k of the point is the dimension of
+    the joint kernel that the flag-subspace check uses, epsilon_k of F is the
+    multiplicity flag_reduce returns, and theta of a point that
+    kashiwara_reduce leaves unchanged (c = 0) is F itself."""
+    failures: list[str] = []
+    failed: set[str] = set()
+    n = ctx.n
+    d = ctx.d
+    tag = f"(n={n}, v={r.v.v}, w={r.w.w})"
+
+    def fail(invariant: str | None, msg: str) -> None:
+        if invariant is not None:
+            failed.add(invariant)
+        _record(failures, f"{tag}: {msg}")
+
+    x = ctx.x()
+    F, phi_list = theta_with_phi_maps(r, ctx)
+    a = a_of_vw(r.v, r.w)
+    hecke_cases = 0
+    if composition_of(F) != a:
+        fail(None, "composition_of(theta) != a(v,w)")
+    if not flag_membership(x, F):
+        fail(None, "theta output not in the fiber of x")
+    if d > 0 and not dominates(jordan_type(a), hw_to_partition(r.w).conjugate()):
+        fail(None, "composition type does not dominate type of x")
+    phis = dict(enumerate(phi_list, 1))
+    for k in range(1, n):
+        if rank(phis[k]) != r.v[k - 1]:
+            fail("surjectivity", f"rank phi_{k} != v_{k}")
+        if k >= 2:
+            lhs = r.B[(k, k - 1)] * phis[k]
+            rhs = phis[k - 1] * ctx.x_down[k]
+            if lhs != rhs:
+                fail("comm1", f"comm1 fails at k={k}")
+        if k <= n - 2:
+            lhs = r.B[(k, k + 1)] * phis[k]
+            restricted = phis[k + 1].select(range(phis[k + 1].rows), ctx.inclusion[k])
+            if lhs != restricted:
+                fail("comm2", f"comm2 fails at k={k}")
+        kernel_k = joint_outgoing_kernel(r, k)
+        lhs_sub = embed(preimage(phis[k], kernel_k), ctx.wleq[k], d)
+        rhs_sub = intersect(preimage(x.x, F[k - 1]), F[k + 1])
+        if lhs_sub != rhs_sub:
+            fail("flag-subspace", f"flag-subspace fails at k={k}")
+        eps_pt = kernel_k.dim
+        reduced, c_pt = kashiwara_reduce(r, k)
+        F_red, c_fl = flag_reduce(F, x, k)
+        if eps_pt != c_fl:
+            fail("epsilon-agreement", f"epsilon point/flag disagree at k={k}")
+        if c_pt != c_fl:
+            fail("reduction-intertwining", f"reduction multiplicities differ at k={k}")
+        if (F if reduced is r else theta(reduced, ctx)) != F_red:
+            fail("reduction-intertwining", f"reduction intertwining fails at k={k}")
+        if eps_pt >= 1:
+            vk = r.v[k - 1]
+            line = canonicalize(kernel_k.basis.select(range(vk), (0,)), vk)
+            quotient = quotient_by_invariant_subspace(r, k, line)
+            F_q = theta(quotient, ctx)
+            hecke_cases += 1
+            if not is_hecke_pair(F_q, F, k):
+                fail("hecke-compatibility", f"Hecke pair fails at k={k}")
+            if composition_of(F_q) != comp_shift(a, k, +1):
+                fail("hecke-compatibility", f"Hecke composition is not a_k^+ at k={k}")
+    g = random_gauge(rng, r.v)
+    if theta(apply_gauge(r, g), ctx) != F:
+        fail(None, "theta is not gauge invariant")
+    if all(r.w[t] == 0 for t in range(1, n - 1)):
+        x_w1, F_w1 = theta_w1_special(r)
+        if not x_w1.is_zero():
+            fail(None, "special-form x nonzero on a Lagrangian point")
+        if F_w1 != F:
+            fail(None, "special form disagrees with theta")
+    return {
+        "failures": failures,
+        "failed_invariants": failed,
+        "hecke_cases": hecke_cases,
+        "flag": F,
+    }

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -19,7 +18,6 @@ from .cartan import (
     as_dimvec,
     as_highest_weight,
 )
-from .crystal import highest_weight_crystal
 from .errors import (
     DimensionMismatchError,
     GeoCrystalError,
@@ -66,15 +64,29 @@ def _json_ints(value, name: str) -> list[int]:
     return [_json_int(c, name) for c in value]
 
 
-@dataclass(frozen=True)
 class QuiverShape:
     """Vertices 1..n-1; edges h_{k,l} for |k-l|=1; orientation = leftward."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidRankError(f"n must be >= 2, got {self.n}")
+    def __init__(self, n: int):
+        if n < 2:
+            raise InvalidRankError(f"n must be >= 2, got {n}")
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuiverShape is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not QuiverShape:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
+
+    def __repr__(self):
+        return f"QuiverShape(n={self.n!r})"
 
     @property
     def vertices(self) -> range:
@@ -525,6 +537,8 @@ def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> Quive
 
 @lru_cache(maxsize=64)
 def _cached_crystal(w_tuple: tuple[int, ...]):
+    from .crystal import highest_weight_crystal
+
     return highest_weight_crystal(w_tuple)
 
 

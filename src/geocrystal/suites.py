@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
-from typing import Iterator
 
 from . import crystal as crystal_mod
 from . import repalg
@@ -19,41 +18,19 @@ from .cartan import (
     as_composition,
     as_highest_weight,
     cartan_matrix,
-    comp_shift,
-    dominates,
     hw_to_partition,
-    jordan_type,
     pair_with_coroot,
     weight_of_vw,
 )
 from .errors import SampleExhaustedError
-from .flag import (
-    composition_of,
-    flag_membership,
-    flag_reduce,
-    is_hecke_pair,
-    s_k_exponent,
+from .flag import s_k_exponent
+from .maffei import (
+    MAX_RECORDED_FAILURES,
+    ThetaContext,
+    _record,
+    check_theta_point,
 )
-from .linalg import canonicalize, embed, intersect, preimage, rank
-from .maffei import ThetaContext, theta, theta_w1_special, theta_with_phi_maps
-from .quiver import (
-    QuiverRep,
-    apply_gauge,
-    dim_and_sign,
-    joint_outgoing_kernel,
-    kashiwara_reduce,
-    quotient_by_invariant_subspace,
-    random_gauge,
-    sample_lambda_point,
-)
-
-MAX_RECORDED_FAILURES = 20
-
-
-def _record(failures: list[str], msg: str) -> None:
-    if len(failures) < MAX_RECORDED_FAILURES:
-        failures.append(msg)
-
+from .quiver import dim_and_sign, sample_lambda_point
 
 # ---------------------------------------------------------------------------
 # sign agreement / coefficient bridge grid
@@ -176,141 +153,34 @@ def valid_dimvecs(w) -> list[tuple[int, ...]]:
     return out
 
 
-# The per-point invariants a theta run reports by name; the other checks of
-# check_theta_point (composition, fiber, dominance, gauge, special form) fail
-# the point without naming one of these.
-THETA_INVARIANTS = (
-    "comm1",
-    "comm2",
-    "flag-subspace",
-    "surjectivity",
-    "epsilon-agreement",
-    "reduction-intertwining",
-    "hecke-compatibility",
-)
+def suite_maffei(n: int, w, samples: int, seed: int, flags: list | None = None) -> dict:
+    """Sample stable Lagrangian points for one (n, w) and run every identity.
 
-
-def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> dict:
-    """All per-point identities; returns counters, failure strings, the
-    names (from THETA_INVARIANTS) of the invariants that failed and the flag
-    theta(r).
-
-    Each piece of exact work is done once per point: the phi maps are those
-    theta's flag F was built from, epsilon_k of the point is the dimension of
-    the joint kernel that the flag-subspace check uses, epsilon_k of F is the
-    multiplicity flag_reduce returns, and theta of a point that
-    kashiwara_reduce leaves unchanged (c = 0) is F itself."""
-    failures: list[str] = []
-    failed: set[str] = set()
-    n = ctx.n
-    d = ctx.d
-    tag = f"(n={n}, v={r.v.v}, w={r.w.w})"
-
-    def fail(invariant: str | None, msg: str) -> None:
-        if invariant is not None:
-            failed.add(invariant)
-        _record(failures, f"{tag}: {msg}")
-
-    x = ctx.x()
-    F, phi_list = theta_with_phi_maps(r, ctx)
-    a = a_of_vw(r.v, r.w)
-    hecke_cases = 0
-    if composition_of(F) != a:
-        fail(None, "composition_of(theta) != a(v,w)")
-    if not flag_membership(x, F):
-        fail(None, "theta output not in the fiber of x")
-    if d > 0 and not dominates(jordan_type(a), hw_to_partition(r.w).conjugate()):
-        fail(None, "composition type does not dominate type of x")
-    phis = dict(enumerate(phi_list, 1))
-    for k in range(1, n):
-        if rank(phis[k]) != r.v[k - 1]:
-            fail("surjectivity", f"rank phi_{k} != v_{k}")
-        if k >= 2:
-            lhs = r.B[(k, k - 1)] * phis[k]
-            rhs = phis[k - 1] * ctx.x_down[k]
-            if lhs != rhs:
-                fail("comm1", f"comm1 fails at k={k}")
-        if k <= n - 2:
-            lhs = r.B[(k, k + 1)] * phis[k]
-            restricted = phis[k + 1].select(range(phis[k + 1].rows), ctx.inclusion[k])
-            if lhs != restricted:
-                fail("comm2", f"comm2 fails at k={k}")
-        kernel_k = joint_outgoing_kernel(r, k)
-        lhs_sub = embed(preimage(phis[k], kernel_k), ctx.wleq[k], d)
-        rhs_sub = intersect(preimage(x.x, F[k - 1]), F[k + 1])
-        if lhs_sub != rhs_sub:
-            fail("flag-subspace", f"flag-subspace fails at k={k}")
-        eps_pt = kernel_k.dim
-        reduced, c_pt = kashiwara_reduce(r, k)
-        F_red, c_fl = flag_reduce(F, x, k)
-        if eps_pt != c_fl:
-            fail("epsilon-agreement", f"epsilon point/flag disagree at k={k}")
-        if c_pt != c_fl:
-            fail("reduction-intertwining", f"reduction multiplicities differ at k={k}")
-        if (F if reduced is r else theta(reduced, ctx)) != F_red:
-            fail("reduction-intertwining", f"reduction intertwining fails at k={k}")
-        if eps_pt >= 1:
-            vk = r.v[k - 1]
-            line = canonicalize(kernel_k.basis.select(range(vk), (0,)), vk)
-            quotient = quotient_by_invariant_subspace(r, k, line)
-            F_q = theta(quotient, ctx)
-            hecke_cases += 1
-            if not is_hecke_pair(F_q, F, k):
-                fail("hecke-compatibility", f"Hecke pair fails at k={k}")
-            if composition_of(F_q) != comp_shift(a, k, +1):
-                fail("hecke-compatibility", f"Hecke composition is not a_k^+ at k={k}")
-    g = random_gauge(rng, r.v)
-    if theta(apply_gauge(r, g), ctx) != F:
-        fail(None, "theta is not gauge invariant")
-    if all(r.w[t] == 0 for t in range(1, n - 1)):
-        x_w1, F_w1 = theta_w1_special(r)
-        if not x_w1.is_zero():
-            fail(None, "special-form x nonzero on a Lagrangian point")
-        if F_w1 != F:
-            fail(None, "special form disagrees with theta")
-    return {
-        "failures": failures,
-        "failed_invariants": failed,
-        "hecke_cases": hecke_cases,
-        "flag": F,
-    }
-
-
-def maffei_points(w, samples: int, seed: int) -> Iterator[QuiverRep | None]:
-    """The points suite_maffei checks, in order: attempt a samples
-    vs[a % len(vs)] with seed + a + 1, for vs the valid dimension vectors,
-    until samples points are drawn or 4 * samples attempts are made.  An
-    attempt whose locus looks empty yields None."""
-    vs = valid_dimvecs(w)
-    points = 0
-    for a in range(4 * samples):
-        if points == samples:
-            return
-        try:
-            r = sample_lambda_point(vs[a % len(vs)], w, seed + a + 1)
-        except SampleExhaustedError:
-            yield None
-            continue
-        points += 1
-        yield r
-
-
-def suite_maffei(n: int, w, samples: int, seed: int) -> dict:
-    """Sample stable Lagrangian points for one (n, w) and run every identity."""
+    Attempt a samples vs[a % len(vs)] with seed + a + 1, for vs the valid
+    dimension vectors, until samples points are checked or 4 * samples
+    attempts are made.  theta of each checked point, in order, is appended
+    to flags if given."""
     w = as_highest_weight(w)
     if w.n != n:
         raise ValueError(f"w={w.w} does not match n={n}")
     ctx = ThetaContext(w)
+    vs = valid_dimvecs(w)
     failures: list[str] = []
     rng = random.Random(seed)
     points = 0
     hecke_cases = 0
     exhausted = 0
-    for r in maffei_points(w, samples, seed):
-        if r is None:
+    for a in range(4 * samples):
+        if points == samples:
+            break
+        try:
+            r = sample_lambda_point(vs[a % len(vs)], w, seed + a + 1)
+        except SampleExhaustedError:
             exhausted += 1
             continue
         result = check_theta_point(r, ctx, rng)
+        if flags is not None:
+            flags.append(result["flag"])
         points += 1
         hecke_cases += result["hecke_cases"]
         for msg in result["failures"]:

@@ -1,10 +1,11 @@
+import ast
 import json
 import subprocess
 import sys
 
 import pytest
 
-from geocrystal import suites
+from geocrystal import maffei, suites
 from geocrystal.cli import main
 from geocrystal.linalg import RatMat
 from geocrystal.quiver import QuiverRep
@@ -140,7 +141,7 @@ def test_unwritable_output_is_usage_error(p0_file, tmp_path, capsys, argv):
 def test_theta_names_failed_invariant(
     p0_file, monkeypatch, capsys, target, replacement, invariant
 ):
-    monkeypatch.setattr(suites, target, replacement)
+    monkeypatch.setattr(maffei, target, replacement)
     assert main(["theta", "--input", str(p0_file)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [k for k, ok in payload["invariants"].items() if not ok] == [invariant]
@@ -235,6 +236,36 @@ def test_cli_commands_skip_numpy(p0_file):
     assert run_cli("verify", "--suite", "signs", "--n-max", "3").returncode == 0
 
 
+def _modules_loaded_by(argv):
+    """sys.modules of a fresh interpreter after cli.main(argv)."""
+    code = (
+        "import sys\n"
+        "from geocrystal.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(ast.literal_eval(result.stdout.splitlines()[-1]))
+
+
+def test_cli_commands_import_only_what_they_run(p0_file):
+    theta = _modules_loaded_by(["theta", "--input", str(p0_file)])
+    crystal = _modules_loaded_by(["crystal", "--n", "3", "--w", "1,1", "--format", "dot"])
+    quotients = _modules_loaded_by("verify --suite quotients --n 3 --d 3".split())
+
+    def package(*names):
+        return {f"geocrystal.{name}" for name in names}
+
+    assert "geocrystal.maffei" in theta
+    assert not theta & package("crystal", "repalg", "suites")
+    assert "geocrystal.crystal" in crystal
+    assert not crystal & package("linalg", "flag", "quiver", "maffei", "repalg", "suites")
+    assert "geocrystal.suites" in quotients
+    for loaded in (theta, crystal, quotients):
+        assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_determinism_byte_identical(p0_file, tmp_path):
     pairs = [
         ("theta", "--input", str(p0_file)),
@@ -285,3 +316,20 @@ def test_bundle_dump(tmp_path):
     vs = suites.valid_dimvecs(w)
     expected = [theta(sample_lambda_point(vs[a % len(vs)], w, 3 + a + 1), ctx) for a in range(4)]
     assert flags == expected
+
+
+def test_bundle_dump_samples_each_point_once(tmp_path, monkeypatch, capsys):
+    # the bundle holds the flags the suite computed, so each of the 16
+    # checked points is sampled once
+    calls = []
+    real = suites.sample_lambda_point
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(suites, "sample_lambda_point", counted)
+    argv = "verify --suite maffei --n 5 --w 1,0,0,1 --samples 16 --seed 1 --dump-bundles"
+    assert main([*argv.split(), str(tmp_path / "bundle.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["points_checked"] == 16
+    assert len(calls) == 16

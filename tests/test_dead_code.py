@@ -19,8 +19,6 @@ KEPT = {
     "jordan_nilpotent": "nilpotent of a Jordan type, for the Slodowy slice",
     "nilpotent_jordan_type": "Jordan type of a nilpotent, the fibre's dominance condition",
     "sl2_slice": "the transversal slice of Maffei's isomorphism",
-    "enum_paths": "the path set behind phi_k",
-    "phi_k": "the paper's phi_k, one block of phi_maps",
     "stable_closure": "the B-closure of im i that defines stability",
     "suite_maffei_acceptance": "the acceptance harness of criterion 3",
 }

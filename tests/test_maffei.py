@@ -9,15 +9,7 @@ from geocrystal.cartan import HighestWeight
 from geocrystal.errors import IncompatibleError, InvalidRankError, LambdaPreconditionError
 from geocrystal.flag import composition_of, flag_membership
 from geocrystal.linalg import RatMat, canonicalize, kernel
-from geocrystal.maffei import (
-    LeftRightPath,
-    ThetaContext,
-    enum_paths,
-    phi_k,
-    phi_maps,
-    theta,
-    theta_w1_special,
-)
+from geocrystal.maffei import ThetaContext, phi_maps, theta, theta_w1_special
 from geocrystal.quiver import (
     QuiverRep,
     QuiverShape,
@@ -28,6 +20,53 @@ from geocrystal.quiver import (
     sample_lambda_point,
 )
 from geocrystal.suites import ACCEPTANCE_MAFFEI_CONFIGS, check_theta_point, valid_dimvecs
+
+
+# The path-by-path construction of phi_k, the oracle for phi_maps.
+
+
+class LeftRightPath:
+    """Path descending start -> bottom then ascending bottom -> end; the
+    empty path at a vertex is start = bottom = end."""
+
+    def __init__(self, start: int, bottom: int, end: int):
+        if not 1 <= bottom <= min(start, end):
+            raise IncompatibleError(f"bottom {bottom} not in [1, min({start}, {end})]")
+        self.start, self.bottom, self.end = start, bottom, end
+
+    def edges(self) -> list[tuple[int, int]]:
+        down = [(a, a - 1) for a in range(self.start, self.bottom, -1)]
+        up = [(a, a + 1) for a in range(self.bottom, self.end)]
+        return down + up
+
+
+def enum_paths(n: int) -> list[LeftRightPath]:
+    """All left-then-right paths on vertices 1..n-1, empty paths included,
+    ordered by (start, end, bottom)."""
+    if n < 2:
+        raise InvalidRankError(f"n must be >= 2, got {n}")
+    paths = []
+    for start in range(1, n):
+        for end in range(1, n):
+            for bottom in range(1, min(start, end) + 1):
+                paths.append(LeftRightPath(start, bottom, end))
+    return paths
+
+
+def phi_k(r, ctx, k):
+    """phi_k : W^{<=k} -> V_k assembled path by path: B_p i_s on the copy
+    W_s^(m) of W^{<=k}, for p descending s -> m then ascending m -> k.  The
+    paths ending at k come in (s, m) order, which is the order of W^{<=k}."""
+    if not 1 <= k <= ctx.n - 1:
+        raise InvalidRankError(f"vertex {k} out of range")
+    blocks = []
+    for p in enum_paths(ctx.n):
+        if p.end == k:
+            block = r.i[p.start]
+            for edge in p.edges():
+                block = r.B[edge] * block
+            blocks.append(block)
+    return RatMat.block([blocks])
 
 
 def test_enum_paths_small():
@@ -93,18 +132,6 @@ def test_phi_k_on_worked_example(p0):
     assert phi_k(zero, ctx, 1).shape == (0, 2)
 
 
-def _phi_by_paths(r, ctx, k):
-    """phi_k assembled path by path: B_p i_s for each copy W_s^(m) of W^{<=k}."""
-    blocks = []
-    for s in range(1, ctx.n):
-        for m in range(1, min(s, k) + 1):
-            block = r.i[s]
-            for edge in LeftRightPath(s, m, k).edges():
-                block = r.B[edge] * block
-            blocks.append(block)
-    return RatMat.block([blocks])
-
-
 def _random_j0_point(rng, n, w):
     """A point with j = 0 and random rational B and i, usually unstable."""
     v = tuple(rng.randint(0, 3) for _ in range(n - 1))
@@ -135,9 +162,7 @@ def test_phi_maps_match_path_products():
     assert sum(not is_stable(r) for r in points) >= 30
     for r in points:
         ctx = ThetaContext(r.w)
-        maps = phi_maps(r, ctx)
-        assert maps == [_phi_by_paths(r, ctx, k) for k in range(1, r.n)]
-        assert [phi_k(r, ctx, k) for k in range(1, r.n)] == maps
+        assert phi_maps(r, ctx) == [phi_k(r, ctx, k) for k in range(1, r.n)]
 
 
 def test_phi_maps_preconditions(p0):

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from geocrystal import suites
+from geocrystal import maffei, suites
 from geocrystal.cartan import a_of_vw, pair_with_coroot, weight_of_vw
 from geocrystal.errors import NotInImageError
 from geocrystal.flag import Flag, s_k_exponent
@@ -112,7 +112,7 @@ def _failed_with_flag_reduce(monkeypatch, patched):
     """For each point, the failed invariants when flag_reduce returns
     patched((F_red, c)) of the real (F_red, c), and whether patched changed
     any of its results."""
-    real = suites.flag_reduce
+    real = maffei.flag_reduce
     changed = []
 
     def flag_reduce(F, x, k):
@@ -121,7 +121,7 @@ def _failed_with_flag_reduce(monkeypatch, patched):
         changed[-1] |= new != out
         return new
 
-    monkeypatch.setattr(suites, "flag_reduce", flag_reduce)
+    monkeypatch.setattr(maffei, "flag_reduce", flag_reduce)
     out = []
     for r, ctx, seed in _acceptance_points(3):
         changed.append(False)
