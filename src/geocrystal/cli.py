@@ -3,7 +3,8 @@
 All outputs are deterministic for a fixed configuration (seeds are explicit,
 JSON keys are sorted) and carry a schema-version field.  Exit codes: 0 all
 checks pass, 1 a verified invariant or predicate failed, 2 usage or parse
-errors, an output file that cannot be written among them.
+errors, an output file that cannot be written and a size over the budget
+among them.
 
 Each command imports the modules it runs inside its own function, so a
 process pays only for those: `theta` never loads the crystal, the
@@ -17,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .errors import GeoCrystalError
+from .errors import BudgetExceededError, GeoCrystalError
 
 SCHEMA_VERSION = "1"
 
@@ -294,12 +295,12 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_theta(args)
         if args.command == "quotients":
             return cmd_quotients(args)
+    except (BudgetExceededError, OutputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except GeoCrystalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     parser.error(f"unknown command {args.command}")
     return USAGE_ERROR
 

@@ -12,6 +12,8 @@ operator instead of trusting the convention.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .cartan import (
     Composition,
     HighestWeight,
@@ -45,16 +47,6 @@ def _signature(word: Word, k: int) -> tuple[list[int], list[int]]:
     return minus_list, plus_stack
 
 
-def eps_k(word: Word, k: int) -> int:
-    minus, _ = _signature(word, k)
-    return len(minus)
-
-
-def phi_k_word(word: Word, k: int) -> int:
-    _, plus = _signature(word, k)
-    return len(plus)
-
-
 def e_op(word: Word, k: int) -> Word | None:
     """Raising operator: rightmost surviving k+1 becomes k; None if eps = 0."""
     minus, _ = _signature(word, k)
@@ -64,15 +56,6 @@ def e_op(word: Word, k: int) -> Word | None:
     return word[:pos] + (k,) + word[pos + 1 :]
 
 
-def f_op(word: Word, k: int) -> Word | None:
-    """Lowering operator: leftmost surviving k becomes k+1; None if phi = 0."""
-    _, plus = _signature(word, k)
-    if not plus:
-        return None
-    pos = plus[0]
-    return word[:pos] + (k + 1,) + word[pos + 1 :]
-
-
 def word_content(word: Word, n: int) -> Composition:
     counts = [0] * n
     for letter in word:
@@ -80,10 +63,6 @@ def word_content(word: Word, n: int) -> Composition:
             raise IncompatibleError(f"letter {letter} outside 1..{n}")
         counts[letter - 1] += 1
     return Composition(tuple(counts))
-
-
-def word_weight(word: Word, n: int) -> Weight:
-    return Weight.from_eps(word_content(word, n).parts)
 
 
 class CrystalVertex:
@@ -123,9 +102,9 @@ class CrystalVertex:
 
 
 class CrystalGraph:
-    """Vertices with statistics plus the partial raising/lowering edge maps."""
+    """Vertices with statistics, the partial e/f edge maps and vertex counts per content."""
 
-    __slots__ = ("n", "w", "vertices", "f_edges", "e_edges", "highest")
+    __slots__ = ("n", "w", "vertices", "f_edges", "e_edges", "highest", "multiplicities")
 
     def __init__(
         self,
@@ -145,6 +124,7 @@ class CrystalGraph:
             {(dst, k): src for (src, k), dst in f_edges.items()},
         )
         object.__setattr__(self, "highest", highest)
+        object.__setattr__(self, "multiplicities", Counter(vx.a.parts for vx in vertices.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("CrystalGraph is immutable")
@@ -165,33 +145,35 @@ class CrystalGraph:
         return self.e_edges.get((tuple(word), k))
 
 
-def _vertex_of(word: Word, n: int) -> CrystalVertex:
+def _vertex_of(word: Word, n: int) -> tuple[CrystalVertex, list[Word | None]]:
+    """The vertex of word and its f_k images, from one k-bracketing per k."""
     a = word_content(word, n)
     wt = Weight.from_eps(a.parts)
-    eps = tuple(eps_k(word, k) for k in range(1, n))
-    phi = tuple(phi_k_word(word, k) for k in range(1, n))
+    eps, phi, images = [], [], []
     for k in range(1, n):
-        if phi[k - 1] - eps[k - 1] != pair_with_coroot(wt, k):
+        minus, plus = _signature(word, k)
+        if len(plus) - len(minus) != pair_with_coroot(wt, k):
             raise InternalConsistencyError("phi - eps != <h_k, wt>")
-    return CrystalVertex(word, wt, a, eps, phi)
+        eps.append(len(minus))
+        phi.append(len(plus))
+        images.append(word[: plus[0]] + (k + 1,) + word[plus[0] + 1 :] if plus else None)
+    return CrystalVertex(word, wt, a, tuple(eps), tuple(phi)), images
 
 
 def _close_under_f(seed: Word, n: int, w: HighestWeight) -> CrystalGraph:
-    vertices = {seed: _vertex_of(seed, n)}
+    """Breadth-first closure; vertices and f_edges keep their discovery order."""
+    vertex, seed_images = _vertex_of(seed, n)
+    vertices, images = {seed: vertex}, {seed: seed_images}
     f_edges: dict[tuple[Word, int], Word] = {}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            for k in range(1, n):
-                image = f_op(word, k)
-                if image is None:
-                    continue
-                f_edges[(word, k)] = image
-                if image not in vertices:
-                    vertices[image] = _vertex_of(image, n)
-                    nxt.append(image)
-        frontier = nxt
+    queue = [seed]
+    for word in queue:  # grows while it is read: a first-in, first-out queue
+        for k, image in enumerate(images[word], start=1):
+            if image is None:
+                continue
+            f_edges[(word, k)] = image
+            if image not in vertices:
+                vertices[image], images[image] = _vertex_of(image, n)
+                queue.append(image)
     return CrystalGraph(n, w, vertices, f_edges, seed)
 
 
@@ -216,7 +198,7 @@ def highest_weight_crystal(w) -> CrystalGraph:
             raise InternalConsistencyError(
                 f"seed {seed} is not killed by the raising operator at {k}"
             )
-    seed_wt = word_weight(seed, n)
+    seed_wt = Weight.from_eps(word_content(seed, n).parts)
     if seed_wt.omega != w.w:
         raise InternalConsistencyError(
             f"seed weight {seed_wt.omega} != {w.w}"
@@ -225,11 +207,8 @@ def highest_weight_crystal(w) -> CrystalGraph:
 
 
 def weight_multiplicity(g: CrystalGraph, a) -> int:
-    """Number of vertices whose composition equals a."""
-    a = tuple(a)
-    if any(c < 0 for c in a):
-        return 0
-    return sum(1 for vx in g.vertices.values() if vx.a.parts == a)
+    """Number of vertices whose composition equals a; 0 if a has a negative entry."""
+    return g.multiplicities.get(tuple(a), 0)
 
 
 class StembridgeReport:
@@ -264,18 +243,23 @@ class StembridgeReport:
         )
 
 
-def _chain_len(g: CrystalGraph, word: Word, k: int, direction: str) -> int:
-    step = g.e if direction == "e" else g.f
-    count = 0
-    current = word
-    while True:
-        nxt = step(current, k)
-        if nxt is None:
-            return count
-        current = nxt
-        count += 1
-        if count > len(g):
-            raise InternalConsistencyError("monochromatic cycle detected")
+def _chain_lengths(step: dict[tuple[Word, int], Word], k: int, words) -> dict[Word, int | None]:
+    """Number of k-steps along step from each word until none is defined,
+    None where the walk runs into a cycle.  Each walk stops at the first word
+    whose length is known, so every k-string is walked once."""
+    lengths: dict[Word, int | None] = {}
+    for word in words:
+        path: list[Word] = []
+        node: Word | None = word
+        while node is not None and node not in lengths:
+            lengths[node] = None  # on the walk: meeting it again closes a cycle
+            path.append(node)
+            node = step.get((node, k))
+        length = -1 if node is None else lengths[node]
+        for node in reversed(path):
+            length = None if length is None else length + 1
+            lengths[node] = length
+    return lengths
 
 
 def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
@@ -286,6 +270,8 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
     eps/phi difference bounds across an edge of a different color, the
     commuting square for non-boosting pairs and the hexagon relation for
     doubly-boosting adjacent pairs.  Returns the first violation found.
+    The chain lengths come from one walk per k-string: a vertex's e_k chain
+    is one longer than the chain of e_k of it, and likewise for f_k.
     """
     n = g.n
     checks = 0
@@ -293,7 +279,15 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
     def fail(msg: str) -> StembridgeReport:
         return StembridgeReport(False, len(g), checks, msg)
 
+    def chain(lengths: dict[Word, int | None], word: Word) -> int:
+        length = lengths[word]
+        if length is None or length > len(g):
+            raise InternalConsistencyError("monochromatic cycle detected")
+        return length
+
     cartan = cartan_matrix(n)
+    e_len = [_chain_lengths(g.e_edges, k, g.vertices) for k in range(1, n)]
+    f_len = [_chain_lengths(g.f_edges, k, g.vertices) for k in range(1, n)]
     for word, vx in g.vertices.items():
         for k in range(1, n):
             up = g.e(word, k)
@@ -303,9 +297,9 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
                 return fail(f"f_{k} e_{k} != id at {word}")
             if down is not None and g.e(down, k) != word:
                 return fail(f"e_{k} f_{k} != id at {word}")
-            if _chain_len(g, word, k, "e") != vx.eps[k - 1]:
+            if chain(e_len[k - 1], word) != vx.eps[k - 1]:
                 return fail(f"eps_{k} not seminormal at {word}")
-            if _chain_len(g, word, k, "f") != vx.phi[k - 1]:
+            if chain(f_len[k - 1], word) != vx.phi[k - 1]:
                 return fail(f"phi_{k} not seminormal at {word}")
             if (up is None) != (vx.eps[k - 1] == 0):
                 return fail(f"e_{k} definedness disagrees with eps at {word}")
@@ -420,34 +414,24 @@ def strata_maps(g: CrystalGraph, k: int) -> StrataReport:
             word = op(word, k)
         return word
 
+    def fail(msg: str) -> StrataReport:
+        return StrataReport(False, len(g), sizes, msg)
+
     for word, vx in g.vertices.items():
         c = vx.eps[k - 1]
         sizes[c] = sizes.get(c, 0) + 1
         reduced = compose(word, g.e, c)
         if reduced is None or g.vertices[reduced].eps[k - 1] != 0:
-            return StrataReport(
-                False, len(g), sizes, f"e_{k}^{c} does not reach the 0-stratum at {word}"
-            )
+            return fail(f"e_{k}^{c} does not reach the 0-stratum at {word}")
         if (g.e(word, k) is None) != (c == 0):
-            return StrataReport(
-                False, len(g), sizes, f"e_{k} vanishing does not match c = 0 at {word}"
-            )
-        if c > 0:
-            composite_e = compose(reduced, g.f, c - 1)
-            if composite_e != g.e(word, k):
-                return StrataReport(
-                    False, len(g), sizes, f"f^{c - 1} e^{c} != e_{k} at {word}"
-                )
-        composite_f = compose(reduced, g.f, c + 1)
-        if composite_f != g.f(word, k):
-            return StrataReport(
-                False, len(g), sizes, f"f^{c + 1} e^{c} != f_{k} at {word}"
-            )
+            return fail(f"e_{k} vanishing does not match c = 0 at {word}")
+        if c > 0 and compose(reduced, g.f, c - 1) != g.e(word, k):
+            return fail(f"f^{c - 1} e^{c} != e_{k} at {word}")
+        if compose(reduced, g.f, c + 1) != g.f(word, k):
+            return fail(f"f^{c + 1} e^{c} != f_{k} at {word}")
         down = g.f(word, k)
         if down is not None and g.vertices[down].eps[k - 1] != c + 1:
-            return StrataReport(
-                False, len(g), sizes, f"eps_{k}(f_{k} X) != eps_{k}(X) + 1 at {word}"
-            )
+            return fail(f"eps_{k}(f_{k} X) != eps_{k}(X) + 1 at {word}")
     return StrataReport(True, len(g), sizes, None)
 
 
@@ -491,9 +475,6 @@ def crystal_to_json(g: CrystalGraph) -> dict:
         {"from": "".join(str(a) for a in src), "k": k, "to": "".join(str(a) for a in dst)}
         for (src, k), dst in sorted(g.f_edges.items(), key=lambda kv: (kv[0][0], kv[0][1]))
     ]
-    multiplicities: dict[tuple[int, ...], int] = {}
-    for vx in g.vertices.values():
-        multiplicities[vx.a.parts] = multiplicities.get(vx.a.parts, 0) + 1
     return {
         "schema_version": "1",
         "n": g.n,
@@ -503,6 +484,6 @@ def crystal_to_json(g: CrystalGraph) -> dict:
         "vertices": vertices,
         "edges": edges,
         "weight_multiplicities": [
-            {"a": list(a), "count": c} for a, c in sorted(multiplicities.items())
+            {"a": list(a), "count": c} for a, c in sorted(g.multiplicities.items())
         ],
     }

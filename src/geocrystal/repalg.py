@@ -22,6 +22,7 @@ from .cartan import (
     as_highest_weight,
     as_partition,
     a_of_vw,
+    gl_partitions,
     hw_to_partition,
     is_partition_of,
     partition_to_hw,
@@ -178,27 +179,18 @@ class Decomposition:
         }
 
 
-def _contents_by_word(n: int, d: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for word in product(range(1, n + 1), repeat=d):
-        counts = [0] * n
-        for letter in word:
-            counts[letter - 1] += 1
-        blocks.setdefault(tuple(counts), []).append(word)
-    return blocks
-
-
-def _raising_block(
-    source: list[tuple[int, ...]], target_index: dict[tuple[int, ...], int], k: int
-) -> list[tuple[int, int, int]]:
-    """Triplets of the e_k map restricted to one weight block."""
-    triplets = []
-    for col, word in enumerate(source):
-        for pos, letter in enumerate(word):
-            if letter == k + 1:
-                tgt = word[:pos] + (k,) + word[pos + 1 :]
-                triplets.append((target_index[tgt], col, 1))
-    return triplets
+def _words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The words with these letter counts, in lexicographic order: each
+    level extends the words of the last in order, letter by letter."""
+    level = [((), content)]
+    for _ in range(sum(content)):
+        level = [
+            (word + (letter + 1,), left[:letter] + (left[letter] - 1,) + left[letter + 1 :])
+            for word, left in level
+            for letter in range(len(left))
+            if left[letter]
+        ]
+    return [word for word, _ in level]
 
 
 def _rank_mod_p(rows: int, cols: int, triplets: list[tuple[int, int, int]]) -> int:
@@ -247,30 +239,39 @@ def _rank_exact(rows: int, cols: int, triplets: list[tuple[int, int, int]]) -> i
 
 
 def _singular_multiplicities(n: int, d: int) -> dict[tuple[int, ...], int]:
-    """Multiplicity of each dominant content, certified exact via checksum."""
-    blocks = _contents_by_word(n, d)
-    dominant = sorted(
-        (a for a in blocks if all(a[t] >= a[t + 1] for t in range(n - 1))),
-        reverse=True,
-    )
+    """Multiplicity of each dominant content a, certified exact via checksum.
+
+    It is the dimension of the joint kernel of the raising operators
+    e_k: block(a) -> block(a + alpha_k), so only the dominant blocks and
+    their raising targets are built, once per call, each the lexicographic
+    list of the words of its content.
+    """
+    blocks: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+
+    def block(content: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        if content not in blocks:
+            blocks[content] = {wd: i for i, wd in enumerate(_words_of_content(content))}
+        return blocks[content]
+
+    dominant = [lam.parts + (0,) * (n - len(lam.parts)) for lam in gl_partitions(d, n)]
 
     def kernels(rank_fn) -> dict[tuple[int, ...], int]:
         mults = {}
         for a in dominant:
-            source = blocks[a]
+            source = block(a)
             triplets: list[tuple[int, int, int]] = []
             row_offset = 0
             for k in range(1, n):
-                target = list(a)
-                target[k - 1] += 1
-                target[k] -= 1
-                if target[k] < 0:
+                if a[k] == 0:
                     continue
-                tgt_words = blocks.get(tuple(target), [])
-                tgt_index = {wd: i for i, wd in enumerate(tgt_words)}
-                for r, c, vt in _raising_block(source, tgt_index, k):
-                    triplets.append((row_offset + r, c, vt))
-                row_offset += len(tgt_words)
+                # e_k turns one letter k+1 into k
+                target = block(a[: k - 1] + (a[k - 1] + 1, a[k] - 1) + a[k + 1 :])
+                for col, word in enumerate(source):
+                    for pos, letter in enumerate(word):
+                        if letter == k + 1:
+                            row = target[word[:pos] + (k,) + word[pos + 1 :]]
+                            triplets.append((row_offset + row, col, 1))
+                row_offset += len(target)
             mults[a] = len(source) - rank_fn(row_offset, len(source), triplets)
         return mults
 
@@ -393,40 +394,49 @@ def dim_quotient_Jw(w, budget: int | None = None) -> int:
     return total
 
 
+def _strip_removals(shape: tuple[int, ...], size: int, rows: int) -> list[tuple[int, ...]]:
+    """The mu with at most rows rows and shape/mu a horizontal strip of size
+    cells: shape_{i+1} <= mu_i <= shape_i.  Rows below i can lose at most
+    shape_{i+1} cells, and a row past rows all of it, so no partial mu dies."""
+    length = len(shape)
+    if length > rows + 1:
+        return []
+    forced = shape[rows] if length == rows + 1 else 0
+    partial = [((), size)]
+    for i, part in enumerate(shape):
+        low = shape[i + 1] if i + 1 < length else 0
+        high, rest = (part, forced) if i < rows else (0, 0)
+        partial = [
+            (mu + (m,) if m else mu, left - part + m)
+            for mu, left in partial
+            for m in range(max(low, part - left + rest), min(high, part - left + low) + 1)
+        ]
+    return [mu for mu, _ in partial]
+
+
 def kostka(lam, a) -> int:
-    """Number of semistandard tableaux of shape lam and content a."""
+    """Number of semistandard tableaux of shape lam and content a.
+
+    Gelfand-Tsetlin recursion: the cells holding the largest letter m form a
+    horizontal strip lam/mu of a_m cells, and mu is a tableau in the letters
+    below m.  Letters are peeled from the largest down, with the shapes of
+    each level kept as a {shape: count} dict.
+    """
     lam = as_partition(lam)
     a = tuple(int(c) for c in a)
     if any(c < 0 for c in a):
         return 0
     if lam.size != sum(a):
         raise SizeMismatchError(f"|{lam.parts}| != sum{a}")
-    if not lam.parts:
-        return 1
-    rows = len(lam.parts)
-    shape = lam.parts
-    remaining = list(a)
-    column: list[list[int]] = [[0] * r for r in shape]
-
-    def fill(row: int, col: int) -> int:
-        if row == rows:
-            return 1
-        nrow, ncol = (row, col + 1) if col + 1 < shape[row] else (row + 1, 0)
-        total = 0
-        lo = column[row][col - 1] if col > 0 else 1
-        for letter in range(lo, len(remaining) + 1):
-            if remaining[letter - 1] == 0:
-                continue
-            if row > 0 and col < shape[row - 1] and letter <= column[row - 1][col]:
-                continue
-            column[row][col] = letter
-            remaining[letter - 1] -= 1
-            total += fill(nrow, ncol)
-            remaining[letter - 1] += 1
-            column[row][col] = 0
-        return total
-
-    return fill(0, 0)
+    level = {lam.parts: 1}
+    for m in range(len(a), 1, -1):
+        below: dict[tuple[int, ...], int] = {}
+        for shape, count in level.items():
+            for mu in _strip_removals(shape, a[m - 1], m - 1):
+                below[mu] = below.get(mu, 0) + count
+        level = below
+    # the letter 1 fills a one-row shape one way, and no other shape
+    return level.get((a[0],) if a and a[0] else (), 0)
 
 
 def _bounded_compositions(total: int, bounds: tuple[int, ...]):

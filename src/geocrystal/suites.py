@@ -9,15 +9,16 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
+from math import factorial, prod
 
 from . import crystal as crystal_mod
 from . import repalg
 from .cartan import (
     HighestWeight,
     a_of_vw,
-    as_composition,
     as_highest_weight,
     cartan_matrix,
+    gl_partitions,
     hw_to_partition,
     pair_with_coroot,
     weight_of_vw,
@@ -291,10 +292,18 @@ def suite_crystal(n_max: int = 4, level_max: int = 8) -> dict:
 
 
 def margin_sum(n: int, d: int) -> int:
-    """Sum of margin_matrix_count over all pairs of n-part compositions of d."""
-    comps = [as_composition(c) for c in _compositions(d, n)]
+    """Sum of margin_matrix_count over all pairs of n-part compositions of d.
+
+    Permuting the rows or the columns of a margin matrix is a bijection, so
+    N(sigma a, tau b) = N(a, b): the sum runs over the sorted compositions
+    (partitions of d padded to n parts), each weighted by its orbit size.
+    """
+    orbits = []
+    for lam in gl_partitions(d, n):
+        parts = lam.parts + (0,) * (n - len(lam.parts))
+        orbits.append((parts, factorial(n) // prod(factorial(parts.count(v)) for v in set(parts))))
     return sum(
-        repalg.margin_matrix_count(d1, d2) for d1 in comps for d2 in comps
+        s1 * s2 * repalg.margin_matrix_count(p1, p2) for p1, s1 in orbits for p2, s2 in orbits
     )
 
 

@@ -214,6 +214,21 @@ def test_budget_env_out_of_range_is_usage_error(monkeypatch, capsys, budget):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "quotients --n 4 --d 9 --budget 1000",
+        "verify --suite quotients --n 4 --d 9 --budget 1000",
+    ],
+)
+def test_budget_overrun_is_usage_error(capsys, argv):
+    # a size over the budget is a usage error, not a failed invariant
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n^d = 262144 exceeds the size budget 1000\n"
+
+
 def test_suites_never_pass_vacuously():
     report = suites.suite_maffei(3, (1, 1), 0, 1)
     assert report["points_checked"] == 0 and report["pass"] is False

@@ -1,18 +1,24 @@
+import hashlib
+import json
+from itertools import product
+
+import pytest
+
 from geocrystal.cartan import HighestWeight, Weight, pair_with_coroot
 from geocrystal.crystal import (
     CrystalGraph,
+    StembridgeReport,
+    _vertex_of,
     crystal_to_dot,
     crystal_to_json,
     e_op,
-    eps_k,
-    f_op,
     highest_weight_crystal,
-    phi_k_word,
     stembridge_verify,
     strata_maps,
     weight_multiplicity,
     yamanouchi_seed,
 )
+from geocrystal.errors import InternalConsistencyError
 from geocrystal.repalg import irrep_dim, kostka
 from geocrystal.cartan import hw_to_partition
 
@@ -33,15 +39,22 @@ def test_standard_crystal():
 def test_golden_bracketing_convention():
     # frozen convention: raising acts on the rightmost surviving letter k+1,
     # lowering on the leftmost surviving letter k
+    def f_op(word, k):
+        return _vertex_of(word, 3)[1][k - 1]
+
     assert f_op((1, 1), 1) == (2, 1)
     assert f_op((2, 1), 1) == (2, 2)
     assert e_op((2, 2), 1) == (2, 1)
     assert e_op((1, 2), 1) is None  # cancelled pair
-    assert (eps_k((2, 1), 1), phi_k_word((2, 1), 1)) == (1, 1)
+    vx = _vertex_of((2, 1), 3)[0]
+    assert (vx.eps[0], vx.phi[0]) == (1, 1)
     assert e_op((2, 1), 1) == (1, 1) and f_op((2, 1), 1) == (2, 2)
-    assert phi_k_word((1, 1), 1) == 2
+    assert _vertex_of((1, 1), 3)[0].phi[0] == 2
     down2 = f_op(f_op((1, 1), 1), 1)
     assert e_op(e_op(down2, 1), 1) == (1, 1)
+    # one bracketing per k gives eps, phi and the f image together
+    vx, images = _vertex_of((2, 3, 1, 2), 3)
+    assert (vx.eps, vx.phi, images) == ((1, 0), (0, 1), [None, (2, 3, 1, 3)])
 
 
 def test_yamanouchi_seed():
@@ -86,17 +99,32 @@ def test_weight_multiplicity():
 
 def test_stembridge_pass_and_corruption():
     g = highest_weight_crystal((1, 1))
-    assert stembridge_verify(g).ok
+    assert stembridge_verify(g) == StembridgeReport(True, 8, 25, None)
     assert stembridge_verify(highest_weight_crystal((1, 0, 0))).ok
 
+    def corrupted(edges):
+        return CrystalGraph(g.n, g.w, g.vertices, edges, g.highest)
+
+    # a redirected f-edge
     edges = dict(g.f_edges)
     (src, k), dst = next(sk_d for sk_d in edges.items() if sk_d[0][1] == 1)
     other = next(w for w in g.sorted_words() if w not in (dst, src))
     edges[(src, k)] = other
-    bad = CrystalGraph(g.n, g.w, g.vertices, edges, g.highest)
-    report = stembridge_verify(bad)
-    assert not report.ok
-    assert report.violation is not None
+    assert stembridge_verify(corrupted(edges)) == StembridgeReport(
+        False, 8, 1, "phi_1 not seminormal at (1, 1, 2)"
+    )
+    # a dropped f-edge
+    edges = dict(g.f_edges)
+    del edges[next(key for key in edges if key[1] == 2)]
+    assert stembridge_verify(corrupted(edges)) == StembridgeReport(
+        False, 8, 2, "phi_2 not seminormal at (1, 1, 2)"
+    )
+    # a two-vertex monochromatic cycle
+    edges = dict(g.f_edges)
+    (src, k), dst = next(e for e in edges.items() if e[0][1] == 1 and (e[1], 1) not in edges)
+    edges[(dst, 1)] = src
+    with pytest.raises(InternalConsistencyError, match="monochromatic cycle detected"):
+        stembridge_verify(corrupted(edges))
 
 
 def test_strata_maps():
@@ -150,3 +178,27 @@ def test_json_output():
     assert payload["vertex_count"] == 8
     assert len(payload["vertices"]) == 8
     assert {e["k"] for e in payload["edges"]} == {1, 2}
+
+
+# sha256 of crystal_to_json and of the insertion orders of vertices and
+# f_edges over the criterion-5 grid; quiver's crystal walk, and so every
+# sampled point, depends on those orders
+CRYSTALS_DIGEST = "b887ce42df206211e1239cf4a78fe6709ee6ae7396f4f02f7d15bd2332c686e4"
+
+
+def test_criterion_5_crystals_golden_digest():
+    digest = hashlib.sha256()
+    crystals = 0
+    for n in range(2, 5):
+        for w in product(range(9), repeat=n - 1):
+            hw = HighestWeight(w)
+            if hw.level_d > 8:
+                continue
+            g = highest_weight_crystal(hw)
+            crystals += 1
+            order = [list(v) for v in g.vertices]
+            edges = [[list(src), k, list(dst)] for (src, k), dst in g.f_edges.items()]
+            for chunk in (crystal_to_json(g), order, edges):
+                digest.update(json.dumps(chunk, sort_keys=True).encode() + b"\n")
+    assert crystals == 75
+    assert digest.hexdigest() == CRYSTALS_DIGEST

@@ -1,10 +1,15 @@
+import hashlib
+import json
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_linalg as ref
-from geocrystal import repalg
-from geocrystal.cartan import HighestWeight
+import reference_repalg
+from geocrystal import repalg, suites
+from geocrystal.cartan import HighestWeight, hw_to_partition
 from geocrystal.errors import BudgetExceededError, IncompatibleError, SizeMismatchError
 from geocrystal.repalg import (
     decompose_tensor,
@@ -19,6 +24,7 @@ from geocrystal.repalg import (
     verify_sl3_example,
     _rank_mod_p,
     _singular_multiplicities,
+    _words_of_content,
 )
 
 
@@ -251,3 +257,97 @@ def test_verify_sl3_example_tamper(monkeypatch):
     assert report["pass"] is False
     failed = [f["name"] for f in report["facts"] if not f["ok"]]
     assert failed  # names the failed facts
+
+
+def _criterion_5_kostka_pairs():
+    """(lambda(w), a) for every crystal of the criterion-5 grid and every
+    composition a of its level into n parts."""
+    for n in range(2, 5):
+        for w in product(range(9), repeat=n - 1):
+            hw = HighestWeight(w)
+            if hw.level_d <= 8:
+                lam = hw_to_partition(hw)
+                for a in reference_repalg.compositions(hw.level_d, n):
+                    yield lam, a
+
+
+def test_kostka_matches_cell_filling_on_criterion_5_grid():
+    pairs = list(_criterion_5_kostka_pairs())
+    assert len(pairs) == 4373
+    for lam, a in pairs:
+        assert kostka(lam, a) == reference_repalg.kostka(lam, a), (lam, a)
+
+
+@st.composite
+def shapes_and_contents(draw):
+    """A partition of at most 4 rows of at most 4 cells, and a content of the
+    same size with up to 5 letters, zeros allowed anywhere."""
+    parts = sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True)
+    size = sum(parts)
+    letters = draw(st.integers(1 if size else 0, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, size), min_size=max(letters - 1, 0),
+                                max_size=max(letters - 1, 0))))
+    bounds = [0] + cuts + [size]
+    content = tuple(bounds[i + 1] - bounds[i] for i in range(letters))
+    return tuple(parts), content
+
+
+@settings(max_examples=400, deadline=None)
+@given(shapes_and_contents())
+def test_kostka_matches_cell_filling(case):
+    lam, a = case
+    assert kostka(lam, a) == reference_repalg.kostka(lam, a)
+
+
+def test_kostka_negative_entry_and_size_mismatch_as_reference():
+    for lam, a in [((2, 1), (4, -1)), ((), (1, -1)), ((3,), (-1, 2, 2))]:
+        assert kostka(lam, a) == reference_repalg.kostka(lam, a) == 0
+    for lam, a in [((2, 1), (2,)), ((), (1,)), ((1,), ())]:
+        with pytest.raises(SizeMismatchError):
+            kostka(lam, a)
+        with pytest.raises(SizeMismatchError):
+            reference_repalg.kostka(lam, a)
+
+
+def test_margin_sum_matches_pairwise_sum():
+    for n in range(2, 5):
+        for d in range(8):
+            assert suites.margin_sum(n, d) == reference_repalg.margin_sum(n, d), (n, d)
+
+
+def test_margin_count_is_invariant_under_permuting_margins():
+    # the identity N(sigma a, tau b) = N(a, b) the orbit sum in margin_sum rests on
+    for rows, cols in product(range(1, 4), repeat=2):
+        for d in range(5):
+            for a in reference_repalg.compositions(d, rows):
+                for b in reference_repalg.compositions(d, cols):
+                    count = margin_matrix_count(a, b)
+                    for sa in set(permutations(a)):
+                        for tb in set(permutations(b)):
+                            assert margin_matrix_count(sa, tb) == count, (sa, tb)
+
+
+def test_weight_blocks_match_filtered_words():
+    for n in range(2, 5):
+        for d in range(8):
+            for content, words in reference_repalg.contents_by_word(n, d).items():
+                assert _words_of_content(content) == words, content
+
+
+# The tensor pairs of the combinatorics benchmark, and four more: d = 0, long
+# words, and n = 5, 6.
+GOLDEN_TENSOR_PAIRS = (
+    [(n, d) for n in (2, 3, 4) for d in range(1, 7)]
+    + [(3, 7), (3, 8), (4, 6), (4, 7)]
+    + [(2, 0), (2, 12), (5, 5), (6, 4)]
+)
+# sha256 of their Decomposition.to_json, one sorted-key JSON line each
+TENSOR_DIGEST = "70be7cf1f3cf08dd369a7ed778dd9d86332b12d917cc739f2117040fd07aeb8c"
+
+
+def test_decompositions_golden_digest():
+    digest = hashlib.sha256()
+    for n, d in GOLDEN_TENSOR_PAIRS:
+        payload = json.dumps(decompose_tensor(n, d).to_json(), sort_keys=True)
+        digest.update(payload.encode() + b"\n")
+    assert digest.hexdigest() == TENSOR_DIGEST
