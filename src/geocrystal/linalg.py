@@ -5,7 +5,10 @@ stored as rows of Python ints over one common positive denominator, reduced
 so that the denominator shares no factor with every numerator; equal matrices
 therefore have identical representations.  Products are integer dot products,
 and row reduction is Bareiss's fraction-free Gauss-Jordan elimination, so no
-rational number is built inside a kernel.  ``fractions.Fraction`` appears only
+rational number is built inside a kernel.  The elimination rescales a row only
+when it updates it, and brings the rows it left behind up to the last pivot
+at the end; every division stays exact, and the result is the one eager
+Bareiss returns (see ``_echelon``).  ``fractions.Fraction`` appears only
 at the public accessors (``entries``, ``column``, indexing, ``apply``,
 ``kernel_basis``) and in the ``"p/q"`` strings of ``to_json``.
 
@@ -57,15 +60,27 @@ def _transpose(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]
 def _echelon(
     rows: Sequence[Sequence[int]], ncols: int
 ) -> tuple[list[list[int]], tuple[int, ...], int]:
-    """Bareiss fraction-free Gauss-Jordan elimination.
+    """Bareiss fraction-free Gauss-Jordan elimination, rescaling lazily.
 
     Returns (reduced, pivots, d) with d != 0 and reduced[:rank] = d * (the
-    reduced row-echelon rows); rows below the rank are zero.  Every division
-    by the previous pivot is exact, because each entry after a step is a
-    minor of the input (Bareiss 1968).
+    reduced row-echelon rows); rows below the rank are zero.
+
+    Eager Bareiss brings every row to each new pivot: after the step with
+    pivot piv_s, a row R becomes (piv_s R - R[c] top) / piv_{s-1}, or
+    piv_s R / piv_{s-1} when R[c] = 0, and each entry is then a minor of the
+    input (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 1968), so every division is exact.
+    Here a row is rescaled only when it is updated.  level[i] is the pivot
+    row i was last brought to, so the eager row is red[i] * prev / level[i]:
+    the skipped factors piv_s / piv_{s-1} telescope.  Putting that row into
+    the eager update gives (piv * red[i] - red[i][c] * top) / level[i],
+    which is the eager result and so exact.  The pivot row is brought up to
+    prev before it is used, and the rows left behind are brought up to d at
+    the end; both are eager rows, so those divisions are exact as well.
     """
     red = [list(r) for r in rows]
     nrows = len(red)
+    level = [1] * nrows
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -77,21 +92,26 @@ def _echelon(
                 break
         else:
             continue
-        red[r], red[p] = red[p], red[r]
-        top = red[r]
+        top, lev = red[p], level[p]
+        if p != r:
+            red[p], level[p] = red[r], level[r]
+            red[r] = top
+        if lev != prev:
+            top = red[r] = [a * prev // lev for a in top]
         piv = top[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = red[i]
+        for i, row in enumerate(red):
             f = row[c]
-            if f:
-                red[i] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
-            elif piv != prev and any(row):
-                red[i] = [piv * a // prev for a in row]
-        prev = piv
+            if f and i != r:
+                lev = level[i]
+                red[i] = [(piv * a - f * b) // lev for a, b in zip(row, top)]
+                level[i] = piv
+        level[r] = prev = piv
         pivots.append(c)
         r += 1
+    for i in range(r):
+        lev = level[i]
+        if lev != prev:
+            red[i] = [a * prev // lev for a in red[i]]
     return red, tuple(pivots), prev
 
 
@@ -180,11 +200,12 @@ class RatMat:
         self._set(tuple(map(tuple, num)), den, cols)
 
     def _set(self, num: IntRows, den: int, cols: int) -> None:
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", len(num))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", None)
+        # the slot descriptors write past __setattr__, which refuses
+        _SET_NUM(self, num)
+        _SET_DEN(self, den)
+        _SET_ROWS(self, len(num))
+        _SET_COLS(self, cols)
+        _SET_ENTRIES(self, None)
 
     @classmethod
     def _exact(cls, num: IntRows, cols: int, den: int = 1) -> "RatMat":
@@ -249,7 +270,7 @@ class RatMat:
         if self._entries is None:
             den = self.den
             ent = tuple(tuple(Fraction(a, den) for a in row) for row in self.num)
-            object.__setattr__(self, "_entries", ent)
+            _SET_ENTRIES(self, ent)
         return self._entries
 
     def __eq__(self, other) -> bool:
@@ -381,6 +402,13 @@ class RatMat:
         if m.rows != obj["rows"]:
             raise DimensionMismatchError("row count disagrees with payload")
         return m
+
+
+_SET_ROWS = RatMat.rows.__set__
+_SET_COLS = RatMat.cols.__set__
+_SET_NUM = RatMat.num.__set__
+_SET_DEN = RatMat.den.__set__
+_SET_ENTRIES = RatMat._entries.__set__
 
 
 def rref(m: RatMat) -> tuple[RatMat, tuple[int, ...]]:

@@ -9,6 +9,7 @@ import random
 import re
 from functools import lru_cache
 from operator import mul
+from typing import Sequence
 
 from .cartan import (
     DimVec,
@@ -32,7 +33,6 @@ from .linalg import (
     _echelon_rows,
     _kernel_ints,
     _product_map_rows,
-    _transpose,
     canonicalize,
     full_space,
     kernel,
@@ -41,6 +41,8 @@ from .linalg import (
 )
 
 Edge = tuple[int, int]  # (out(h), inc(h)) with |out - inc| = 1
+Edges = tuple[Edge, ...]
+Rows = Sequence[Sequence[int]]  # a map as integer rows
 
 # The sampler draws every integer entry from [ENTRY_LO, ENTRY_HI].
 ENTRY_LO, ENTRY_HI = -2, 2
@@ -92,13 +94,9 @@ class QuiverShape:
     def vertices(self) -> range:
         return range(1, self.n)
 
-    def edges(self) -> list[Edge]:
-        out = []
-        for k in range(2, self.n):
-            out.append((k, k - 1))
-        for k in range(1, self.n - 1):
-            out.append((k, k + 1))
-        return out
+    def edges(self) -> Edges:
+        """The leftward edges, then the rightward ones, each by ascending out(h)."""
+        return _edge_lists(self.n)[0]
 
     def omega(self) -> list[Edge]:
         """The fixed orientation: edges heading left."""
@@ -113,11 +111,21 @@ class QuiverShape:
         """+1 on the orientation (leftward), -1 on its reversal."""
         return 1 if h[0] == h[1] + 1 else -1
 
-    def edges_into(self, k: int) -> list[Edge]:
-        return [h for h in self.edges() if h[1] == k]
+    def edges_into(self, k: int) -> Edges:
+        return _edge_lists(self.n)[1].get(k, ())
 
-    def edges_out_of(self, k: int) -> list[Edge]:
-        return [h for h in self.edges() if h[0] == k]
+    def edges_out_of(self, k: int) -> Edges:
+        return _edge_lists(self.n)[2].get(k, ())
+
+
+@lru_cache(maxsize=None)
+def _edge_lists(n: int) -> tuple[Edges, dict[int, Edges], dict[int, Edges]]:
+    """The edges of the A_{n-1} quiver, and those into and out of each
+    vertex in the same order; built once per n and shared, hence tuples."""
+    edges = tuple((k, k - 1) for k in range(2, n)) + tuple((k, k + 1) for k in range(1, n - 1))
+    into = {k: tuple(h for h in edges if h[1] == k) for k in range(1, n)}
+    out_of = {k: tuple(h for h in edges if h[0] == k) for k in range(1, n)}
+    return edges, into, out_of
 
 
 def _take_maps(name: str, given, keys, shape_of) -> dict:
@@ -236,29 +244,32 @@ def moment_map(r: QuiverRep) -> list[RatMat]:
     return out
 
 
-def _closure_rows(r: QuiverRep) -> dict[int, list[list[int]]]:
+def _closure_rows(
+    v: DimVec, i: dict[int, Rows], B: dict[Edge, Rows]
+) -> dict[int, list[list[int]]]:
     """The B-closure of im i, vertex by vertex, as integer echelon rows in the
     coordinates of V_k; the rank at k is the number of rows.
 
-    A worklist of the vertices whose span grew: only their outgoing edges can
-    enlarge another span, and a full span cannot grow.  The work stops early
-    once every span is full.
+    i[k] and B[h] are integer rows, each any nonzero multiple of its map:
+    scaling a map does not change its image, so neither the spans nor their
+    ranks depend on the multiples.  A worklist of the vertices whose span
+    grew: only their outgoing edges can enlarge another span, and a full span
+    cannot grow.  The work stops early once every span is full.
     """
-    dims = {k: r.v[k - 1] for k in r.shape.vertices}
-    spans = {
-        k: _echelon_rows(_transpose(r.i[k].num, r.i[k].cols), dims[k])
-        for k in r.shape.vertices
-    }
+    shape = QuiverShape(v.n)
+    dims = {k: v[k - 1] for k in shape.vertices}
+    # the columns of i_k, as rows of V_k
+    spans = {k: _echelon_rows(list(zip(*i[k])), dims[k]) for k in shape.vertices}
     short = sum(len(spans[k]) < dims[k] for k in spans)
-    pending = [k for k in r.shape.vertices if spans[k]]
+    pending = [k for k in shape.vertices if spans[k]]
     while pending and short:
         a = pending.pop()
-        for h in r.shape.edges_out_of(a):
+        for h in shape.edges_out_of(a):
             b = h[1]
             if len(spans[b]) == dims[b]:
                 continue
             # B_h u for each spanning row u of V_a, as a row of V_b
-            image = [[sum(map(mul, u, row)) for row in r.B[h].num] for u in spans[a]]
+            image = [[sum(map(mul, u, row)) for row in B[h]] for u in spans[a]]
             grown = _echelon_rows(spans[b] + image, dims[b])
             if len(grown) > len(spans[b]):
                 spans[b] = grown
@@ -268,11 +279,22 @@ def _closure_rows(r: QuiverRep) -> dict[int, list[list[int]]]:
     return spans
 
 
+def _spans_full(v: DimVec, spans: dict[int, list[list[int]]]) -> bool:
+    """True iff the closure spans every V_k: the stability verdict."""
+    return all(len(rows) == v[k - 1] for k, rows in spans.items())
+
+
+def _map_rows(r: QuiverRep) -> tuple[dict[int, Rows], dict[Edge, Rows]]:
+    """The integer rows of r's i and B maps, the input of _closure_rows."""
+    return {k: m.num for k, m in r.i.items()}, {h: m.num for h, m in r.B.items()}
+
+
 def stable_closure(r: QuiverRep) -> dict[int, Subspace]:
     """Smallest B-stable graded subspace containing the image of i, each space
     canonical: the spans of :func:`_closure_rows`.  r is stable iff every
     space is full, which :func:`is_stable` reads from the ranks alone."""
-    return {k: canonicalize(rows, r.v[k - 1]) for k, rows in _closure_rows(r).items()}
+    spans = _closure_rows(r.v, *_map_rows(r))
+    return {k: canonicalize(rows, r.v[k - 1]) for k, rows in spans.items()}
 
 
 def is_stable(r: QuiverRep) -> bool:
@@ -280,10 +302,7 @@ def is_stable(r: QuiverRep) -> bool:
     subspace contains im i.  Only the ranks of the closure are compared, and
     the verdict is recorded on r, so it is proved once per point."""
     if r._stable is None:
-        spans = _closure_rows(r)
-        object.__setattr__(
-            r, "_stable", all(len(spans[k]) == r.v[k - 1] for k in r.shape.vertices)
-        )
+        object.__setattr__(r, "_stable", _spans_full(r.v, _closure_rows(r.v, *_map_rows(r))))
     return r._stable
 
 
@@ -417,29 +436,33 @@ def random_gauge(rng: random.Random, v) -> dict[int, RatMat]:
 
 def _random_kernel_blocks(
     system: list[list[int]], shapes: list[tuple[int, int]], rng: random.Random
-) -> list[RatMat]:
+) -> tuple[list[list[list[int]]], int]:
     """A random point of the kernel of the integer rows of system, cut
-    row-major into blocks of the given shapes; the coefficients on the kernel
-    basis are drawn in basis order."""
+    row-major into blocks of the given shapes, as integer rows over the
+    common denominator d; the coefficients on the kernel basis are drawn in
+    basis order."""
     ncols = sum(a * b for a, b in shapes)
     # the integer kernel vectors are d times the kernel_basis vectors, so the
     # point is the integer combination over the denominator d; scaling a row
     # of the system changes d and the vectors alike, not the point
     vectors, d = _kernel_ints(system, ncols)
     coeffs = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in vectors]
-    solution = [sum(c * v[t] for c, v in zip(coeffs, vectors)) for t in range(ncols)]
+    solution = [0] * ncols
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            solution = [s + c * a for s, a in zip(solution, vec)]
     blocks = []
     idx = 0
     for rows, cols in shapes:
-        blocks.append(
-            RatMat._reduce(
-                [solution[idx + p * cols : idx + (p + 1) * cols] for p in range(rows)],
-                cols,
-                d,
-            )
-        )
+        blocks.append([solution[idx + p * cols : idx + (p + 1) * cols] for p in range(rows)])
         idx += rows * cols
-    return blocks
+    return blocks, d
+
+
+def _maps_over(blocks: dict[Edge, Rows], d: int, v: DimVec) -> dict[Edge, RatMat]:
+    """The maps B_h whose integer rows over d are blocks[h], for B_h a map
+    out of V_{out(h)} of dimension v."""
+    return {h: RatMat._reduce(rows, v[h[0] - 1], d) for h, rows in blocks.items()}
 
 
 def _moment_map_rows(
@@ -477,9 +500,11 @@ def _moment_map_rows(
 
 def _solve_right_maps(
     r_left: dict[Edge, RatMat], n: int, v, rng: random.Random
-) -> dict[Edge, RatMat]:
+) -> tuple[dict[Edge, list[list[int]]], int]:
     """Solve mu = 0 (with j = 0) for the rightward maps, given the leftward
-    ones; mu is linear in the rightward block.  Returns a random kernel point.
+    ones; mu is linear in the rightward block.  Returns a random kernel point
+    as the integer rows of each rightward map over one denominator d, the
+    maps themselves being :func:`_maps_over` of them.
 
     The system is :func:`_moment_map_rows` at every vertex with the rightward
     maps unknown, ordered edge by edge, so R_a, the rightward map V_a ->
@@ -489,7 +514,8 @@ def _solve_right_maps(
     shape = QuiverShape(n)
     unknown = {h: (v[h[1] - 1], v[h[0] - 1]) for h in map(shape.bar, shape.omega())}
     rows = _moment_map_rows(shape, r_left, unknown, shape.vertices)
-    return dict(zip(unknown, _random_kernel_blocks(rows, list(unknown.values()), rng)))
+    blocks, d = _random_kernel_blocks(rows, list(unknown.values()), rng)
+    return dict(zip(unknown, blocks)), d
 
 
 def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> QuiverRep | None:
@@ -508,7 +534,8 @@ def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> Quive
     # the S-rows of mu_k against the old V_k.
     unknown = {h: (s, r.v[h[0] - 1]) for h in incoming}
     rows = _moment_map_rows(shape, r.B, unknown, (k,))
-    blocks = dict(zip(incoming, _random_kernel_blocks(rows, list(unknown.values()), rng)))
+    solved, d = _random_kernel_blocks(rows, list(unknown.values()), rng)
+    blocks = _maps_over(dict(zip(incoming, solved)), d, r.v)
     M = RatMat(
         [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(r.w[k - 1])] for _ in range(s)],
         cols=r.w[k - 1],
@@ -597,14 +624,18 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
     Draws the leftward maps with small random integers (zeroing each edge by
     a coin flip, since stability sometimes forces vanishing leftward maps),
     solves the moment map equations exactly for the rightward maps (leaving
-    them zero on every fourth attempt), then rejects a candidate that is not
-    stable, and proves only the stable ones in Lambda (j = 0 and moment map
-    = 0, which force B nilpotent by Lusztig's theorem, see lambda_failure);
-    the solved candidates are nearly always in Lambda, so most rejections are
-    on stability.  Every returned point is proved both ways.  Deep strata
-    where rejection sampling cannot find the stable component fall through to
-    the crystal-guided constructive walk.  Raises SampleExhaustedError when
-    the locus appears empty.
+    them zero on every fourth attempt), then draws i.  Each candidate is
+    decided on integer rows: :func:`_closure_rows` reads the leftward maps
+    and i as drawn, and the rightward maps as the solve returns them, d times
+    the maps, with the same images.  Only a candidate the closure finds
+    stable becomes a QuiverRep, and only that point is proved stable and in
+    Lambda (j = 0 and moment map = 0, which force B nilpotent by Lusztig's
+    theorem, see lambda_failure); the solved candidates are nearly always in
+    Lambda, so most rejections are on stability.  Every returned point is
+    proved both ways on the object.  Deep strata where rejection sampling
+    cannot find the stable component fall through to the crystal-guided
+    constructive walk.  Raises SampleExhaustedError when the locus appears
+    empty.
     """
     v, w = as_dimvec(v), as_highest_weight(w)
     if v.n != w.n:
@@ -612,6 +643,8 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
     n = v.n
     rng = random.Random(seed)
     left_edges = QuiverShape(n).omega()
+    # the rightward maps of the attempts that leave them zero
+    zero_right = {(b, a): [[0] * v[b - 1]] * v[a - 1] for a, b in left_edges}
 
     def draw_left(rows: int, cols: int) -> RatMat:
         # zero / rank-one / dense mix: full-rank draws force a trivial
@@ -622,28 +655,25 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
         if kind == 1:
             col = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(rows)]
             row = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(cols)]
-            return RatMat([[a * b for b in row] for a in col], cols=cols)
-        return RatMat(
-            [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(cols)] for _ in range(rows)],
-            cols=cols,
+            return RatMat._reduce([[a * b for b in row] for a in col], cols)
+        return RatMat._reduce(
+            [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(cols)] for _ in range(rows)], cols
         )
 
     for attempt in range(MAX_TRIES):
         left = {h: draw_left(v[h[1] - 1], v[h[0] - 1]) for h in left_edges}
+        right, d = ({}, 1) if attempt % 4 == 3 else _solve_right_maps(left, n, v, rng)
+        i = {
+            k: [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(w[k - 1])] for _ in range(v[k - 1])]
+            for k in range(1, n)
+        }
+        rows = {h: m.num for h, m in left.items()}
+        rows.update(right or zero_right)
+        if not _spans_full(v, _closure_rows(v, i, rows)):
+            continue
         # QuiverRep zero-fills the maps it is not given
-        right = {} if attempt % 4 == 3 else _solve_right_maps(left, n, v, rng)
-        i = {}
-        for k in range(1, n):
-            i[k] = RatMat(
-                [
-                    [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(w[k - 1])]
-                    for _ in range(v[k - 1])
-                ],
-                cols=w[k - 1],
-            )
-        B = dict(left)
-        B.update(right)
-        point = QuiverRep(n, v, w, B=B, i=i)
+        B = {**left, **_maps_over(right, d, v)}
+        point = QuiverRep(n, v, w, B=B, i={k: RatMat._reduce(m, w[k - 1]) for k, m in i.items()})
         if is_stable(point) and in_Lambda(point):
             return point
     guided = _crystal_guided_sample(v, w, seed)

@@ -5,6 +5,10 @@ moved to integer rows over a common denominator.  It is kept only as the
 oracle of the differential tests in ``test_linalg.py``; nothing in the package
 imports it.  Subspaces are stored in reduced column-echelon form, so both
 implementations must agree entry for entry, not just up to span.
+
+``echelon`` is the integer kernel's elimination as it was before it rescaled
+rows lazily: eager Bareiss, every row brought to each new pivot.  It is the
+oracle for ``linalg._echelon``, which must return the same triple.
 """
 
 from __future__ import annotations
@@ -243,6 +247,47 @@ def kernel_basis(m: RatMat) -> list[Vector]:
             v[p] = -red.entries[r][f]
         basis.append(tuple(v))
     return basis
+
+
+def echelon(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Bareiss fraction-free Gauss-Jordan elimination.
+
+    Returns (reduced, pivots, d) with d != 0 and reduced[:rank] = d * (the
+    reduced row-echelon rows); rows below the rank are zero.  Every division
+    by the previous pivot is exact, because each entry after a step is a
+    minor of the input (Bareiss 1968).
+    """
+    red = [list(r) for r in rows]
+    nrows = len(red)
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for p in range(r, nrows):
+            if red[p][c]:
+                break
+        else:
+            continue
+        red[r], red[p] = red[p], red[r]
+        top = red[r]
+        piv = top[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = red[i]
+            f = row[c]
+            if f:
+                red[i] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
+            elif piv != prev and any(row):
+                red[i] = [piv * a // prev for a in row]
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return red, tuple(pivots), prev
 
 
 class Subspace:

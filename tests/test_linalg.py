@@ -9,6 +9,7 @@ import reference_linalg as ref
 from geocrystal.errors import DimensionMismatchError
 from geocrystal.linalg import (
     RatMat,
+    _echelon,
     canonicalize,
     contains,
     contains_image,
@@ -401,3 +402,66 @@ def test_power_ranks_match_reference(rows):
         expected.append(r)
     assert power_ranks(RatMat(rows)) == expected
     assert rank(RatMat(rows)) == ranks[1]
+
+
+def test_ratmat_fields_refuse_assignment():
+    m = RatMat([[1, Fraction(1, 2)]])
+    m.entries  # the cached Fractions are written through the slot, not setattr
+    for name in ("rows", "cols", "num", "den", "_entries", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
+    assert (m.rows, m.cols, m.num, m.den) == (1, 2, ((2, 1),), 2)
+
+
+@st.composite
+def integer_system(draw):
+    """Integer rows up to 12 x 16 with zero rows and columns, entries of
+    either sign (so negative pivots), and rows that combine earlier ones."""
+    rows = draw(st.integers(min_value=0, max_value=12))
+    cols = draw(st.integers(min_value=0, max_value=16))
+    entry = st.one_of(
+        st.just(0), st.integers(min_value=-3, max_value=3), st.integers(-(10**6), 10**6)
+    )
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=15), max_size=4))
+    out = [
+        [0 if c in zero_cols else a for c, a in enumerate(r)]
+        for r in draw(st.lists(row, min_size=rows, max_size=rows))
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if out else 0):
+        coeffs = [draw(st.integers(min_value=-2, max_value=2)) for _ in out]
+        out.append([sum(a * r[c] for a, r in zip(coeffs, out)) for c in range(cols)])
+    if out and draw(st.booleans()):
+        out.insert(draw(st.integers(min_value=0, max_value=len(out))), [0] * cols)
+    return out, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_system())
+def test_echelon_matches_eager_bareiss(system):
+    rows, cols = system
+    assert _echelon(rows, cols) == ref.echelon(rows, cols)
+
+
+def test_echelon_matches_eager_bareiss_on_moment_map_systems(monkeypatch):
+    # every elimination the sampler runs on the acceptance configs: the
+    # mu = 0 solves, the stability closures and the checks on the points
+    from geocrystal import linalg
+    from geocrystal.quiver import sample_lambda_point
+    from geocrystal.suites import ACCEPTANCE_MAFFEI_CONFIGS, valid_dimvecs
+
+    seen = []
+    echelon = linalg._echelon
+
+    def recorded(rows, ncols):
+        seen.append(([list(r) for r in rows], ncols))
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    for n, w in ACCEPTANCE_MAFFEI_CONFIGS:
+        vs = valid_dimvecs(w)
+        for v in vs[:: max(1, len(vs) // 6)]:
+            sample_lambda_point(v, w, seed=sum(v) + n)
+    assert len(seen) >= 1000 and max(len(rows) for rows, _ in seen) >= 12
+    for rows, ncols in seen:
+        assert echelon(rows, ncols) == ref.echelon(rows, ncols)

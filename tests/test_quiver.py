@@ -1,9 +1,12 @@
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import reference_linalg as ref
+from geocrystal.cartan import as_dimvec, as_highest_weight
 from geocrystal.errors import (
     DimensionMismatchError,
     IncompatibleError,
@@ -21,6 +24,7 @@ from geocrystal.linalg import (
 from geocrystal.quiver import (
     ENTRY_HI,
     ENTRY_LO,
+    MAX_TRIES,
     QuiverRep,
     QuiverShape,
     apply_gauge,
@@ -36,6 +40,8 @@ from geocrystal.quiver import (
     random_gauge,
     sample_lambda_point,
     stable_closure,
+    _map_rows,
+    _maps_over,
     _moment_map_rows,
     _random_kernel_blocks,
     _solve_right_maps,
@@ -49,7 +55,12 @@ def test_quiver_shape():
     assert set(shape.omega()) == {(2, 1), (3, 2)}
     assert shape.sign((2, 1)) == 1 and shape.sign((1, 2)) == -1
     assert shape.bar((1, 2)) == (2, 1)
-    assert QuiverShape(2).edges() == []
+    # the leftward edges, then the rightward ones; into and out of a vertex
+    # in the same order
+    assert shape.edges() == ((2, 1), (3, 2), (1, 2), (2, 3))
+    assert shape.edges_into(2) == ((3, 2), (1, 2)) and shape.edges_out_of(2) == ((2, 1), (2, 3))
+    assert shape.edges_into(1) == ((2, 1),) and shape.edges_out_of(3) == ((3, 2),)
+    assert QuiverShape(2).edges() == () and QuiverShape(2).edges_into(1) == ()
 
 
 def test_moment_map_examples(p0):
@@ -121,7 +132,7 @@ def test_lambda_forces_nilpotent_B():
             )
             for k in range(2, n)
         }
-        right = _solve_right_maps(left, n, v, rng)
+        right = _maps_over(*_solve_right_maps(left, n, v, rng), v)
         i = {
             k: RatMat([[entry() for _ in range(w[k - 1])] for _ in range(v[k - 1])], cols=w[k - 1])
             for k in range(1, n)
@@ -168,17 +179,21 @@ def test_predicates_are_proved_once_per_point(p0, monkeypatch):
     calls = []
     closure = quiver._closure_rows
     monkeypatch.setattr(
-        quiver, "_closure_rows", lambda r: calls.append(r) or closure(r)
+        quiver, "_closure_rows", lambda *rows: calls.append(rows) or closure(*rows)
     )
+
+    def rows_of(r):
+        return (r.v, *_map_rows(r))
+
     for _ in range(3):
         assert is_stable(p0)
         kashiwara_reduce(p0, 1)
-    assert calls == [p0]
+    assert calls == [rows_of(p0)]
     unstable = QuiverRep(3, (1, 1), (1, 1))
     for _ in range(2):
         with pytest.raises(LambdaPreconditionError):
             kashiwara_reduce(unstable, 1)
-    assert calls == [p0, unstable]
+    assert calls == [rows_of(p0), rows_of(unstable)]
 
 
 def test_lambda_failure_names_first_condition(p0, monkeypatch):
@@ -487,30 +502,61 @@ def test_random_kernel_blocks_match_fraction_route():
             cols=cols,
         )
         ours, theirs = random.Random(trial), random.Random(trial)
-        assert _random_kernel_blocks(system.num, shapes, ours) == fraction_route(
-            system, shapes, theirs
-        )
+        blocks, d = _random_kernel_blocks(system.num, shapes, ours)
+        assert [
+            RatMat._reduce(block, cols, d) for block, (_, cols) in zip(blocks, shapes)
+        ] == fraction_route(system, shapes, theirs)
         assert ours.getstate() == theirs.getstate()
+
+
+def _lines(v, i, B):
+    """A candidate up to a nonzero scalar on each map, from the integer rows
+    of its i and B maps: each map divided by the gcd of its entries, signed
+    so that its first nonzero entry is positive."""
+
+    def primitive(rows):
+        flat = [a for row in rows for a in row]
+        g = gcd(*flat) * (-1 if next((a for a in flat if a), 0) < 0 else 1)
+        return tuple(tuple(a // g if g else a for a in row) for row in rows)
+
+    return (
+        tuple(v),
+        tuple(sorted((k, primitive(m)) for k, m in i.items())),
+        tuple(sorted((h, primitive(m)) for h, m in B.items())),
+    )
+
+
+def _watch_closure(monkeypatch):
+    """Record (caller, candidate, verdict) for every _closure_rows call: the
+    calling function's name, the candidate's _lines and whether every span
+    is full."""
+    from geocrystal import quiver
+
+    calls = []
+    closure = quiver._closure_rows
+
+    def watched(v, i, B):
+        spans = closure(v, i, B)
+        caller = sys._getframe(1).f_code.co_name
+        calls.append((caller, _lines(v, i, B), quiver._spans_full(v, spans)))
+        return spans
+
+    monkeypatch.setattr(quiver, "_closure_rows", watched)
+    return calls
 
 
 def test_sampler_proves_lambda_only_on_stable_candidates(monkeypatch):
     from geocrystal import quiver
 
-    proved_in_lambda, unstable = [], []
-    failure, stable = quiver.lambda_failure, quiver.is_stable
+    closure_calls = _watch_closure(monkeypatch)
+    proved_in_lambda = []
+    failure = quiver.lambda_failure
 
     def watched_failure(r):
-        proved_in_lambda.append(r)
+        proved_in_lambda.append(_lines(r.v, *_map_rows(r)))
         return failure(r)
 
-    def watched_stable(r):
-        verdict = stable(r)
-        if not verdict:
-            unstable.append(r)
-        return verdict
-
     monkeypatch.setattr(quiver, "lambda_failure", watched_failure)
-    monkeypatch.setattr(quiver, "is_stable", watched_stable)
     cases = [
         ((1, 1), (1, 1)),
         ((1, 1), (2, 1)),
@@ -522,8 +568,86 @@ def test_sampler_proves_lambda_only_on_stable_candidates(monkeypatch):
         for seed in range(3):
             r = sample_lambda_point(v, w, seed)
             assert r._stable is True and r._in_lambda is True
-    assert unstable and proved_in_lambda
-    assert not {id(r) for r in unstable} & {id(r) for r in proved_in_lambda}
+    verdicts = {}
+    for _, candidate, verdict in closure_calls:
+        verdicts.setdefault(candidate, set()).add(verdict)
+    # the sampler rejects candidates on integer rows, and Lambda is proved
+    # only on candidates, its own or the crystal walk's, the closure accepted
+    assert any(
+        caller == "sample_lambda_point" and not verdict for caller, _, verdict in closure_calls
+    )
+    assert proved_in_lambda
+    assert all(verdicts.get(candidate) == {True} for candidate in proved_in_lambda)
+
+
+def _candidate_points(v, w, seed):
+    """The rejection candidates of sample_lambda_point in draw order, up to
+    the one it accepts, each built as a QuiverRep: the sampler's loop as it
+    was when every candidate became a point."""
+    v, w = as_dimvec(v), as_highest_weight(w)
+    n = v.n
+    rng = random.Random(seed)
+
+    def draw_left(rows, cols):
+        kind = rng.randrange(3)
+        if kind == 0 or rows == 0 or cols == 0:
+            return RatMat.zeros(rows, cols)
+        if kind == 1:
+            col = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(rows)]
+            row = [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(cols)]
+            return RatMat([[a * b for b in row] for a in col], cols=cols)
+        return RatMat(
+            [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(cols)] for _ in range(rows)],
+            cols=cols,
+        )
+
+    points = []
+    for attempt in range(MAX_TRIES):
+        left = {h: draw_left(v[h[1] - 1], v[h[0] - 1]) for h in QuiverShape(n).omega()}
+        right = {} if attempt % 4 == 3 else _maps_over(*_solve_right_maps(left, n, v, rng), v)
+        i = {}
+        for k in range(1, n):
+            i[k] = RatMat(
+                [
+                    [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(w[k - 1])]
+                    for _ in range(v[k - 1])
+                ],
+                cols=w[k - 1],
+            )
+        points.append(QuiverRep(n, v, w, B={**left, **right}, i=i))
+        if is_stable(points[-1]) and in_Lambda(points[-1]):
+            break
+    return points
+
+
+def test_sampler_integer_verdicts_match_is_stable(monkeypatch):
+    # every candidate the sampler decides on integer rows, rejected ones
+    # included, gets the verdict is_stable gives the QuiverRep it stands for
+    cases = [
+        ((1, 1), (2, 1)),
+        ((1, 2, 1), (1, 1, 0)),
+        ((2, 2, 1, 1), (1, 1, 1, 1)),
+        ((1, 3, 2, 1), (0, 1, 1, 0)),  # no candidate passes: the crystal walk
+    ]
+    expected = {}
+    walked = rejected = 0
+    for v, w in cases:
+        for seed in range(4):
+            points = _candidate_points(v, w, seed)
+            expected[v, w, seed] = [(_lines(r.v, *_map_rows(r)), is_stable(r)) for r in points]
+            walked += not (is_stable(points[-1]) and in_Lambda(points[-1]))
+    closure_calls = _watch_closure(monkeypatch)
+    for (v, w, seed), candidates in expected.items():
+        del closure_calls[:]
+        sample_lambda_point(v, w, seed)
+        decided = [
+            (candidate, verdict)
+            for caller, candidate, verdict in closure_calls
+            if caller == "sample_lambda_point"
+        ]
+        assert decided == candidates
+        rejected += sum(not verdict for _, verdict in decided)
+    assert rejected >= 100 and walked >= 3
 
 
 def _kron(a, b):
@@ -585,10 +709,9 @@ def test_right_system_matches_kron_construction():
         shapes = [(v[a], v[a - 1]) for a in range(1, n - 1)]
         ours, theirs = random.Random(trial), random.Random(trial)
         system = _kron_right_system(left, n, v)
-        expected = dict(
-            zip([(a, a + 1) for a in range(1, n - 1)], _random_kernel_blocks(system.num, shapes, theirs))
-        )
-        assert _solve_right_maps(left, n, v, ours) == expected
+        blocks, d = _random_kernel_blocks(system.num, shapes, theirs)
+        expected = _maps_over(dict(zip([(a, a + 1) for a in range(1, n - 1)], blocks)), d, v)
+        assert _maps_over(*_solve_right_maps(left, n, v, ours), v) == expected
         assert ours.getstate() == theirs.getstate()
     assert fractions >= 50 and zero_dims >= 50
 
