@@ -12,6 +12,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import IncompatibleError, InvalidRankError, NotInImageError
+from .values import Value
 
 
 def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
@@ -25,7 +26,7 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class Weight:
+class Weight(Value):
     """sl_n weight stored in fundamental-weight coordinates."""
 
     __slots__ = ("omega",)
@@ -34,21 +35,7 @@ class Weight:
         omega = tuple(int(c) for c in omega)
         if len(omega) < 1:
             raise InvalidRankError("weight needs at least one omega coordinate")
-        object.__setattr__(self, "omega", omega)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Weight is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return self.omega == other.omega
-
-    def __hash__(self):
-        return hash((self.omega,))
-
-    def __repr__(self):
-        return f"Weight(omega={self.omega!r})"
+        super().__init__(omega)
 
     @property
     def n(self) -> int:
@@ -84,7 +71,7 @@ class Weight:
         return list(self.omega)
 
 
-class HighestWeight:
+class HighestWeight(Value):
     """Dominant weight given by n-1 non-negative integers w_k."""
 
     __slots__ = ("w",)
@@ -95,21 +82,7 @@ class HighestWeight:
             raise InvalidRankError("highest weight needs n >= 2")
         if any(c < 0 for c in w):
             raise IncompatibleError(f"negative entry in highest weight {w}")
-        object.__setattr__(self, "w", w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HighestWeight is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not HighestWeight:
-            return NotImplemented
-        return self.w == other.w
-
-    def __hash__(self):
-        return hash((self.w,))
-
-    def __repr__(self):
-        return f"HighestWeight(w={self.w!r})"
+        super().__init__(w)
 
     @property
     def n(self) -> int:
@@ -133,7 +106,7 @@ class HighestWeight:
         return list(self.w)
 
 
-class Composition:
+class Composition(Value):
     """Composition of d into len(parts) non-negative integers."""
 
     __slots__ = ("parts",)
@@ -142,21 +115,7 @@ class Composition:
         parts = tuple(int(c) for c in parts)
         if any(c < 0 for c in parts):
             raise IncompatibleError(f"negative part in composition {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Composition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
-
-    def __repr__(self):
-        return f"Composition(parts={self.parts!r})"
+        super().__init__(parts)
 
     @property
     def d(self) -> int:
@@ -179,7 +138,7 @@ class Composition:
         return list(self.parts)
 
 
-class DimVec:
+class DimVec(Value):
     """Graded dimension vector over the n-1 quiver vertices."""
 
     __slots__ = ("v",)
@@ -190,21 +149,7 @@ class DimVec:
             raise InvalidRankError("dimension vector needs n >= 2")
         if any(c < 0 for c in v):
             raise IncompatibleError(f"negative entry in dimension vector {v}")
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DimVec is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not DimVec:
-            return NotImplemented
-        return self.v == other.v
-
-    def __hash__(self):
-        return hash((self.v,))
-
-    def __repr__(self):
-        return f"DimVec(v={self.v!r})"
+        super().__init__(v)
 
     @property
     def n(self) -> int:
@@ -223,7 +168,7 @@ class DimVec:
         return list(self.v)
 
 
-class Partition:
+class Partition(Value):
     """Weakly decreasing positive integers."""
 
     __slots__ = ("parts",)
@@ -234,21 +179,7 @@ class Partition:
             raise IncompatibleError(f"non-positive part in partition {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise IncompatibleError(f"parts not weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Partition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
-
-    def __repr__(self):
-        return f"Partition(parts={self.parts!r})"
+        super().__init__(parts)
 
     @property
     def size(self) -> int:

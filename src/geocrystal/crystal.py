@@ -28,6 +28,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidRankError,
 )
+from .values import Value
 
 Word = tuple[int, ...]
 
@@ -65,40 +66,10 @@ def word_content(word: Word, n: int) -> Composition:
     return Composition(tuple(counts))
 
 
-class CrystalVertex:
+class CrystalVertex(Value):
+    """A word of the crystal with its weight, content a and the tuples eps_k, phi_k."""
+
     __slots__ = ("word", "wt", "a", "eps", "phi")
-
-    def __init__(
-        self, word: Word, wt: Weight, a: Composition, eps: tuple[int, ...], phi: tuple[int, ...]
-    ):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "wt", wt)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "phi", phi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CrystalVertex is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not CrystalVertex:
-            return NotImplemented
-        return (
-            self.word == other.word
-            and self.wt == other.wt
-            and self.a == other.a
-            and self.eps == other.eps
-            and self.phi == other.phi
-        )
-
-    def __hash__(self):
-        return hash((self.word, self.wt, self.a, self.eps, self.phi))
-
-    def __repr__(self):
-        return (
-            f"CrystalVertex(word={self.word!r}, wt={self.wt!r}, a={self.a!r}, "
-            f"eps={self.eps!r}, phi={self.phi!r})"
-        )
 
 
 class CrystalGraph:
@@ -211,36 +182,10 @@ def weight_multiplicity(g: CrystalGraph, a) -> int:
     return g.multiplicities.get(tuple(a), 0)
 
 
-class StembridgeReport:
+class StembridgeReport(Value):
+    """Verdict of the Stembridge axioms, with the first violation if any."""
+
     __slots__ = ("ok", "vertices", "checks", "violation")
-
-    def __init__(self, ok: bool, vertices: int, checks: int, violation: str | None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "violation", violation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StembridgeReport is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not StembridgeReport:
-            return NotImplemented
-        return (
-            self.ok == other.ok
-            and self.vertices == other.vertices
-            and self.checks == other.checks
-            and self.violation == other.violation
-        )
-
-    def __hash__(self):
-        return hash((self.ok, self.vertices, self.checks, self.violation))
-
-    def __repr__(self):
-        return (
-            f"StembridgeReport(ok={self.ok!r}, vertices={self.vertices!r}, "
-            f"checks={self.checks!r}, violation={self.violation!r})"
-        )
 
 
 def _chain_lengths(step: dict[tuple[Word, int], Word], k: int, words) -> dict[Word, int | None]:
@@ -364,36 +309,10 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
     return StembridgeReport(True, len(g), checks, None)
 
 
-class StrataReport:
+class StrataReport(Value):
+    """Verdict of the strata factorization, with the stratum sizes by eps_k."""
+
     __slots__ = ("ok", "vertex_count", "stratum_sizes", "violation")
-
-    def __init__(self, ok: bool, vertex_count: int, stratum_sizes: dict, violation: str | None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "stratum_sizes", stratum_sizes)
-        object.__setattr__(self, "violation", violation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrataReport is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not StrataReport:
-            return NotImplemented
-        return (
-            self.ok == other.ok
-            and self.vertex_count == other.vertex_count
-            and self.stratum_sizes == other.stratum_sizes
-            and self.violation == other.violation
-        )
-
-    def __hash__(self):
-        return hash((self.ok, self.vertex_count, self.stratum_sizes, self.violation))
-
-    def __repr__(self):
-        return (
-            f"StrataReport(ok={self.ok!r}, vertex_count={self.vertex_count!r}, "
-            f"stratum_sizes={self.stratum_sizes!r}, violation={self.violation!r})"
-        )
 
 
 def strata_maps(g: CrystalGraph, k: int) -> StrataReport:

@@ -29,10 +29,6 @@ class MembershipError(GeoCrystalError, ValueError):
     """A flag is not compatible with the given nilpotent endomorphism."""
 
 
-class JordanLayoutError(GeoCrystalError, ValueError):
-    """Matrix is not in the canonical basis-shift Jordan layout."""
-
-
 class LambdaPreconditionError(GeoCrystalError, ValueError):
     """Quiver point fails a required predicate (Lambda membership, stability)."""
 

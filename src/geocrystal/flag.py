@@ -1,24 +1,21 @@
-"""n-step flags in Q^d, nilpotent endomorphisms, Jordan data, transversal
-slices and the flag-side statistics (compositions, sign exponents, Hecke
-pairs, epsilon and the maximal stratum reduction).
+"""n-step flags in Q^d, nilpotent endomorphisms and the flag-side
+statistics (compositions, sign exponents, Hecke pairs, epsilon and the
+maximal stratum reduction).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .cartan import (
     Composition,
-    Partition,
     as_composition,
     as_highest_weight,
-    as_partition,
 )
 from .errors import (
     DimensionMismatchError,
     IncompatibleError,
     InvalidRankError,
-    JordanLayoutError,
     MembershipError,
     SizeMismatchError,
 )
@@ -135,55 +132,6 @@ class Flag:
             canonicalize(RatMat.from_json(b), d) for b in obj["spaces"]
         ]
         return cls(spaces, obj["n"])
-
-
-class Sl2Triple:
-    __slots__ = ("x", "y", "h")
-
-    def __init__(self, x: RatMat, y: RatMat, h: RatMat):
-        if not (
-            h * x - x * h == x.scale(2)
-            and h * y - y * h == y.scale(-2)
-            and x * y - y * x == h
-        ):
-            raise IncompatibleError("sl_2 triple relations fail")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "h", h)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sl2Triple is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Sl2Triple:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y and self.h == other.h
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.h))
-
-    def __repr__(self):
-        return f"Sl2Triple(x={self.x!r}, y={self.y!r}, h={self.h!r})"
-
-
-def jordan_nilpotent(lam, d: int, n: int | None = None) -> NilEndo:
-    """Block-diagonal shift matrix, one Jordan block per part in lam order.
-
-    n defaults to the largest block size (the nilpotency degree); pass the
-    ambient flag length explicitly when it is larger.
-    """
-    lam = as_partition(lam)
-    if lam.size != d:
-        raise SizeMismatchError(f"|{lam.parts}| = {lam.size} != d = {d}")
-    rows = [[0] * d for _ in range(d)]
-    offset = 0
-    for m in lam.parts:
-        for t in range(m - 1):
-            rows[offset + t][offset + t + 1] = 1
-        offset += m
-    if n is None:
-        n = max(lam.parts[0] if lam.parts else 0, 2)
-    return NilEndo(RatMat(rows, cols=d), n)
 
 
 def block_shift_x(w) -> tuple[NilEndo, tuple[tuple[int, int], ...]]:
@@ -308,86 +256,6 @@ def flag_reduce(F: Flag, x: NilEndo, k: int) -> tuple[Flag, int]:
     spaces = list(F.spaces)
     spaces[k] = meet
     return Flag(spaces, F.n), c
-
-
-def nilpotent_jordan_type(x: RatMat) -> Partition:
-    """Jordan type from exact ranks of powers: lambda'_s = rk x^{s-1} - rk x^s."""
-    if x.rows != x.cols:
-        raise DimensionMismatchError("Jordan type of non-square matrix")
-    ranks = power_ranks(x)
-    if ranks[-1]:
-        raise IncompatibleError("matrix is not nilpotent")
-    conj = [ranks[s - 1] - ranks[s] for s in range(1, len(ranks))]
-    parts: list[int] = []
-    for size, count in enumerate(
-        (conj[i] - (conj[i + 1] if i + 1 < len(conj) else 0) for i in range(len(conj))),
-        start=1,
-    ):
-        parts.extend([size] * count)
-    parts.reverse()
-    return Partition(tuple(parts))
-
-
-def _chains_of(x: RatMat) -> list[list[int]]:
-    """Decompose a 0/1 basis-shift matrix into its coordinate chains."""
-    d = x.rows
-    pred: dict[int, int] = {}
-    for c in range(d):
-        col = x.column(c)
-        support = [r for r in range(d) if col[r] != 0]
-        if not support:
-            continue
-        if len(support) > 1 or col[support[0]] != 1:
-            raise JordanLayoutError(f"column {c} is not a unit basis shift")
-        pred[c] = support[0]
-    targets = list(pred.values())
-    if len(set(targets)) != len(targets):
-        raise JordanLayoutError("shift map is not injective on its support")
-    succ = {r: c for c, r in pred.items()}
-    terminal = [c for c in range(d) if c not in pred]
-    chains = []
-    seen = 0
-    for t in sorted(terminal):
-        chain = [t]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        chains.append(chain)
-        seen += len(chain)
-    if seen != d:
-        raise JordanLayoutError("chains do not cover all coordinates")
-    return chains
-
-
-def sl2_slice(x: NilEndo) -> tuple[Sl2Triple, Callable[[RatMat], bool]]:
-    """Standard sl_2 triple through x plus the slice membership test.
-
-    x must be in the basis-shift layout produced by jordan_nilpotent or
-    block_shift_x.  On a chain of length m the triple uses
-    h = diag(m-1, m-3, ..., 1-m) and y with entries j(m-j) down the chain.
-    Membership of u: u^n = 0 and [u - x, y] = 0.
-    """
-    d = x.d
-    chains = _chains_of(x.x)
-    y_rows = [[0] * d for _ in range(d)]
-    h_rows = [[0] * d for _ in range(d)]
-    for chain in chains:
-        m = len(chain)
-        for j, c in enumerate(chain, start=1):
-            h_rows[c][c] = m - 2 * j + 1
-            if j < m:
-                y_rows[chain[j]][c] = j * (m - j)
-    triple = Sl2Triple(x.x, RatMat(y_rows, cols=d), RatMat(h_rows, cols=d))
-
-    def member(u: RatMat) -> bool:
-        if u.shape != (d, d):
-            raise DimensionMismatchError("candidate has wrong shape")
-        ranks = power_ranks(u)
-        if ranks[-1] or len(ranks) - 1 > x.n:
-            return False
-        diff = u - x.x
-        return (diff * triple.y - triple.y * diff).is_zero()
-
-    return triple, member
 
 
 def flag_bundle_to_json(x: NilEndo, flags: Sequence[Flag]) -> dict:

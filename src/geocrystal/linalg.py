@@ -18,12 +18,16 @@ have identical stored bases and serialize to identical bytes.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
+
+# A JSON matrix entry given as a string: "p/q" in plain decimal, q > 0.
+_ENTRY = re.compile("-?(0|[1-9][0-9]*)/[1-9][0-9]*")
 
 Vector = tuple[Fraction, ...]
 IntRows = tuple[tuple[int, ...], ...]
@@ -313,7 +317,7 @@ class RatMat:
         )
 
     def __mul__(self, other):
-        """The matrix product; a scalar multiple is :meth:`scale`."""
+        """The matrix product."""
         if not isinstance(other, RatMat):
             return NotImplemented
         if self.cols != other.rows:
@@ -322,13 +326,6 @@ class RatMat:
             return RatMat.zeros(self.rows, other.cols)
         return RatMat._reduce(
             _matmul(self.num, other.num), other.cols, self.den * other.den
-        )
-
-    def scale(self, c) -> "RatMat":
-        c = _frac(c)
-        p = c.numerator
-        return RatMat._reduce(
-            [[p * a for a in row] for row in self.num], self.cols, self.den * c.denominator
         )
 
     def select(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMat":
@@ -387,18 +384,21 @@ class RatMat:
     def from_json(cls, obj: dict) -> "RatMat":
         """Inverse of to_json; a malformed payload raises ValueError or KeyError.
 
-        rows and cols must be JSON integers, and an entry an integer or a
-        "p/q" string: a boolean is not read as 0 or 1."""
+        rows and cols must be JSON integers, entries a list of rows, each a
+        list, and an entry a JSON integer or a string of the _ENTRY grammar:
+        not a boolean, a float, a decimal or an exponent."""
         if not isinstance(obj, dict):
             raise ValueError(f"matrix payload must be an object, not {type(obj).__name__}")
         if type(obj["rows"]) is not int or type(obj["cols"]) is not int:
             raise ValueError("matrix rows and cols must be integers")
-        try:
-            if any(isinstance(e, bool) for row in obj["entries"] for e in row):
-                raise TypeError("boolean entry")
-            m = cls(obj["entries"], cols=obj["cols"])
-        except (TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad matrix entries: {exc}") from exc
+        entries = obj["entries"]
+        if type(entries) is not list or any(type(row) is not list for row in entries):
+            raise ValueError("matrix entries must be a list of lists")
+        for row in entries:
+            for e in row:
+                if type(e) is not int and (type(e) is not str or not _ENTRY.fullmatch(e)):
+                    raise ValueError(f'bad matrix entry {e!r}: not an integer or "p/q"')
+        m = cls(entries, cols=obj["cols"])
         if m.rows != obj["rows"]:
             raise DimensionMismatchError("row count disagrees with payload")
         return m

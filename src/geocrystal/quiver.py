@@ -39,6 +39,7 @@ from .linalg import (
     rank,
     rref,
 )
+from .values import Value
 
 Edge = tuple[int, int]  # (out(h), inc(h)) with |out - inc| = 1
 Edges = tuple[Edge, ...]
@@ -66,7 +67,7 @@ def _json_ints(value, name: str) -> list[int]:
     return [_json_int(c, name) for c in value]
 
 
-class QuiverShape:
+class QuiverShape(Value):
     """Vertices 1..n-1; edges h_{k,l} for |k-l|=1; orientation = leftward."""
 
     __slots__ = ("n",)
@@ -74,21 +75,7 @@ class QuiverShape:
     def __init__(self, n: int):
         if n < 2:
             raise InvalidRankError(f"n must be >= 2, got {n}")
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuiverShape is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not QuiverShape:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash((self.n,))
-
-    def __repr__(self):
-        return f"QuiverShape(n={self.n!r})"
+        super().__init__(n)
 
     @property
     def vertices(self) -> range:

@@ -38,6 +38,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .linalg import RatMat, rank
+from .values import Value
 
 DEFAULT_BUDGET = 100_000
 # Mersenne prime 2^31 - 1.  A rank mod p never exceeds the rank over Q, and
@@ -75,61 +76,12 @@ def _check_budget(n: int, d: int, budget: int | None) -> None:
         )
 
 
-class Constituent:
+class Constituent(Value):
+    """One irreducible summand of a tensor power and its multiplicity."""
+
     __slots__ = (
         "w", "gl_partition", "sl_partition", "multiplicity", "dimension", "strict_partition_of_d"
     )
-
-    def __init__(
-        self,
-        w: HighestWeight,
-        gl_partition: Partition,
-        sl_partition: Partition,
-        multiplicity: int,
-        dimension: int,
-        strict_partition_of_d: bool,
-    ):
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "gl_partition", gl_partition)
-        object.__setattr__(self, "sl_partition", sl_partition)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "strict_partition_of_d", strict_partition_of_d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Constituent is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Constituent:
-            return NotImplemented
-        return (
-            self.w == other.w
-            and self.gl_partition == other.gl_partition
-            and self.sl_partition == other.sl_partition
-            and self.multiplicity == other.multiplicity
-            and self.dimension == other.dimension
-            and self.strict_partition_of_d == other.strict_partition_of_d
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.w,
-                self.gl_partition,
-                self.sl_partition,
-                self.multiplicity,
-                self.dimension,
-                self.strict_partition_of_d,
-            )
-        )
-
-    def __repr__(self):
-        return (
-            f"Constituent(w={self.w!r}, gl_partition={self.gl_partition!r}, "
-            f"sl_partition={self.sl_partition!r}, multiplicity={self.multiplicity!r}, "
-            f"dimension={self.dimension!r}, "
-            f"strict_partition_of_d={self.strict_partition_of_d!r})"
-        )
 
     def to_json(self) -> dict:
         return {
@@ -142,29 +94,10 @@ class Constituent:
         }
 
 
-class Decomposition:
+class Decomposition(Value):
+    """The constituents of (Q^n)^{tensor d}."""
+
     __slots__ = ("n", "d", "constituents")
-
-    def __init__(self, n: int, d: int, constituents: tuple[Constituent, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "constituents", constituents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Decomposition is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Decomposition:
-            return NotImplemented
-        return (
-            self.n == other.n and self.d == other.d and self.constituents == other.constituents
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.constituents))
-
-    def __repr__(self):
-        return f"Decomposition(n={self.n!r}, d={self.d!r}, constituents={self.constituents!r})"
 
     @property
     def total(self) -> int:
@@ -553,31 +486,10 @@ def rsk_inverse(P: Tableau, Q: Tableau, nrows: int, ncols: int) -> list[list[int
     return matrix
 
 
-class Fact:
+class Fact(Value):
+    """A named computed value and the value the paper expects."""
+
     __slots__ = ("name", "value", "expected")
-
-    def __init__(self, name: str, value: object, expected: object):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "expected", expected)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fact is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Fact:
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.value == other.value
-            and self.expected == other.expected
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.value, self.expected))
-
-    def __repr__(self):
-        return f"Fact(name={self.name!r}, value={self.value!r}, expected={self.expected!r})"
 
     @property
     def ok(self) -> bool:

@@ -236,15 +236,6 @@ def suite_maffei_acceptance(total_samples: int = 504, seed: int = 7) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def suite_crystal(n_max: int = 4, level_max: int = 8) -> dict:
     """For every w with n <= n_max and sum k*w_k <= level_max: Stembridge
     axioms, vertex count vs the Weyl dimension, weight multiplicities vs
@@ -268,7 +259,7 @@ def suite_crystal(n_max: int = 4, level_max: int = 8) -> dict:
             if len(g) != expected_dim:
                 _record(failures, f"{tag}: |B(w)| = {len(g)} != {expected_dim}")
             lam = hw_to_partition(hw)
-            for a in _compositions(hw.level_d, n):
+            for a in repalg._bounded_compositions(hw.level_d, (hw.level_d,) * n):
                 if crystal_mod.weight_multiplicity(g, a) != repalg.kostka(lam, a):
                     _record(failures, f"{tag}: multiplicity at a={a} != Kostka")
             for k in range(1, n):
@@ -311,7 +302,7 @@ def rsk_roundtrip_exhaustive(n: int, d: int) -> dict:
     """Round-trip every n x n margin matrix with total d through RSK."""
     count = 0
     failures: list[str] = []
-    for flat in _compositions(d, n * n):
+    for flat in repalg._bounded_compositions(d, (d,) * (n * n)):
         m = [list(flat[row * n : (row + 1) * n]) for row in range(n)]
         P, Q = repalg.rsk(m)
         if [len(r) for r in P] != [len(r) for r in Q]:

@@ -76,7 +76,16 @@ def _malformed_points(payload):
     spaced_key["maps"]["i:1 "] = {"rows": 1, "cols": 1, "entries": [["2/1"]]}
     padded_key = json.loads(json.dumps(payload))
     padded_key["maps"]["i:01"] = padded_key["maps"].pop("i:1")
+    # an entry is a JSON int or a "p/q" string in plain decimal, nothing else
+    entries = {}
+    for entry in ("0.5", "1e3", "1e400", " 1", "1_0", "+1", "01/1", "1/01", "1"):
+        entries[f"entry {entry!r}"] = json.loads(json.dumps(payload))
+        entries[f"entry {entry!r}"]["maps"]["i:1"]["entries"] = [[entry]]
+    string_row = json.loads(json.dumps(payload))
+    string_row["maps"]["i:1"]["entries"] = ["1"]
     return {
+        **entries,
+        "string row": string_row,
         "1/0 entry": div0,
         "float entry": floats,
         "bool entry": bool_entry,

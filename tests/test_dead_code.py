@@ -15,9 +15,6 @@ KEPT = {
     "epsilon_k_point": "the paper's epsilon_k on the quiver side",
     "flag_bundle_from_json": "reads the file that verify --dump-bundles writes",
     "flag_dim": "dimension of Ginzburg's flag variety",
-    "jordan_nilpotent": "nilpotent of a Jordan type, for the Slodowy slice",
-    "nilpotent_jordan_type": "Jordan type of a nilpotent, the fibre's dominance condition",
-    "sl2_slice": "the transversal slice of Maffei's isomorphism",
     "stable_closure": "the B-closure of im i that defines stability",
     "suite_maffei_acceptance": "the acceptance harness of criterion 3",
 }

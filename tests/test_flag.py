@@ -4,10 +4,10 @@ from itertools import product
 import pytest
 
 import reference_linalg as ref
-from geocrystal.cartan import Composition, dominates, jordan_type
+from reference_flag import jordan_nilpotent, nilpotent_jordan_type
+from geocrystal.cartan import Composition, dominates, hw_to_partition, jordan_type
 from geocrystal.errors import (
     InvalidRankError,
-    JordanLayoutError,
     MembershipError,
     SizeMismatchError,
 )
@@ -23,10 +23,7 @@ from geocrystal.flag import (
     flag_membership,
     flag_reduce,
     is_hecke_pair,
-    jordan_nilpotent,
-    nilpotent_jordan_type,
     s_k_exponent,
-    sl2_slice,
 )
 from geocrystal.linalg import RatMat, canonicalize, full_space, zero_space
 
@@ -71,6 +68,10 @@ def test_block_shift_jordan_type():
     assert nilpotent_jordan_type(x.x).parts == (2, 1, 1)
     x2, _ = block_shift_x((0, 2))
     assert nilpotent_jordan_type(x2.x).parts == (2, 2)
+    # the Jordan type of x is the conjugate of lambda(w), for every w
+    for w in product(range(3), repeat=3):
+        x, _ = block_shift_x(w)
+        assert nilpotent_jordan_type(x.x) == hw_to_partition(w).conjugate()
 
 
 def test_flag_membership():
@@ -170,31 +171,6 @@ def test_flag_reduce():
     F3 = flag_of(2, 3, [], [(1, 0), (0, 1)])
     F4, c4 = flag_reduce(F3, zero, 1)
     assert c4 == 2 and F4[1].is_full()
-
-
-def test_sl2_slice_triple():
-    x = jordan_nilpotent((2,), 2)
-    triple, member = sl2_slice(x)
-    assert triple.y == RatMat([[0, 0], [1, 0]])
-    assert triple.h == RatMat([[1, 0], [0, -1]])
-    assert member(x.x)
-
-    # brute force over the integer grid: the slice meets N only at x
-    hits = []
-    for a, b, c, d in product(range(-2, 3), repeat=4):
-        u = RatMat([[a, b], [c, d]])
-        if member(u):
-            hits.append(u)
-    assert hits == [x.x]
-
-
-def test_sl2_slice_block_layout_and_errors():
-    x, _ = block_shift_x((1, 1))
-    triple, member = sl2_slice(x)
-    assert member(x.x)
-    assert triple.h * triple.x - triple.x * triple.h == triple.x.scale(2)
-    with pytest.raises(JordanLayoutError):
-        sl2_slice(NilEndo(RatMat([[0, 2], [0, 0]]), 2))
 
 
 def test_jordan_dominance_on_fibers():

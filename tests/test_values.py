@@ -6,18 +6,8 @@ import pytest
 from geocrystal.cartan import Composition, DimVec, HighestWeight, Partition, Weight
 from geocrystal.crystal import CrystalVertex, StembridgeReport, StrataReport
 from geocrystal.errors import IncompatibleError, InvalidRankError
-from geocrystal.flag import Sl2Triple
-from geocrystal.linalg import RatMat
 from geocrystal.quiver import QuiverShape
 from geocrystal.repalg import Constituent, Decomposition, Fact
-
-
-def _sl2():
-    return {
-        "x": RatMat([[0, 1], [0, 0]]),
-        "y": RatMat([[0, 0], [1, 0]]),
-        "h": RatMat([[1, 0], [0, -1]]),
-    }
 
 
 def _constituent():
@@ -39,7 +29,6 @@ CASES = [
     (DimVec, lambda: {"v": (1, 0)}, "DimVec(v=(1, 0))"),
     (Partition, lambda: {"parts": (3, 1)}, "Partition(parts=(3, 1))"),
     (QuiverShape, lambda: {"n": 4}, "QuiverShape(n=4)"),
-    (Sl2Triple, _sl2, "Sl2Triple(x=RatMat(2x2), y=RatMat(2x2), h=RatMat(2x2))"),
     (
         CrystalVertex,
         lambda: {
@@ -121,6 +110,23 @@ def test_fields_cannot_be_assigned(cls, fields, text):
     assert repr(value) == text
 
 
+@pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
+def test_arguments_bind_as_in_a_def(cls, fields, text):
+    names, values = list(fields()), list(fields().values())
+    # each call, and a part of the TypeError message it must raise
+    calls = [
+        (lambda: cls(*values[:-1]), repr(names[-1])),
+        (lambda: cls(**dict(list(fields().items())[1:])), repr(names[0])),
+        (lambda: cls(*values, values[0]), "were given"),
+        (lambda: cls(**fields(), extra=1), "'extra'"),
+        (lambda: cls(values[0], **fields()), f"multiple values for argument {names[0]!r}"),
+    ]
+    for call, part in calls:
+        with pytest.raises(TypeError) as info:
+            call()
+        assert cls.__name__ in str(info.value) and part in str(info.value)
+
+
 def test_unequal_fields_or_classes():
     assert Weight((1, 2)) != Weight((2, 1))
     assert Weight((1,)) != HighestWeight((1,))
@@ -165,11 +171,6 @@ def test_entries_are_stored_as_int_tuples():
         (lambda: Partition((2, 0)), IncompatibleError, "non-positive part in partition (2, 0)"),
         (lambda: Partition((1, 2)), IncompatibleError, "parts not weakly decreasing: (1, 2)"),
         (lambda: QuiverShape(n=1), InvalidRankError, "n must be >= 2, got 1"),
-        (
-            lambda: Sl2Triple(**dict(_sl2(), h=RatMat([[1, 0], [0, 1]]))),
-            IncompatibleError,
-            "sl_2 triple relations fail",
-        ),
     ],
 )
 def test_validation_errors(build, error, message):
