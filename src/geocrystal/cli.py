@@ -229,7 +229,7 @@ def cmd_theta(args) -> int:
         with open(args.input_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, object_pairs_hook=_unique_keys)
         point = QuiverRep.from_json(payload)
-    except (OSError, ValueError, KeyError, GeoCrystalError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError, GeoCrystalError) as exc:
         print(f"error: cannot load quiver point: {exc}", file=sys.stderr)
         return USAGE_ERROR
     reason = lambda_failure(point)

@@ -9,8 +9,8 @@ rational number is built inside a kernel.  The elimination rescales a row only
 when it updates it, and brings the rows it left behind up to the last pivot
 at the end; every division stays exact, and the result is the one eager
 Bareiss returns (see ``_echelon``).  ``fractions.Fraction`` appears only
-at the public accessors (``entries``, ``column``, indexing, ``apply``,
-``kernel_basis``) and in the ``"p/q"`` strings of ``to_json``.
+at the public accessors (``entries`` and ``kernel_basis``) and in the
+``"p/q"`` strings of ``to_json``.
 
 Subspaces are stored in reduced column-echelon form, so two equal subspaces
 have identical stored bases and serialize to identical bytes.
@@ -187,7 +187,7 @@ class RatMat:
     entry (i, j) is num[i][j] / den, with den > 0 and gcd(den, all of num) = 1.
     """
 
-    __slots__ = ("rows", "cols", "num", "den", "_entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         ent = [tuple(row) for row in entries]
@@ -209,7 +209,6 @@ class RatMat:
         _SET_DEN(self, den)
         _SET_ROWS(self, len(num))
         _SET_COLS(self, cols)
-        _SET_ENTRIES(self, None)
 
     @classmethod
     def _exact(cls, num: IntRows, cols: int, den: int = 1) -> "RatMat":
@@ -271,11 +270,8 @@ class RatMat:
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as rows of Fractions."""
-        if self._entries is None:
-            den = self.den
-            ent = tuple(tuple(Fraction(a, den) for a in row) for row in self.num)
-            _SET_ENTRIES(self, ent)
-        return self._entries
+        den = self.den
+        return tuple(tuple(Fraction(a, den) for a in row) for row in self.num)
 
     def __eq__(self, other) -> bool:
         return (
@@ -290,31 +286,6 @@ class RatMat:
 
     def __repr__(self) -> str:
         return f"RatMat({self.rows}x{self.cols})"
-
-    def __getitem__(self, idx: tuple[int, int]) -> Fraction:
-        i, j = idx
-        return Fraction(self.num[i][j], self.den)
-
-    def __add__(self, other: "RatMat") -> "RatMat":
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"{self.shape} + {other.shape}")
-        den = lcm(self.den, other.den)
-        return RatMat._reduce(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._scaled_to(den), other._scaled_to(den))
-            ],
-            self.cols,
-            den,
-        )
-
-    def __sub__(self, other: "RatMat") -> "RatMat":
-        return self + (-other)
-
-    def __neg__(self) -> "RatMat":
-        return RatMat._exact(
-            tuple(tuple(-a for a in row) for row in self.num), self.cols, self.den
-        )
 
     def __mul__(self, other):
         """The matrix product."""
@@ -333,20 +304,6 @@ class RatMat:
         return RatMat._reduce(
             [[self.num[i][j] for j in cols] for i in rows], len(cols), self.den
         )
-
-    def apply(self, vec: Sequence) -> Vector:
-        if len(vec) != self.cols:
-            raise DimensionMismatchError("vector length != cols")
-        (u,), e = _int_rows([vec])
-        den = self.den * e
-        return tuple(Fraction(sum(map(mul, row, u)), den) for row in self.num)
-
-    def column(self, j: int) -> Vector:
-        den = self.den
-        return tuple(Fraction(row[j], den) for row in self.num)
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
@@ -408,7 +365,6 @@ _SET_ROWS = RatMat.rows.__set__
 _SET_COLS = RatMat.cols.__set__
 _SET_NUM = RatMat.num.__set__
 _SET_DEN = RatMat.den.__set__
-_SET_ENTRIES = RatMat._entries.__set__
 
 
 def rref(m: RatMat) -> tuple[RatMat, tuple[int, ...]]:

@@ -10,6 +10,8 @@ v = 0 point.
 from __future__ import annotations
 
 import random
+from math import lcm
+from operator import mul
 
 from .cartan import (
     a_of_vw,
@@ -31,6 +33,7 @@ from .flag import (
 )
 from .linalg import (
     RatMat,
+    _transpose,
     canonicalize,
     embed,
     full_space,
@@ -118,28 +121,44 @@ def phi_maps(r: QuiverRep, ctx: ThetaContext) -> list[RatMat]:
     [B_p i_s for s >= m], p descending s -> m, is [i_m | B_{m+1,m} D_{m+1}],
     and its ascent to k is B_{k-1,k} times its ascent to k - 1, so each point
     costs O(n^2) products.  The ascents of D_1, ..., D_k, side by side, hold
-    the copies by (m, s); ctx.phi_columns puts them in W^{<=k} order.
+    the copies by (m, s); ctx.phi_columns puts them in W^{<=k} order.  Every
+    block is integer columns over a denominator, and phi_k is reduced once.
     """
     if r.w != ctx.w:
         raise DimensionMismatchError("context built for a different w")
     if any(not m.is_zero() for m in r.j.values()):
         raise LambdaPreconditionError("phi_k requires j = 0")
-    n = ctx.n
-    descents = {n - 1: r.i[n - 1]}
+    n, i = ctx.n, r.i
+    columns = {m: (_transpose(i[m].num, r.w[m - 1]), i[m].den) for m in range(1, n)}
+    descents = {n - 1: columns[n - 1]}
     for m in range(n - 2, 0, -1):
-        descents[m] = RatMat.block([[r.i[m], r.B[(m + 1, m)] * descents[m + 1]]])
-    ascents: list[list[RatMat]] = [[] for _ in range(n)]  # ascents[k][m - 1]
+        descents[m] = _side_by_side([columns[m], _times(r.B[(m + 1, m)], *descents[m + 1])])
+    ascents: list[list[tuple]] = [[] for _ in range(n)]  # ascents[k][m - 1]
     for m in range(1, n):
         a = descents[m]
         ascents[m].append(a)
         for k in range(m + 1, n):
-            a = r.B[(k - 1, k)] * a
+            a = _times(r.B[(k - 1, k)], *a)
             ascents[k].append(a)
     maps = []
     for k in range(1, n):
-        grouped = RatMat.block([ascents[k]])
-        maps.append(grouped.select(range(grouped.rows), ctx.phi_columns[k]))
+        grouped, den = _side_by_side(ascents[k])
+        order = ctx.phi_columns[k]
+        rows = _transpose([grouped[c] for c in order], r.v[k - 1])
+        maps.append(RatMat._reduce(rows, len(order), den))
     return maps
+
+
+def _times(m: RatMat, cols: list, den: int) -> tuple[list, int]:
+    """m times the map of the given integer columns over den."""
+    return [[sum(map(mul, row, col)) for row in m.num] for col in cols], m.den * den
+
+
+def _side_by_side(blocks: list[tuple[list, int]]) -> tuple[list, int]:
+    """The blocks' columns side by side, over the lcm of their denominators."""
+    den = lcm(*(d for _, d in blocks))
+    cols = [col if d == den else [den // d * a for a in col] for part, d in blocks for col in part]
+    return cols, den
 
 
 def theta_with_phi_maps(r: QuiverRep, ctx: ThetaContext) -> tuple[Flag, list[RatMat]]:
@@ -210,9 +229,11 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
 
     Each piece of exact work is done once per point: the phi maps are those
     theta's flag F was built from, epsilon_k of the point is the dimension of
-    the joint kernel that the flag-subspace check uses, epsilon_k of F is the
-    multiplicity flag_reduce returns, and theta of a point that
-    kashiwara_reduce leaves unchanged (c = 0) is F itself."""
+    the joint kernel that the flag-subspace check and kashiwara_reduce use,
+    epsilon_k of F is the multiplicity flag_reduce returns, and theta of a
+    point that kashiwara_reduce leaves unchanged (c = 0) is F itself.  At
+    epsilon_k = 1 the Hecke line is that joint kernel, so the Hecke quotient
+    is kashiwara_reduce's point, whose theta the intertwining check built."""
     failures: list[str] = []
     failed: set[str] = set()
     n = ctx.n
@@ -260,13 +281,16 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
             fail("epsilon-agreement", f"epsilon point/flag disagree at k={k}")
         if c_pt != c_fl:
             fail("reduction-intertwining", f"reduction multiplicities differ at k={k}")
-        if (F if reduced is r else theta(reduced, ctx)) != F_red:
+        F_reduced = F if reduced is r else theta(reduced, ctx)
+        if F_reduced != F_red:
             fail("reduction-intertwining", f"reduction intertwining fails at k={k}")
         if eps_pt >= 1:
-            vk = r.v[k - 1]
-            line = canonicalize(kernel_k.basis.select(range(vk), (0,)), vk)
-            quotient = quotient_by_invariant_subspace(r, k, line)
-            F_q = theta(quotient, ctx)
+            if eps_pt == 1:
+                F_q = F_reduced
+            else:
+                vk = r.v[k - 1]
+                line = canonicalize(kernel_k.basis.select(range(vk), (0,)), vk)
+                F_q = theta(quotient_by_invariant_subspace(r, k, line), ctx)
             hecke_cases += 1
             if not is_hecke_pair(F_q, F, k):
                 fail("hecke-compatibility", f"Hecke pair fails at k={k}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 import re
 from functools import lru_cache
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -104,15 +105,21 @@ class QuiverShape(Value):
     def edges_out_of(self, k: int) -> Edges:
         return _edge_lists(self.n)[2].get(k, ())
 
+    def moment_terms(self, k: int) -> tuple[tuple[Edge, Edge, int], ...]:
+        """(h, bar h, sign h) per edge h into k: mu_k = sum sign(h) B_h B_{bar h} + i_k j_k."""
+        return _edge_lists(self.n)[3].get(k, ())
+
 
 @lru_cache(maxsize=None)
-def _edge_lists(n: int) -> tuple[Edges, dict[int, Edges], dict[int, Edges]]:
-    """The edges of the A_{n-1} quiver, and those into and out of each
-    vertex in the same order; built once per n and shared, hence tuples."""
+def _edge_lists(n: int) -> tuple[Edges, dict, dict, dict]:
+    """The edges of the A_{n-1} quiver, those into and out of each vertex in
+    the same order, and each vertex's moment_terms; built once, hence tuples."""
     edges = tuple((k, k - 1) for k in range(2, n)) + tuple((k, k + 1) for k in range(1, n - 1))
     into = {k: tuple(h for h in edges if h[1] == k) for k in range(1, n)}
     out_of = {k: tuple(h for h in edges if h[0] == k) for k in range(1, n)}
-    return edges, into, out_of
+    bar, sign = QuiverShape.bar, QuiverShape.sign
+    terms = {k: tuple((h, bar(h), sign(h)) for h in hs) for k, hs in into.items()}
+    return edges, into, out_of, terms
 
 
 def _take_maps(name: str, given, keys, shape_of) -> dict:
@@ -138,11 +145,11 @@ class QuiverRep:
 
     All edge maps are materialized (zero by default): B[(k,l)] maps V_k to
     V_l, i[k] maps W_k to V_k, j[k] maps V_k to W_k.  The point is immutable,
-    so :func:`in_Lambda` and :func:`is_stable` record their verdicts on it and
-    prove each predicate at most once per point.
+    so :func:`in_Lambda`, :func:`is_stable` and :func:`joint_outgoing_kernel`
+    record their results on it and compute each at most once per point.
     """
 
-    __slots__ = ("shape", "v", "w", "B", "i", "j", "_in_lambda", "_stable")
+    __slots__ = ("shape", "v", "w", "B", "i", "j", "_in_lambda", "_stable", "_kernels")
 
     def __init__(self, n: int, v, w, B=None, i=None, j=None):
         shape = QuiverShape(n)
@@ -161,6 +168,7 @@ class QuiverRep:
         object.__setattr__(self, "j", full_j)
         object.__setattr__(self, "_in_lambda", None)
         object.__setattr__(self, "_stable", None)
+        object.__setattr__(self, "_kernels", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("QuiverRep is immutable")
@@ -216,19 +224,24 @@ class QuiverRep:
             raise ValueError(f"bad quiver point: {exc}") from exc
 
 
-def moment_map(r: QuiverRep) -> list[RatMat]:
-    """mu_k = sum over edges into k of sign(h) B_h B_hbar, plus i_k j_k."""
-    out = []
+def moment_map_vanishes(r: QuiverRep) -> bool:
+    """True iff every mu_k, the sum of sign(h) B_h B_hbar over the edges h
+    into k plus i_k j_k, is zero; decided on the maps' integer rows, each
+    nonzero term's product scaled to the lcm of the terms' denominators."""
     for k in r.shape.vertices:
-        vk = r.v[k - 1]
-        acc = r.i[k] * r.j[k]
-        for h in r.shape.edges_into(k):
-            term = r.B[h] * r.B[r.shape.bar(h)]
-            acc = acc + (term if r.shape.sign(h) == 1 else -term)
-        if acc.shape != (vk, vk):
-            raise DimensionMismatchError("moment map block has wrong shape")
-        out.append(acc)
-    return out
+        terms = [(sign, r.B[h], r.B[hbar]) for h, hbar, sign in r.shape.moment_terms(k)]
+        terms.append((1, r.i[k], r.j[k]))
+        terms = [(s, a, b) for s, a, b in terms if not (a.is_zero() or b.is_zero())]
+        den = lcm(*(a.den * b.den for _, a, b in terms))
+        total = [0] * r.v[k - 1] ** 2
+        for sign, a, b in terms:
+            c = sign * (den // (a.den * b.den))
+            cols = list(zip(*b.num))
+            products = (sum(map(mul, row, col)) for row in a.num for col in cols)
+            total = [t + c * p for t, p in zip(total, products)]
+        if any(total):
+            return False
+    return True
 
 
 def _closure_rows(
@@ -312,7 +325,7 @@ def lambda_failure(r: QuiverRep) -> str | None:
     quantized enveloping algebras", 1991)."""
     if any(not m.is_zero() for m in r.j.values()):
         reason = "j nonzero"
-    elif any(not m.is_zero() for m in moment_map(r)):
+    elif not moment_map_vanishes(r):
         reason = "moment map nonzero"
     else:
         reason = None
@@ -328,10 +341,14 @@ def epsilon_k_point(r: QuiverRep, k: int) -> int:
 
 
 def joint_outgoing_kernel(r: QuiverRep, k: int) -> Subspace:
-    outgoing = r.shape.edges_out_of(k)
-    if not outgoing:
-        return full_space(r.v[k - 1])
-    return kernel(RatMat.block([[r.B[h]] for h in outgoing]))
+    """The joint kernel of all B_h with out(h) = k, recorded on r."""
+    if k not in r._kernels:
+        outgoing = r.shape.edges_out_of(k)
+        if outgoing:
+            r._kernels[k] = kernel(RatMat.block([[r.B[h]] for h in outgoing]))
+        else:
+            r._kernels[k] = full_space(r.v[k - 1])
+    return r._kernels[k]
 
 
 def dim_and_sign(v, w, k: int) -> tuple[int, int]:
@@ -472,8 +489,7 @@ def _moment_map_rows(
     rows: list[list[int]] = []
     for k in vertices:
         terms = []
-        for h in shape.edges_into(k):
-            hbar, sign = shape.bar(h), shape.sign(h)
+        for h, hbar, sign in shape.moment_terms(k):
             if h in offsets:
                 terms.append((offsets[h], known[hbar], False, sign))
                 size = (unknown[h][0], known[hbar].cols)

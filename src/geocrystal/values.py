@@ -3,9 +3,10 @@
 A subclass of :class:`Value` names its fields in ``__slots__``, in order.  It
 is constructed like a function with those parameters, refuses assignment,
 compares equal to a value of the same class with equal fields, hashes as the
-tuple of its fields and prints as ``Cls(f1=..., f2=...)``.  A subclass that
-validates or normalises its arguments does so in its own ``__init__`` and
-then calls ``super().__init__``.
+tuple of its fields, prints as ``Cls(f1=..., f2=...)``, and copies and
+pickles by calling the class on its fields.  A subclass that validates or
+normalises its arguments does so in its own ``__init__`` and then calls
+``super().__init__``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ class Value:
 
     def __hash__(self):
         return hash(self._field_values())
+
+    def __reduce__(self):  # the default restore would assign the fields
+        return (self.__class__, self._field_values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -64,7 +64,8 @@ def test_theta_predicate_failure(p0_file, tmp_path):
 
 
 def _malformed_points(payload):
-    """Parseable JSON that is not a quiver point, built from a valid one."""
+    """JSON that is not a quiver point, built from a valid one; a str is the
+    file's text as it stands, anything else is written with json.dumps."""
     div0 = json.loads(json.dumps(payload))
     div0["maps"]["i:1"]["entries"] = [["1/0"]]
     floats = json.loads(json.dumps(payload))
@@ -102,6 +103,9 @@ def _malformed_points(payload):
         "spaced map key": spaced_key,
         "padded map key": padded_key,
         "bool cols": json.loads(json.dumps(payload).replace('"cols": 1', '"cols": true', 1)),
+        # deeper than the decoder's recursion limit
+        "nested arrays": "[" * 100_000,
+        "nested objects": '{"maps": ' * 100_000,
     }
 
 
@@ -111,7 +115,7 @@ def test_theta_malformed_input(p0_file, tmp_path):
     result = run_cli("theta", "--input", str(bad))
     assert result.returncode == 2
     for name, payload in _malformed_points(json.loads(p0_file.read_text())).items():
-        bad.write_text(json.dumps(payload))
+        bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert main(["theta", "--input", str(bad)]) == 2, name
     # json keeps the last of two equal keys; the point reader refuses them
     text = p0_file.read_text()

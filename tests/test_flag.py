@@ -38,9 +38,9 @@ def flag_of(d, n, *spans):
 
 def test_jordan_nilpotent_examples():
     x = jordan_nilpotent((2, 1), 3)
-    assert x.x.apply((0, 1, 0)) == (Fraction(1), Fraction(0), Fraction(0))
-    assert x.x.apply((1, 0, 0)) == (Fraction(0),) * 3
-    assert x.x.apply((0, 0, 1)) == (Fraction(0),) * 3
+    assert ref.RatMat(x.x.entries).apply((0, 1, 0)) == (Fraction(1), Fraction(0), Fraction(0))
+    assert ref.RatMat(x.x.entries).apply((1, 0, 0)) == (Fraction(0),) * 3
+    assert ref.RatMat(x.x.entries).apply((0, 0, 1)) == (Fraction(0),) * 3
     assert jordan_nilpotent((1, 1, 1), 3).x.is_zero()
     reg = ref.RatMat(jordan_nilpotent((3,), 3).x.entries)
     assert not reg.power(2).is_zero() and reg.power(3).is_zero()
@@ -51,16 +51,16 @@ def test_jordan_nilpotent_examples():
 def test_block_shift_x_layout():
     x, labels = block_shift_x((1, 1))
     assert labels == ((1, 1), (2, 1), (2, 2))
-    assert x.x.apply((0, 0, 1)) == (Fraction(0), Fraction(1), Fraction(0))
-    assert x.x.apply((1, 0, 0)) == (Fraction(0),) * 3
-    assert x.x.apply((0, 1, 0)) == (Fraction(0),) * 3
+    assert ref.RatMat(x.x.entries).apply((0, 0, 1)) == (Fraction(0), Fraction(1), Fraction(0))
+    assert ref.RatMat(x.x.entries).apply((1, 0, 0)) == (Fraction(0),) * 3
+    assert ref.RatMat(x.x.entries).apply((0, 1, 0)) == (Fraction(0),) * 3
 
     x1, labels1 = block_shift_x((3,))
     assert x1.x.is_zero() and labels1 == ((1, 1),) * 3
 
     x2, _ = block_shift_x((0, 1))
     assert x2.d == 2
-    assert x2.x.apply((0, 1)) == (Fraction(1), Fraction(0))
+    assert ref.RatMat(x2.x.entries).apply((0, 1)) == (Fraction(1), Fraction(0))
 
 
 def test_block_shift_jordan_type():

@@ -1,6 +1,9 @@
 """The immutable value types: construction, validation, equality, hashing,
 repr and immutability."""
 
+import copy
+import pickle
+
 import pytest
 
 from geocrystal.cartan import Composition, DimVec, HighestWeight, Partition, Weight
@@ -177,3 +180,17 @@ def test_validation_errors(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
+def test_copy_deepcopy_and_pickle_round_trip(cls, fields, text):
+    value = cls(**fields())
+    for twin in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+        pickle.loads(pickle.dumps(value, protocol=0)),
+    ):
+        assert type(twin) is cls and twin == value and repr(twin) == text
+        with pytest.raises(AttributeError):
+            setattr(twin, next(iter(fields())), None)
