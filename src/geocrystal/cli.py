@@ -254,7 +254,7 @@ def cmd_theta(args) -> int:
         "a": a_of_vw(point.v, point.w).to_json(),
         "flag": flag.to_json(),
         "composition": composition_of(flag).to_json(),
-        "flag_membership": flag_membership(ctx.x(), flag),
+        "flag_membership": flag_membership(ctx.x, flag),
         "invariants": invariants,
         "hecke_cases": result["hecke_cases"],
         "failures": result["failures"],

@@ -28,7 +28,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidRankError,
 )
-from .values import Value
+from .values import Frozen, Value
 
 Word = tuple[int, ...]
 
@@ -72,7 +72,7 @@ class CrystalVertex(Value):
     __slots__ = ("word", "wt", "a", "eps", "phi")
 
 
-class CrystalGraph:
+class CrystalGraph(Frozen):
     """Vertices with statistics, the partial e/f edge maps and vertex counts per content."""
 
     __slots__ = ("n", "w", "vertices", "f_edges", "e_edges", "highest", "multiplicities")
@@ -97,9 +97,6 @@ class CrystalGraph:
         object.__setattr__(self, "highest", highest)
         object.__setattr__(self, "multiplicities", Counter(vx.a.parts for vx in vertices.values()))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CrystalGraph is immutable")
-
     def __len__(self):
         return len(self.vertices)
 
@@ -110,10 +107,10 @@ class CrystalGraph:
         return sorted(self.vertices)
 
     def f(self, word: Word, k: int) -> Word | None:
-        return self.f_edges.get((tuple(word), k))
+        return self.f_edges.get((word, k))
 
     def e(self, word: Word, k: int) -> Word | None:
-        return self.e_edges.get((tuple(word), k))
+        return self.e_edges.get((word, k))
 
 
 def _vertex_of(word: Word, n: int) -> tuple[CrystalVertex, list[Word | None]]:

@@ -29,12 +29,13 @@ from .linalg import (
     power_ranks,
     preimage,
 )
+from .values import Frozen, Value
 
 
-class NilEndo:
+class NilEndo(Value):
     """Endomorphism x of Q^d with x^n = 0, certified at construction."""
 
-    __slots__ = ("x", "n", "nilpotency_degree")
+    __slots__ = ("x", "n")
 
     def __init__(self, x: RatMat, n: int):
         if x.rows != x.cols:
@@ -42,31 +43,16 @@ class NilEndo:
         if n < 2:
             raise InvalidRankError(f"n must be >= 2, got {n}")
         ranks = power_ranks(x)
-        degree = len(ranks) - 1
-        if ranks[-1] or degree > n:
+        if ranks[-1] or len(ranks) - 1 > n:
             raise IncompatibleError(f"x^{n} != 0: not nilpotent of degree <= n")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nilpotency_degree", degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NilEndo is immutable")
+        super().__init__(x, n)
 
     @property
     def d(self) -> int:
         return self.x.rows
 
-    def __eq__(self, other):
-        return isinstance(other, NilEndo) and self.n == other.n and self.x == other.x
 
-    def __hash__(self):
-        return hash((self.n, self.x))
-
-    def __repr__(self):
-        return f"NilEndo(d={self.d}, n={self.n})"
-
-
-class Flag:
+class Flag(Frozen):
     """Chain 0 = F_0 ⊆ F_1 ⊆ ... ⊆ F_n = Q^d of canonical subspaces.
 
     The flag is immutable, so :func:`flag_membership` records its last
@@ -97,9 +83,6 @@ class Flag:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "_fiber", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Flag is immutable")
 
     def __getitem__(self, i: int) -> Subspace:
         return self.spaces[i]

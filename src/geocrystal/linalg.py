@@ -25,6 +25,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
+from .values import Frozen
 
 # A JSON matrix entry given as a string: "p/q" in plain decimal, q > 0.
 _ENTRY = re.compile("-?(0|[1-9][0-9]*)/[1-9][0-9]*")
@@ -180,7 +181,7 @@ def _kernel_ints(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[i
     return basis, d
 
 
-class RatMat:
+class RatMat(Frozen):
     """Dense immutable matrix over Q.
 
     ``num`` holds the integer rows and ``den`` the common denominator; the
@@ -204,7 +205,7 @@ class RatMat:
         self._set(tuple(map(tuple, num)), den, cols)
 
     def _set(self, num: IntRows, den: int, cols: int) -> None:
-        # the slot descriptors write past __setattr__, which refuses
+        # the slot descriptors write past Frozen.__setattr__
         _SET_NUM(self, num)
         _SET_DEN(self, den)
         _SET_ROWS(self, len(num))
@@ -230,9 +231,6 @@ class RatMat:
                 num = tuple(tuple(a // g for a in row) for row in num)
                 den //= g
         return cls._exact(num, cols, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMat is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMat":
@@ -401,7 +399,7 @@ def power_ranks(m: RatMat) -> list[int]:
     return ranks
 
 
-class Subspace:
+class Subspace(Frozen):
     """Subspace of Q^ambient with canonical reduced column-echelon basis.
 
     Two equal subspaces are represented by identical objects; equality is
@@ -416,9 +414,6 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,6 @@ from .cartan import (
 from .errors import DimensionMismatchError, IncompatibleError, LambdaPreconditionError
 from .flag import (
     Flag,
-    NilEndo,
     block_shift_x,
     composition_of,
     flag_membership,
@@ -53,6 +52,7 @@ from .quiver import (
     quotient_by_invariant_subspace,
     random_gauge,
 )
+from .values import Frozen
 
 MAX_RECORDED_FAILURES = 20
 
@@ -62,7 +62,7 @@ def _record(failures: list[str], msg: str) -> None:
         failures.append(msg)
 
 
-class ThetaContext:
+class ThetaContext(Frozen):
     """Fixed identification of the sum of copies W_k^(m) with Q^d, and the
     pieces of it that theta and its checks read, built once per w.
 
@@ -70,6 +70,7 @@ class ThetaContext:
     block (k, m) has size w_k.  W^{<=k} collects the copies with m <= k, so
     it is ker x^k, and its dimension is sum_l min(l, k) w_l.
 
+    - x: the canonical block-shift nilpotent of w on this layout.
     - wleq[k], 0 <= k <= n-1: the global coordinates of W^{<=k}, ascending.
     - x_down[k], 2 <= k <= n-1: x as a map W^{<=k} -> W^{<=k-1} in those
       coordinates (the flag-side image of B_{k,k-1}).
@@ -80,7 +81,7 @@ class ThetaContext:
       W_s^(m) by (m, s): the coordinate's rank in that order, whatever k is.
     """
 
-    __slots__ = ("n", "w", "d", "wleq", "x_down", "inclusion", "phi_columns", "_x")
+    __slots__ = ("n", "w", "d", "wleq", "x_down", "inclusion", "phi_columns", "x")
 
     def __init__(self, w):
         w = as_highest_weight(w)
@@ -99,17 +100,10 @@ class ThetaContext:
                 k: tuple(wleq[k + 1].index(c) for c in wleq[k]) for k in range(1, n - 1)
             },
             "phi_columns": {k: tuple(rank[c] for c in wleq[k]) for k in range(1, n)},
-            "_x": x,
+            "x": x,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaContext is immutable")
-
-    def x(self) -> NilEndo:
-        """The canonical block-shift nilpotent of w on this layout."""
-        return self._x
 
 
 def phi_maps(r: QuiverRep, ctx: ThetaContext) -> list[RatMat]:
@@ -245,7 +239,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
             failed.add(invariant)
         _record(failures, f"{tag}: {msg}")
 
-    x = ctx.x()
+    x = ctx.x
     F, phi_list = theta_with_phi_maps(r, ctx)
     a = a_of_vw(r.v, r.w)
     hecke_cases = 0

@@ -34,13 +34,12 @@ from .linalg import (
     _echelon_rows,
     _kernel_ints,
     _product_map_rows,
-    canonicalize,
     full_space,
     kernel,
     rank,
     rref,
 )
-from .values import Value
+from .values import Frozen, Value
 
 Edge = tuple[int, int]  # (out(h), inc(h)) with |out - inc| = 1
 Edges = tuple[Edge, ...]
@@ -140,7 +139,7 @@ def _take_maps(name: str, given, keys, shape_of) -> dict:
     return out
 
 
-class QuiverRep:
+class QuiverRep(Frozen):
     """A point (B, i, j) on graded spaces (V, W) for the A_{n-1} quiver.
 
     All edge maps are materialized (zero by default): B[(k,l)] maps V_k to
@@ -169,9 +168,6 @@ class QuiverRep:
         object.__setattr__(self, "_in_lambda", None)
         object.__setattr__(self, "_stable", None)
         object.__setattr__(self, "_kernels", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuiverRep is immutable")
 
     @property
     def n(self) -> int:
@@ -287,14 +283,6 @@ def _spans_full(v: DimVec, spans: dict[int, list[list[int]]]) -> bool:
 def _map_rows(r: QuiverRep) -> tuple[dict[int, Rows], dict[Edge, Rows]]:
     """The integer rows of r's i and B maps, the input of _closure_rows."""
     return {k: m.num for k, m in r.i.items()}, {h: m.num for h, m in r.B.items()}
-
-
-def stable_closure(r: QuiverRep) -> dict[int, Subspace]:
-    """Smallest B-stable graded subspace containing the image of i, each space
-    canonical: the spans of :func:`_closure_rows`.  r is stable iff every
-    space is full, which :func:`is_stable` reads from the ranks alone."""
-    spans = _closure_rows(r.v, *_map_rows(r))
-    return {k: canonicalize(rows, r.v[k - 1]) for k, rows in spans.items()}
 
 
 def is_stable(r: QuiverRep) -> bool:

@@ -23,7 +23,7 @@ from .cartan import (
     pair_with_coroot,
     weight_of_vw,
 )
-from .errors import SampleExhaustedError
+from .errors import NotInImageError, SampleExhaustedError
 from .flag import s_k_exponent
 from .maffei import (
     MAX_RECORDED_FAILURES,
@@ -109,7 +109,7 @@ def suite_signs(
         w = tuple(rng.randint(0, max_entry) for _ in range(n - 1))
         try:
             a = a_of_vw(v, w)
-        except Exception:
+        except NotInImageError:
             continue
         spots_done += 1
         mu = weight_of_vw(v, w)
@@ -147,7 +147,7 @@ def valid_dimvecs(w) -> list[tuple[int, ...]]:
     for v in product(range(d + 1), repeat=n - 1):
         try:
             a = a_of_vw(v, w)
-        except Exception:
+        except NotInImageError:
             continue
         if repalg.kostka(lam, a.parts) > 0:
             out.append(v)

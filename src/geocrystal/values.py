@@ -1,12 +1,19 @@
-"""The one convention of the package's immutable records.
+"""The one convention of the package's immutable types.
 
-A subclass of :class:`Value` names its fields in ``__slots__``, in order.  It
-is constructed like a function with those parameters, refuses assignment,
-compares equal to a value of the same class with equal fields, hashes as the
-tuple of its fields, prints as ``Cls(f1=..., f2=...)``, and copies and
-pickles by calling the class on its fields.  A subclass that validates or
-normalises its arguments does so in its own ``__init__`` and then calls
-``super().__init__``.
+A subclass of :class:`Frozen` refuses assignment: it writes its ``__slots__``
+with ``object.__setattr__`` (or a slot descriptor's ``__set__``) when it is
+built, and a module that records a verdict on an object, a fact about the
+same immutable maps, writes it the same way.  ``copy``, ``deepcopy`` and
+``pickle`` rebuild an object from the state of its slots, every slot along
+the class's MRO that is set, verdicts included, without calling the class:
+the state was validated when the original was built.
+
+A subclass of :class:`Value`, a ``Frozen`` record, names its fields in
+``__slots__``, in order.  It is constructed like a function with those
+parameters, compares equal to a value of the same class with equal fields,
+hashes as the tuple of its fields and prints as ``Cls(f1=..., f2=...)``.  A
+subclass that validates or normalises its arguments does so in its own
+``__init__`` and then calls ``super().__init__``.
 """
 
 from __future__ import annotations
@@ -32,7 +39,30 @@ def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
     return (*args, *(kwargs[field] for field in rest))
 
 
-class Value:
+def _rebuild(cls: type, state: tuple) -> Frozen:
+    obj = object.__new__(cls)
+    for name, value in state:
+        _SET(obj, name, value)
+    return obj
+
+
+class Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __reduce__(self):  # the default restore would assign the slots
+        state = tuple(
+            (name, getattr(self, name))
+            for cls in self.__class__.__mro__
+            for name in cls.__dict__.get("__slots__", ())
+            if hasattr(self, name)
+        )
+        return (_rebuild, (self.__class__, state))
+
+
+class Value(Frozen):
     __slots__ = ()
 
     def __init__(self, *args, **kwargs):
@@ -41,9 +71,6 @@ class Value:
             args = _bind(self.__class__, args, kwargs)
         for name, value in zip(fields, args):
             _SET(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{self.__class__.__name__} is immutable")
 
     def _field_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -55,9 +82,6 @@ class Value:
 
     def __hash__(self):
         return hash(self._field_values())
-
-    def __reduce__(self):  # the default restore would assign the fields
-        return (self.__class__, self._field_values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

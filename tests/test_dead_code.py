@@ -15,7 +15,6 @@ KEPT = {
     "epsilon_k_point": "the paper's epsilon_k on the quiver side",
     "flag_bundle_from_json": "reads the file that verify --dump-bundles writes",
     "flag_dim": "dimension of Ginzburg's flag variety",
-    "stable_closure": "the B-closure of im i that defines stability",
     "suite_maffei_acceptance": "the acceptance harness of criterion 3",
     "RatMat.entries": "the Fraction view of a matrix, which tests read entries and columns from",
 }
@@ -218,6 +217,22 @@ def f(a: A, anything):
     assert _referenced_methods(trees, classes) == {"A.run", "C.run", "A.go", "B.stop"}
     trees = [(Path("m.py"), ast.parse(code + "        b.run()\n"))]
     assert _referenced_methods(trees, classes) == {"A.run", "B.run", "C.run", "A.go", "B.stop"}
+
+
+def test_immutability_has_one_owner():
+    # values.Frozen alone refuses assignment and rebuilds copies; a class
+    # elsewhere in the package that does either inherits it
+    owners = {
+        f"{path.name}:{cls.name}.{node.name}"
+        for path, tree in _modules("src/geocrystal/*.py")
+        if path.name != "values.py"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("__setattr__", "__reduce__")
+    }
+    assert owners == set()
 
 
 def test_no_unreferenced_definitions():

@@ -108,7 +108,7 @@ def test_theta_context_pieces(w):
     # W^{<=k} is ker x^k, x maps it into W^{<=k-1} as x_down, and the
     # inclusion positions pick W^{<=k} out of W^{<=k+1}
     ctx = ThetaContext(w)
-    x, n, d = ctx.x().x, ctx.n, ctx.d
+    x, n, d = ctx.x.x, ctx.n, ctx.d
     power = RatMat.identity(d)
     below = None
     for k in range(n):
@@ -179,7 +179,7 @@ def test_theta_on_worked_example(p0):
     assert F[1] == canonicalize([(1, -1, 0)], 3)
     assert F[2] == canonicalize([(1, 0, 0), (0, 1, 0)], 3)
     assert composition_of(F).parts == (1, 1, 1)
-    assert flag_membership(ctx.x(), F)
+    assert flag_membership(ctx.x, F)
 
     zero = QuiverRep(3, (0, 0), (1, 1))
     F0 = theta(zero, ctx)

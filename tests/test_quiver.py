@@ -40,7 +40,7 @@ from geocrystal.quiver import (
     quotient_by_invariant_subspace,
     random_gauge,
     sample_lambda_point,
-    stable_closure,
+    _closure_rows,
     _map_rows,
     _maps_over,
     _moment_map_rows,
@@ -386,8 +386,8 @@ def test_stable_closure_monotone_in_i():
             2: RatMat([[rng.randint(-2, 2)] for _ in range(2)]),
         }
         i_small = {1: RatMat.zeros(2, 1), 2: i_full[2]}
-        big = stable_closure(QuiverRep(3, (2, 2), (1, 1), B=B, i=i_full))
-        small = stable_closure(QuiverRep(3, (2, 2), (1, 1), B=B, i=i_small))
+        big = _closure(QuiverRep(3, (2, 2), (1, 1), B=B, i=i_full))
+        small = _closure(QuiverRep(3, (2, 2), (1, 1), B=B, i=i_small))
         from geocrystal.linalg import contains
 
         for k in (1, 2):
@@ -420,6 +420,13 @@ def test_quiver_rep_json_round_trip(p0):
     assert "B:2->1" in payload["maps"] and "i:1" in payload["maps"]
     back = QuiverRep.from_json(payload)
     assert back.to_json() == payload
+
+
+def _closure(r):
+    """The B-closure of im i that defines stability, each space canonical:
+    the spans of _closure_rows."""
+    spans = _closure_rows(r.v, *_map_rows(r))
+    return {k: canonicalize(rows, r.v[k - 1]) for k, rows in spans.items()}
 
 
 def _sweep_closure(r):
@@ -469,7 +476,7 @@ def test_stable_closure_matches_sweep():
     ]
     verdicts = []
     for r in points:
-        closure = stable_closure(r)
+        closure = _closure(r)
         sweep = _sweep_closure(r)
         assert closure == sweep
         verdict = all(space.is_full() for space in sweep.values())

@@ -75,6 +75,19 @@ def test_signs_failures_print_plain_ints(monkeypatch):
     assert not any("np." in msg for msg in report["failures"])
 
 
+def test_only_not_in_image_is_skipped(monkeypatch):
+    # a v outside the image of a(-, w) is skipped; any other error from
+    # a_of_vw is a fault and must not turn into a pass over zero checks
+    def broken(v, w):
+        raise TypeError("broken a_of_vw")
+
+    monkeypatch.setattr(suites, "a_of_vw", broken)
+    with pytest.raises(TypeError, match="broken a_of_vw"):
+        suites.suite_signs(n_max=3, max_entry=2, seed=0, spot_checks=50)
+    with pytest.raises(TypeError, match="broken a_of_vw"):
+        suites.valid_dimvecs((1, 1))
+
+
 def _acceptance_points(per_config):
     """The first sampled points of every acceptance config, with their
     contexts and seeds, as criterion 3 draws them."""

@@ -1,5 +1,5 @@
-"""The immutable value types: construction, validation, equality, hashing,
-repr and immutability."""
+"""The immutable types: construction, validation, equality, hashing, repr,
+immutability, and copies of every frozen type."""
 
 import copy
 import pickle
@@ -7,9 +7,18 @@ import pickle
 import pytest
 
 from geocrystal.cartan import Composition, DimVec, HighestWeight, Partition, Weight
-from geocrystal.crystal import CrystalVertex, StembridgeReport, StrataReport
+from geocrystal.crystal import (
+    CrystalGraph,
+    CrystalVertex,
+    StembridgeReport,
+    StrataReport,
+    highest_weight_crystal,
+)
 from geocrystal.errors import IncompatibleError, InvalidRankError
-from geocrystal.quiver import QuiverShape
+from geocrystal.flag import Flag, NilEndo, flag_membership
+from geocrystal.linalg import RatMat, Subspace, canonicalize
+from geocrystal.maffei import ThetaContext, theta
+from geocrystal.quiver import QuiverRep, QuiverShape, in_Lambda, is_stable, sample_lambda_point
 from geocrystal.repalg import Constituent, Decomposition, Fact
 
 
@@ -72,6 +81,11 @@ CASES = [
         Fact,
         lambda: {"name": "dim", "value": 65, "expected": 65},
         "Fact(name='dim', value=65, expected=65)",
+    ),
+    (
+        NilEndo,
+        lambda: {"x": RatMat([[0, 1], [0, 0]]), "n": 2},
+        "NilEndo(x=RatMat(2x2), n=2)",
     ),
 ]
 
@@ -194,3 +208,61 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, fields, text):
         assert type(twin) is cls and twin == value and repr(twin) == text
         with pytest.raises(AttributeError):
             setattr(twin, next(iter(fields())), None)
+
+
+def _point():
+    """A sampled point of the (1, 2, 1), (1, 1, 1) config whose recorded
+    verdicts are set."""
+    r = sample_lambda_point((1, 2, 1), (1, 1, 1), seed=3)
+    assert in_Lambda(r) and is_stable(r)
+    return r
+
+
+def _flag():
+    ctx = ThetaContext((1, 1, 1))
+    F = theta(_point(), ctx)
+    assert flag_membership(ctx.x, F)
+    return F
+
+
+def _slots(obj):
+    return tuple(getattr(obj, name) for name in obj.__slots__)
+
+
+# (class, a function building an object, what a copy must agree on)
+FROZEN = [
+    (RatMat, lambda: RatMat([[1, "1/2"], [0, -3]]), lambda m: m),
+    (Subspace, lambda: canonicalize([(1, 2, 0), (0, 1, 1)], 3), lambda s: s),
+    (NilEndo, lambda: ThetaContext((2, 1)).x, lambda x: x),
+    (Flag, _flag, lambda F: (F, F._fiber)),
+    (QuiverRep, _point, lambda r: (r.to_json(), r._in_lambda, r._stable)),
+    (ThetaContext, lambda: ThetaContext((1, 0, 2)), _slots),
+    (
+        CrystalGraph,
+        lambda: highest_weight_crystal((1, 1)),
+        lambda g: (g.vertices, g.f_edges, g.e_edges, g.highest, g.multiplicities),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, build, key", FROZEN, ids=[c.__name__ for c, _, _ in FROZEN])
+def test_frozen_types_copy_deepcopy_and_pickle(cls, build, key):
+    obj = build()
+    for twin in (
+        copy.copy(obj),
+        copy.deepcopy(obj),
+        pickle.loads(pickle.dumps(obj)),
+        pickle.loads(pickle.dumps(obj, protocol=0)),
+    ):
+        assert type(twin) is cls and key(twin) == key(obj)
+        for name in (cls.__slots__[0], "extra"):
+            with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+                setattr(twin, name, None)
+
+
+def test_theta_of_a_pickled_point_is_the_original_flag():
+    r, ctx = _point(), ThetaContext((1, 1, 1))
+    for protocol in (pickle.DEFAULT_PROTOCOL, 0):
+        twin = pickle.loads(pickle.dumps(r, protocol))
+        assert theta(twin, ctx) == theta(r, ctx)
+        assert theta(twin, pickle.loads(pickle.dumps(ctx, protocol))) == theta(r, ctx)
