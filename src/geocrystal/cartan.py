@@ -4,6 +4,10 @@ index bijections shared by the flag and quiver sides.
 Conventions: vertices are 1..n-1; omega-coordinates are the canonical weight
 storage; eps-coordinates are normalized so the last entry is 0 and equality
 is modulo the all-ones vector.
+
+The index data, the weight, the highest weight, the composition, the
+dimension vector and the partition, are :class:`IntTuple` values: each
+stores one tuple of ints and iterates, indexes and serialises as it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,32 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class Weight(Value):
+class IntTuple(Value):
+    """A value whose one field is a tuple of ints: it iterates, has a length,
+    indexes and serialises as that tuple.  A subclass names the field in its
+    ``__slots__`` and normalises it to a tuple of ints in its ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        (field,) = cls.__slots__
+        cls._ints = cls.__dict__[field]  # the field's slot descriptor: self._ints reads it
+
+    def __iter__(self):
+        return iter(self._ints)
+
+    def __len__(self):
+        return len(self._ints)
+
+    def __getitem__(self, k):
+        return self._ints[k]
+
+    def to_json(self) -> list[int]:
+        return list(self._ints)
+
+
+class Weight(IntTuple):
     """sl_n weight stored in fundamental-weight coordinates."""
 
     __slots__ = ("omega",)
@@ -54,24 +83,13 @@ class Weight(Value):
             raise InvalidRankError("eps coordinates need length >= 2")
         return cls(tuple(eps[k] - eps[k + 1] for k in range(len(eps) - 1)))
 
-    def __add__(self, other: "Weight") -> "Weight":
-        if self.n != other.n:
-            raise IncompatibleError("weight rank mismatch")
-        return Weight(tuple(a + b for a, b in zip(self.omega, other.omega)))
-
     def __sub__(self, other: "Weight") -> "Weight":
         if self.n != other.n:
             raise IncompatibleError("weight rank mismatch")
         return Weight(tuple(a - b for a, b in zip(self.omega, other.omega)))
 
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.omega))
 
-    def to_json(self) -> list[int]:
-        return list(self.omega)
-
-
-class HighestWeight(Value):
+class HighestWeight(IntTuple):
     """Dominant weight given by n-1 non-negative integers w_k."""
 
     __slots__ = ("w",)
@@ -93,20 +111,8 @@ class HighestWeight(Value):
         """Sum over k of k*w_k; the size of the associated flag ambient."""
         return sum((k + 1) * c for k, c in enumerate(self.w))
 
-    def __iter__(self):
-        return iter(self.w)
 
-    def __len__(self):
-        return len(self.w)
-
-    def __getitem__(self, k):
-        return self.w[k]
-
-    def to_json(self) -> list[int]:
-        return list(self.w)
-
-
-class Composition(Value):
+class Composition(IntTuple):
     """Composition of d into len(parts) non-negative integers."""
 
     __slots__ = ("parts",)
@@ -125,20 +131,8 @@ class Composition(Value):
     def n(self) -> int:
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, k):
-        return self.parts[k]
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
-
-
-class DimVec(Value):
+class DimVec(IntTuple):
     """Graded dimension vector over the n-1 quiver vertices."""
 
     __slots__ = ("v",)
@@ -155,20 +149,8 @@ class DimVec(Value):
     def n(self) -> int:
         return len(self.v) + 1
 
-    def __iter__(self):
-        return iter(self.v)
 
-    def __len__(self):
-        return len(self.v)
-
-    def __getitem__(self, k):
-        return self.v[k]
-
-    def to_json(self) -> list[int]:
-        return list(self.v)
-
-
-class Partition(Value):
+class Partition(IntTuple):
     """Weakly decreasing positive integers."""
 
     __slots__ = ("parts",)
@@ -185,15 +167,6 @@ class Partition(Value):
     def size(self) -> int:
         return sum(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, k):
-        return self.parts[k]
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition(())
@@ -202,9 +175,6 @@ class Partition(Value):
                 sum(1 for p in self.parts if p > i) for i in range(self.parts[0])
             )
         )
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
 
 
 def as_highest_weight(w) -> HighestWeight:

@@ -100,9 +100,6 @@ class CrystalGraph(Frozen):
     def __len__(self):
         return len(self.vertices)
 
-    def __contains__(self, word):
-        return tuple(word) in self.vertices
-
     def sorted_words(self) -> list[Word]:
         return sorted(self.vertices)
 

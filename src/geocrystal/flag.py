@@ -163,14 +163,18 @@ def composition_of(F: Flag) -> Composition:
     )
 
 
+def _pair_sum(parts: Sequence[int]) -> int:
+    """sum_{i<j} d_i d_j, a polynomial in the parts, so a part may be negative."""
+    total = acc = 0
+    for p in parts:
+        total += acc * p
+        acc += p
+    return total
+
+
 def flag_dim(d) -> int:
     """Complex dimension of the partial flag manifold: sum_{i<j} d_i d_j."""
-    d = as_composition(d)
-    total = 0
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            total += d[i] * d[j]
-    return total
+    return _pair_sum(as_composition(d))
 
 
 def s_k_exponent(d, k: int) -> int:
@@ -186,15 +190,7 @@ def s_k_exponent(d, k: int) -> int:
     shifted = list(d.parts)
     shifted[k - 1] += 1
     shifted[k] -= 1
-
-    def formal_dim(parts):
-        return sum(
-            parts[i] * parts[j]
-            for i in range(len(parts))
-            for j in range(i + 1, len(parts))
-        )
-
-    return formal_dim(shifted) - formal_dim(d.parts)
+    return _pair_sum(shifted) - _pair_sum(d)
 
 
 def is_hecke_pair(Fp: Flag, F: Flag, k: int) -> bool:

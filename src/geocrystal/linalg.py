@@ -452,9 +452,6 @@ class Subspace(Frozen):
         """The basis vectors as integer rows (each a multiple of a column)."""
         return _transpose(self.basis.num, self.dim)
 
-    def to_json(self) -> dict:
-        return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_json()}
-
 
 def _span(vectors: Sequence[Sequence[int]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by integer vectors of length ambient_dim."""

@@ -22,10 +22,10 @@ from .cartan import (
 )
 from .errors import (
     DimensionMismatchError,
-    GeoCrystalError,
     IncompatibleError,
     InvalidRankError,
     LambdaPreconditionError,
+    NotInImageError,
     SampleExhaustedError,
 )
 from .linalg import (
@@ -571,7 +571,7 @@ def _crystal_guided_sample(v: DimVec, w: HighestWeight, seed: int) -> QuiverRep 
     """
     try:
         a = a_of_vw(v, w)
-    except GeoCrystalError:
+    except NotInImageError:
         return None
     graph = _cached_crystal(w.w)
     target = min((word for word, vx in graph.vertices.items() if vx.a == a), default=None)

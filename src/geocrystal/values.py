@@ -1,9 +1,9 @@
 """The one convention of the package's immutable types.
 
-A subclass of :class:`Frozen` refuses assignment: it writes its ``__slots__``
-with ``object.__setattr__`` (or a slot descriptor's ``__set__``) when it is
-built, and a module that records a verdict on an object, a fact about the
-same immutable maps, writes it the same way.  ``copy``, ``deepcopy`` and
+A subclass of :class:`Frozen` refuses assignment and deletion: it writes its
+``__slots__`` with ``object.__setattr__`` (or a slot descriptor's ``__set__``)
+when it is built, and a module that records a verdict on an object, a fact
+about the same immutable maps, writes it the same way.  ``copy``, ``deepcopy`` and
 ``pickle`` rebuild an object from the state of its slots, every slot along
 the class's MRO that is set, verdicts included, without calling the class:
 the state was validated when the original was built.
@@ -50,6 +50,9 @@ class Frozen:
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
 
     def __reduce__(self):  # the default restore would assign the slots

@@ -219,20 +219,31 @@ def f(a: A, anything):
     assert _referenced_methods(trees, classes) == {"A.run", "B.run", "C.run", "A.go", "B.stop"}
 
 
-def test_immutability_has_one_owner():
-    # values.Frozen alone refuses assignment and rebuilds copies; a class
-    # elsewhere in the package that does either inherits it
-    owners = {
+def _definers(pattern, names) -> set[str]:
+    """file:Class.method for every method in the matched files named one of names."""
+    return {
         f"{path.name}:{cls.name}.{node.name}"
-        for path, tree in _modules("src/geocrystal/*.py")
-        if path.name != "values.py"
+        for path, tree in _modules(pattern)
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name in ("__setattr__", "__reduce__")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
     }
-    assert owners == set()
+
+
+def test_immutability_has_one_owner():
+    # values.Frozen alone refuses assignment and deletion and rebuilds
+    # copies; a class elsewhere in the package that does any inherits it
+    owners = _definers("src/geocrystal/*.py", ("__setattr__", "__delattr__", "__reduce__"))
+    assert {name for name in owners if not name.startswith("values.py:")} == set()
+
+
+def test_int_tuple_views_have_one_owner():
+    # cartan.IntTuple alone iterates, sizes, indexes and serialises the
+    # tuple field of the index data; the value types inherit it
+    views = ("__iter__", "__len__", "__getitem__", "to_json")
+    owners = _definers("src/geocrystal/cartan.py", views)
+    assert owners == {f"cartan.py:IntTuple.{name}" for name in views}
 
 
 def test_no_unreferenced_definitions():

@@ -7,7 +7,7 @@ import pytest
 
 import reference_linalg as ref
 from reference_quiver import moment_map
-from geocrystal.cartan import as_dimvec, as_highest_weight
+from geocrystal.cartan import DimVec, HighestWeight, as_dimvec, as_highest_weight
 from geocrystal.errors import (
     DimensionMismatchError,
     IncompatibleError,
@@ -407,6 +407,21 @@ def test_sampler_deterministic_and_valid():
 def test_sampler_exhaustion():
     with pytest.raises(SampleExhaustedError):
         sample_lambda_point((5, 0), (1, 0), seed=2)
+
+
+def test_guided_sampler_skips_only_v_outside_the_image(monkeypatch):
+    # a v outside the image of a(-, w) has no crystal vertex to walk to; any
+    # other error from a_of_vw is a fault, not an exhausted sampler
+    from geocrystal import quiver
+
+    def broken(v, w):
+        raise IncompatibleError("broken a_of_vw")
+
+    monkeypatch.setattr(quiver, "a_of_vw", broken)
+    with pytest.raises(IncompatibleError, match="broken a_of_vw"):
+        quiver._crystal_guided_sample(DimVec((1, 1)), HighestWeight((1, 1)), 1)
+    monkeypatch.undo()
+    assert quiver._crystal_guided_sample(DimVec((5, 0)), HighestWeight((1, 0)), 2) is None
 
 
 def test_joint_outgoing_kernel(p0):

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from geocrystal.cartan import Composition, DimVec, HighestWeight, Partition, Weight
+from geocrystal.cartan import Composition, DimVec, HighestWeight, IntTuple, Partition, Weight
 from geocrystal.crystal import (
     CrystalGraph,
     CrystalVertex,
@@ -125,6 +125,30 @@ def test_fields_cannot_be_assigned(cls, fields, text):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert repr(value) == text
+
+
+@pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
+def test_fields_cannot_be_deleted(cls, fields, text):
+    value = cls(**fields())
+    for name in fields():
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            delattr(value, name)
+    assert value == cls(**fields()) and repr(value) == text
+
+
+INT_TUPLES = [case for case in CASES if issubclass(case[0], IntTuple)]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text", INT_TUPLES, ids=[cls.__name__ for cls, _, _ in INT_TUPLES]
+)
+def test_int_tuples_read_as_their_field(cls, fields, text):
+    (items,) = fields().values()
+    value = cls(items)
+    assert tuple(value) == items and len(value) == len(items)
+    assert [value[k] for k in range(len(items))] == list(items)
+    assert value[-1] == items[-1] and value[1:] == items[1:]
+    assert value.to_json() == list(items)
 
 
 @pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
@@ -258,6 +282,16 @@ def test_frozen_types_copy_deepcopy_and_pickle(cls, build, key):
         for name in (cls.__slots__[0], "extra"):
             with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
                 setattr(twin, name, None)
+
+
+@pytest.mark.parametrize("cls, build, key", FROZEN, ids=[c.__name__ for c, _, _ in FROZEN])
+def test_frozen_types_refuse_deletion(cls, build, key):
+    obj = build()
+    before = key(obj)
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            delattr(obj, name)
+    assert key(obj) == before and key(copy.deepcopy(obj)) == before
 
 
 def test_theta_of_a_pickled_point_is_the_original_flag():
