@@ -8,6 +8,7 @@ from geocrystal.cartan import HighestWeight, Weight, pair_with_coroot
 from geocrystal.crystal import (
     CrystalGraph,
     StembridgeReport,
+    StrataReport,
     _vertex_of,
     crystal_to_dot,
     crystal_to_json,
@@ -125,6 +126,75 @@ def test_stembridge_pass_and_corruption():
     edges[(dst, 1)] = src
     with pytest.raises(InternalConsistencyError, match="monochromatic cycle detected"):
         stembridge_verify(corrupted(edges))
+
+
+def _union(*graphs, f_edges=None):
+    """One graph on the vertices of graphs, in their order, with their f-edges
+    updated by f_edges; the words of different shapes never coincide."""
+    vertices, edges = {}, {}
+    for g in graphs:
+        vertices.update(g.vertices)
+        edges.update(g.f_edges)
+    edges.update(f_edges or {})
+    return CrystalGraph(graphs[0].n, graphs[0].w, vertices, edges, graphs[0].highest)
+
+
+def _swap_strings(a, b, x, y, k):
+    """a and b with the k-edges into x and into y exchanged: x and y have
+    the same weight and eps_k, so every vertex keeps its k-string lengths
+    and weight steps, and only the other colors can see the swap."""
+    up_x, up_y = a.e_edges[(x, k)], b.e_edges[(y, k)]
+    return _union(a, b, f_edges={(up_x, k): y, (up_y, k): x})
+
+
+@pytest.mark.parametrize(
+    "shapes, x, y, k, report",
+    [
+        # the second pass: an eps_j step outside {0, -a_ij} under e_i
+        (((1, 0), (2, 1)), (2,), (3, 2, 1, 2), 1,
+         StembridgeReport(False, 18, 44, "eps_2 changed by -1 under e_1 at (3, 2, 1, 2)")),
+        (((1, 0), (2, 1)), (3,), (3, 2, 1, 3), 2,
+         StembridgeReport(False, 18, 38, "eps_1 changed by 2 under e_2 at (3,)")),
+        # the third pass: a broken square and a broken hexagon
+        (((1, 0), (0, 2)), (2,), (2, 3, 1, 2), 1,
+         StembridgeReport(False, 9, 27, "square e_1/e_2 fails at (2, 3, 1, 3)")),
+        (((2, 0), (1, 2)), (3, 2), (3, 2, 3, 1, 2), 1,
+         StembridgeReport(False, 21, 67, "hexagon e_1/e_2 fails at (3, 2)")),
+    ],
+)
+def test_stembridge_later_passes_corruption(shapes, x, y, k, report):
+    a, b = (highest_weight_crystal(w) for w in shapes)
+    g = _swap_strings(a, b, x, y, k)
+    assert stembridge_verify(g) == report
+
+
+def test_strata_maps_corruption():
+    g = highest_weight_crystal((2, 1))
+
+    def redirected(src, dst, order=g.vertices, keep_e=False):
+        """g with f_1(src) = dst; keep_e leaves the e-edges of g in place,
+        so they are no longer the inverse of the f-edges."""
+        edges = {**g.f_edges, (src, 1): dst}
+        bad = CrystalGraph(g.n, g.w, order, g.f_edges if keep_e else edges, g.highest)
+        if keep_e:
+            object.__setattr__(bad, "f_edges", edges)
+        return strata_maps(bad, 1)
+
+    low_first = dict(reversed(g.vertices.items()))
+    cases = [
+        (redirected((1, 1, 1, 2), (1, 1, 1, 3)), {0: 1},
+         "eps_1(f_1 X) != eps_1(X) + 1 at (1, 1, 1, 2)"),
+        (redirected((1, 1, 1, 2), (2, 1, 1, 3)), {0: 1, 1: 1},
+         "e_1^1 does not reach the 0-stratum at (2, 1, 1, 2)"),
+        (redirected((2, 1, 1, 2), (1, 1, 1, 2)), {0: 1},
+         "e_1 vanishing does not match c = 0 at (1, 1, 1, 2)"),
+        (redirected((1, 1, 1, 2), (1, 1, 1, 3), low_first, keep_e=True),
+         {0: 4, 1: 4, 2: 3, 3: 1}, "f^1 e^2 != e_1 at (2, 2, 1, 2)"),
+        (redirected((1, 1, 1, 2), (2, 1, 1, 3), keep_e=True), {0: 1, 1: 1},
+         "f^2 e^1 != f_1 at (2, 1, 1, 2)"),
+    ]
+    for report, sizes, violation in cases:
+        assert report == StrataReport(False, 15, sizes, violation)
 
 
 def test_strata_maps():
