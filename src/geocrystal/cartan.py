@@ -1,5 +1,6 @@
-"""sl_n Cartan data, weight arithmetic, partitions, compositions and the
-index bijections shared by the flag and quiver sides.
+"""sl_n Cartan data, weight arithmetic, partitions, compositions, the
+dimensions of the irreducibles and the index bijections shared by the flag
+and quiver sides.
 
 Conventions: vertices are 1..n-1; omega-coordinates are the canonical weight
 storage; eps-coordinates are normalized so the last entry is 0 and equality
@@ -13,6 +14,7 @@ stores one tuple of ints and iterates, indexes and serialises as it.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import IncompatibleError, InvalidRankError, NotInImageError
@@ -81,7 +83,7 @@ class Weight(IntTuple):
         eps = [int(e) for e in eps]
         if len(eps) < 2:
             raise InvalidRankError("eps coordinates need length >= 2")
-        return cls(tuple(eps[k] - eps[k + 1] for k in range(len(eps) - 1)))
+        return cls(tuple(map(sub, eps, eps[1:])))
 
     def __sub__(self, other: "Weight") -> "Weight":
         if self.n != other.n:
@@ -247,6 +249,28 @@ def reduce_mod_full_columns(lam, n: int) -> Partition:
         return lam
     c = lam.parts[n - 1]
     return Partition(tuple(p - c for p in lam.parts if p - c > 0))
+
+
+def irrep_dim(lam, n: int) -> int:
+    """Dimension of the sl_n irreducible of highest weight lam (mod full
+    columns), by the hook content formula."""
+    lam = as_partition(lam)
+    if len(lam) > n:
+        raise IncompatibleError(f"partition {lam.parts} has more than {n} rows")
+    lam = reduce_mod_full_columns(lam, n)
+    if not lam.parts:
+        return 1
+    conj = lam.conjugate().parts
+    num = 1
+    den = 1
+    for i, row in enumerate(lam.parts, start=1):
+        for j in range(1, row + 1):
+            num *= n + j - i
+            den *= row - j + conj[j - 1] - i + 1
+    dim, rem = divmod(num, den)
+    if rem:
+        raise IncompatibleError("hook content product is not integral")
+    return dim
 
 
 def gl_partitions(d: int, max_parts: int) -> Iterator[Partition]:

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceededError, GeoCrystalError
+from .errors import BudgetExceededError, GeoCrystalError, size_budget
 
 SCHEMA_VERSION = "1"
 
@@ -84,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     crystal.add_argument("--n", type=_int_at_least(2), required=True)
     crystal.add_argument("--w", type=_parse_weight, required=True)
     crystal.add_argument("--format", dest="fmt", choices=["dot", "json"], default="json")
+    crystal.add_argument("--budget", type=_int_at_least(1))
     crystal.add_argument("--out")
 
     theta_cmd = sub.add_parser("theta", help="map a quiver point to its flag")
@@ -194,13 +195,17 @@ def _dump_bundles(w, flags, path: str) -> None:
 
 def cmd_crystal(args) -> int:
     from . import crystal as crystal_mod
-    from .cartan import HighestWeight
+    from .cartan import HighestWeight, hw_to_partition, irrep_dim
 
     w = args.w
     if len(w) != args.n - 1:
         print(f"error: --w needs {args.n - 1} entries", file=sys.stderr)
         return USAGE_ERROR
-    graph = crystal_mod.highest_weight_crystal(HighestWeight(w))
+    hw = HighestWeight(w)
+    size = irrep_dim(hw_to_partition(hw), args.n)  # the vertex count, checked before building
+    if size > args.budget:
+        raise BudgetExceededError(f"dim B(w) = {size} exceeds the size budget {args.budget}")
+    graph = crystal_mod.highest_weight_crystal(hw)
     if args.fmt == "dot":
         _emit(crystal_mod.crystal_to_dot(graph), args.out)
     else:
@@ -278,8 +283,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     if hasattr(args, "budget"):
-        from .repalg import size_budget
-
         # resolved here so a malformed GEOCRYSTAL_BUDGET is a usage error
         try:
             args.budget = size_budget(args.budget)

@@ -13,6 +13,7 @@ operator instead of trusting the convention.
 from __future__ import annotations
 
 from collections import Counter
+from operator import sub
 
 from .cartan import (
     Composition,
@@ -21,7 +22,6 @@ from .cartan import (
     as_highest_weight,
     cartan_matrix,
     hw_to_partition,
-    pair_with_coroot,
 )
 from .errors import (
     IncompatibleError,
@@ -103,43 +103,29 @@ class CrystalGraph(Frozen):
     def sorted_words(self) -> list[Word]:
         return sorted(self.vertices)
 
-    def f(self, word: Word, k: int) -> Word | None:
-        return self.f_edges.get((word, k))
-
     def e(self, word: Word, k: int) -> Word | None:
         return self.e_edges.get((word, k))
 
 
-def _vertex_of(word: Word, n: int) -> tuple[CrystalVertex, list[Word | None]]:
-    """The vertex of word and its f_k images, from one k-bracketing per k."""
-    a = word_content(word, n)
-    wt = Weight.from_eps(a.parts)
-    eps, phi, images = [], [], []
-    for k in range(1, n):
-        minus, plus = _signature(word, k)
-        if len(plus) - len(minus) != pair_with_coroot(wt, k):
-            raise InternalConsistencyError("phi - eps != <h_k, wt>")
-        eps.append(len(minus))
-        phi.append(len(plus))
-        images.append(word[: plus[0]] + (k + 1,) + word[plus[0] + 1 :] if plus else None)
-    return CrystalVertex(word, wt, a, tuple(eps), tuple(phi)), images
-
-
-def _close_under_f(seed: Word, n: int, w: HighestWeight) -> CrystalGraph:
-    """Breadth-first closure; vertices and f_edges keep their discovery order."""
-    vertex, seed_images = _vertex_of(seed, n)
-    vertices, images = {seed: vertex}, {seed: seed_images}
-    f_edges: dict[tuple[Word, int], Word] = {}
-    queue = [seed]
-    for word in queue:  # grows while it is read: a first-in, first-out queue
-        for k, image in enumerate(images[word], start=1):
-            if image is None:
-                continue
-            f_edges[(word, k)] = image
-            if image not in vertices:
-                vertices[image], images[image] = _vertex_of(image, n)
-                queue.append(image)
-    return CrystalGraph(n, w, vertices, f_edges, seed)
+def _vertex_of(word: Word, n: int, a: Composition, wt: Weight) -> tuple[CrystalVertex, list]:
+    """The vertex of word and its f_k images, from every k-bracketing in one
+    pass over the word: letter l is a "+" for k = l and a "-" for k = l - 1."""
+    plus: list[list[int]] = [[] for _ in range(n + 1)]
+    minus = [0] * (n + 1)
+    for pos, letter in enumerate(word):
+        plus[letter].append(pos)
+        if plus[letter - 1]:
+            plus[letter - 1].pop()
+        else:
+            minus[letter - 1] += 1
+    eps, phi = tuple(minus[1:n]), tuple(map(len, plus[1:n]))
+    if tuple(map(sub, phi, eps)) != wt.omega:
+        raise InternalConsistencyError("phi - eps != <h_k, wt>")
+    images = [
+        word[: pos[0]] + (k + 1,) + word[pos[0] + 1 :] if pos else None
+        for k, pos in enumerate(plus[1:n], start=1)
+    ]
+    return CrystalVertex(word, wt, a, eps, phi), images
 
 
 def yamanouchi_seed(w) -> Word:
@@ -154,21 +140,39 @@ def yamanouchi_seed(w) -> Word:
 
 
 def highest_weight_crystal(w) -> CrystalGraph:
-    """Closure of the Yamanouchi seed of shape lambda(w) under all f_k."""
+    """Closure of the Yamanouchi seed of shape lambda(w) under all f_k, breadth
+    first: vertices and f_edges keep their discovery order.  The vertices of
+    one content share its Composition and Weight."""
     w = as_highest_weight(w)
-    n = w.n
-    seed = yamanouchi_seed(w)
+    n, seed = w.n, yamanouchi_seed(w)
     for k in range(1, n):
         if e_op(seed, k) is not None:
             raise InternalConsistencyError(
                 f"seed {seed} is not killed by the raising operator at {k}"
             )
-    seed_wt = Weight.from_eps(word_content(seed, n).parts)
-    if seed_wt.omega != w.w:
-        raise InternalConsistencyError(
-            f"seed weight {seed_wt.omega} != {w.w}"
-        )
-    return _close_under_f(seed, n, w)
+    shared: dict[tuple[int, ...], tuple[Composition, Weight]] = {}
+
+    def vertex(word: Word, parts: tuple[int, ...]):
+        if parts not in shared:
+            shared[parts] = Composition(parts), Weight.from_eps(parts)
+        return _vertex_of(word, n, *shared[parts])
+
+    vertices, images, f_edges = {}, {}, {}
+    vertices[seed], images[seed] = vertex(seed, word_content(seed, n).parts)
+    if vertices[seed].wt.omega != w.w:
+        raise InternalConsistencyError(f"seed weight {vertices[seed].wt.omega} != {w.w}")
+    queue = [seed]
+    for word in queue:  # grows while it is read: a first-in, first-out queue
+        for k, image in enumerate(images[word], start=1):
+            if image is None:
+                continue
+            f_edges[(word, k)] = image
+            if image not in vertices:
+                a = vertices[word].a.parts  # f_k turns one letter k into k + 1
+                parts = a[: k - 1] + (a[k - 1] - 1, a[k] + 1) + a[k + 1 :]
+                vertices[image], images[image] = vertex(image, parts)
+                queue.append(image)
+    return CrystalGraph(n, w, vertices, f_edges, seed)
 
 
 def weight_multiplicity(g: CrystalGraph, a) -> int:
@@ -212,92 +216,85 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
     The chain lengths come from one walk per k-string: a vertex's e_k chain
     is one longer than the chain of e_k of it, and likewise for f_k.
     """
-    n = g.n
+    n, vertices, size = g.n, g.vertices, len(g)
+    up, down = g.e_edges.get, g.f_edges.get
     checks = 0
 
     def fail(msg: str) -> StembridgeReport:
-        return StembridgeReport(False, len(g), checks, msg)
+        return StembridgeReport(False, size, checks, msg)
 
     def chain(lengths: dict[Word, int | None], word: Word) -> int:
         length = lengths[word]
-        if length is None or length > len(g):
+        if length is None or length > size:
             raise InternalConsistencyError("monochromatic cycle detected")
         return length
 
     cartan = cartan_matrix(n)
-    e_len = [_chain_lengths(g.e_edges, k, g.vertices) for k in range(1, n)]
-    f_len = [_chain_lengths(g.f_edges, k, g.vertices) for k in range(1, n)]
-    for word, vx in g.vertices.items():
-        for k in range(1, n):
-            up = g.e(word, k)
-            down = g.f(word, k)
+    alpha = [tuple(row[k] for row in cartan) for k in range(n - 1)]
+    e_len = [_chain_lengths(g.e_edges, k, vertices) for k in range(1, n)]
+    f_len = [_chain_lengths(g.f_edges, k, vertices) for k in range(1, n)]
+    for word, vx in vertices.items():
+        eps, phi, omega = vx.eps, vx.phi, vx.wt.omega
+        for k, alpha_k in enumerate(alpha, start=1):
+            above, below = up((word, k)), down((word, k))
             checks += 1
-            if up is not None and g.f(up, k) != word:
+            if above is not None and down((above, k)) != word:
                 return fail(f"f_{k} e_{k} != id at {word}")
-            if down is not None and g.e(down, k) != word:
+            if below is not None and up((below, k)) != word:
                 return fail(f"e_{k} f_{k} != id at {word}")
-            if chain(e_len[k - 1], word) != vx.eps[k - 1]:
+            if chain(e_len[k - 1], word) != eps[k - 1]:
                 return fail(f"eps_{k} not seminormal at {word}")
-            if chain(f_len[k - 1], word) != vx.phi[k - 1]:
+            if chain(f_len[k - 1], word) != phi[k - 1]:
                 return fail(f"phi_{k} not seminormal at {word}")
-            if (up is None) != (vx.eps[k - 1] == 0):
+            if (above is None) != (eps[k - 1] == 0):
                 return fail(f"e_{k} definedness disagrees with eps at {word}")
-            if (down is None) != (vx.phi[k - 1] == 0):
+            if (below is None) != (phi[k - 1] == 0):
                 return fail(f"f_{k} definedness disagrees with phi at {word}")
-            if vx.phi[k - 1] - vx.eps[k - 1] != pair_with_coroot(vx.wt, k):
+            if phi[k - 1] - eps[k - 1] != omega[k - 1]:
                 return fail(f"phi - eps != <h_{k}, wt> at {word}")
-            if down is not None:
-                wt_down = g.vertices[down].wt
-                delta = tuple(
-                    vx.wt.omega[t] - wt_down.omega[t] for t in range(n - 1)
-                )
-                alpha_k = tuple(row[k - 1] for row in cartan)
-                if delta != alpha_k:
-                    return fail(f"wt(f_{k} x) != wt(x) - alpha_{k} at {word}")
-    for word, vx in g.vertices.items():
+            if below is not None and tuple(map(sub, omega, vertices[below].wt.omega)) != alpha_k:
+                return fail(f"wt(f_{k} x) != wt(x) - alpha_{k} at {word}")
+    for word, vx in vertices.items():
         for i in range(1, n):
-            up_i = g.e(word, i)
+            up_i = up((word, i))
             if up_i is None:
                 continue
+            upper = vertices[up_i]
             for j in range(1, n):
                 if j == i:
                     continue
                 checks += 1
-                d_eps = g.vertices[up_i].eps[j - 1] - vx.eps[j - 1]
-                d_phi = g.vertices[up_i].phi[j - 1] - vx.phi[j - 1]
+                d_eps = upper.eps[j - 1] - vx.eps[j - 1]
+                d_phi = upper.phi[j - 1] - vx.phi[j - 1]
                 a_ij = cartan[i - 1][j - 1]
                 if d_eps not in (0, -a_ij):
-                    return fail(
-                        f"eps_{j} changed by {d_eps} under e_{i} at {word}"
-                    )
+                    return fail(f"eps_{j} changed by {d_eps} under e_{i} at {word}")
                 if d_phi != d_eps + a_ij:
-                    return fail(
-                        f"phi_{j} step {d_phi} inconsistent under e_{i} at {word}"
-                    )
-    for word, vx in g.vertices.items():
+                    return fail(f"phi_{j} step {d_phi} inconsistent under e_{i} at {word}")
+    for word, vx in vertices.items():
         for i in range(1, n):
-            up_i = g.e(word, i)
+            up_i = up((word, i))
             if up_i is None:
                 continue
             for j in range(i + 1, n):
-                up_j = g.e(word, j)
+                up_j = up((word, j))
                 if up_j is None:
                     continue
                 checks += 1
-                boost_j = g.vertices[up_i].eps[j - 1] - vx.eps[j - 1]
-                boost_i = g.vertices[up_j].eps[i - 1] - vx.eps[i - 1]
+                boost_j = vertices[up_i].eps[j - 1] - vx.eps[j - 1]
+                boost_i = vertices[up_j].eps[i - 1] - vx.eps[i - 1]
                 if boost_j == 0 or boost_i == 0:
-                    a = g.e(up_i, j)
-                    b = g.e(up_j, i)
+                    a = up((up_i, j))
+                    b = up((up_j, i))
                     if a is None or b is None or a != b:
                         return fail(f"square e_{i}/e_{j} fails at {word}")
                 else:
                     a = up_i
                     for step in (j, j, i):
-                        a = g.e(a, step) if a is not None else None
+                        a = up((a, step)) if a is not None else None
                     b = up_j
                     for step in (i, i, j):
-                        b = g.e(b, step) if b is not None else None
+                        b = up((b, step)) if b is not None else None
                     if a is None or b is None or a != b:
                         return fail(f"hexagon e_{i}/e_{j} fails at {word}")
     return StembridgeReport(True, len(g), checks, None)
@@ -319,12 +316,13 @@ def strata_maps(g: CrystalGraph, k: int) -> StrataReport:
     if not 1 <= k <= g.n - 1:
         raise InvalidRankError(f"vertex {k} out of range")
     sizes: dict[int, int] = {}
+    up, down = g.e_edges.get, g.f_edges.get
 
-    def compose(word: Word | None, op, times: int) -> Word | None:
+    def compose(word: Word | None, step, times: int) -> Word | None:
         for _ in range(times):
             if word is None:
                 return None
-            word = op(word, k)
+            word = step((word, k))
         return word
 
     def fail(msg: str) -> StrataReport:
@@ -333,17 +331,17 @@ def strata_maps(g: CrystalGraph, k: int) -> StrataReport:
     for word, vx in g.vertices.items():
         c = vx.eps[k - 1]
         sizes[c] = sizes.get(c, 0) + 1
-        reduced = compose(word, g.e, c)
+        above, below = up((word, k)), down((word, k))
+        reduced = compose(word, up, c)
         if reduced is None or g.vertices[reduced].eps[k - 1] != 0:
             return fail(f"e_{k}^{c} does not reach the 0-stratum at {word}")
-        if (g.e(word, k) is None) != (c == 0):
+        if (above is None) != (c == 0):
             return fail(f"e_{k} vanishing does not match c = 0 at {word}")
-        if c > 0 and compose(reduced, g.f, c - 1) != g.e(word, k):
+        if c > 0 and compose(reduced, down, c - 1) != above:
             return fail(f"f^{c - 1} e^{c} != e_{k} at {word}")
-        if compose(reduced, g.f, c + 1) != g.f(word, k):
+        if compose(reduced, down, c + 1) != below:
             return fail(f"f^{c + 1} e^{c} != f_{k} at {word}")
-        down = g.f(word, k)
-        if down is not None and g.vertices[down].eps[k - 1] != c + 1:
+        if below is not None and g.vertices[below].eps[k - 1] != c + 1:
             return fail(f"eps_{k}(f_{k} X) != eps_{k}(X) + 1 at {word}")
     return StrataReport(True, len(g), sizes, None)
 

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all geocrystal modules."""
+"""Exception hierarchy shared by all geocrystal modules, and the size budget
+past which a computation raises BudgetExceededError."""
+
+import os
+
+DEFAULT_BUDGET = 100_000
 
 
 class GeoCrystalError(Exception):
@@ -43,3 +48,22 @@ class SampleExhaustedError(GeoCrystalError, RuntimeError):
 
 class InternalConsistencyError(GeoCrystalError, RuntimeError):
     """A frozen convention failed its self-check (should never happen)."""
+
+
+def size_budget(budget: int | None = None) -> int:
+    """The budget given, else GEOCRYSTAL_BUDGET, else DEFAULT_BUDGET.
+
+    Raises ValueError if GEOCRYSTAL_BUDGET is set to anything but an int >= 1.
+    """
+    if budget is not None:
+        return int(budget)
+    env = os.environ.get("GEOCRYSTAL_BUDGET")
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"GEOCRYSTAL_BUDGET must be an int >= 1, got {env!r}") from None
+    return value

@@ -11,7 +11,6 @@ failure the ranks are recomputed with exact rational elimination.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import product
 
@@ -24,6 +23,7 @@ from .cartan import (
     a_of_vw,
     gl_partitions,
     hw_to_partition,
+    irrep_dim,
     is_partition_of,
     partition_to_hw,
     reduce_mod_full_columns,
@@ -36,33 +36,14 @@ from .errors import (
     InvalidRankError,
     NotInImageError,
     SizeMismatchError,
+    size_budget,
 )
 from .linalg import RatMat, rank
 from .values import Value
 
-DEFAULT_BUDGET = 100_000
 # Mersenne prime 2^31 - 1.  A rank mod p never exceeds the rank over Q, and
 # only a minor divisible by p can make it smaller.
 _PRIME = 2_147_483_647
-
-
-def size_budget(budget: int | None = None) -> int:
-    """The budget given, else GEOCRYSTAL_BUDGET, else DEFAULT_BUDGET.
-
-    Raises ValueError if GEOCRYSTAL_BUDGET is set to anything but an int >= 1.
-    """
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("GEOCRYSTAL_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        value = int(env)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"GEOCRYSTAL_BUDGET must be an int >= 1, got {env!r}") from None
-    return value
 
 
 def _check_budget(n: int, d: int, budget: int | None) -> None:
@@ -254,28 +235,6 @@ def decompose_tensor(n: int, d: int, budget: int | None = None) -> Decomposition
     return dec
 
 
-def irrep_dim(lam, n: int) -> int:
-    """Dimension of the sl_n irreducible of highest weight lam (mod full
-    columns), by the hook content formula."""
-    lam = as_partition(lam)
-    if len(lam) > n:
-        raise IncompatibleError(f"partition {lam.parts} has more than {n} rows")
-    lam = reduce_mod_full_columns(lam, n)
-    if not lam.parts:
-        return 1
-    conj = lam.conjugate().parts
-    num = 1
-    den = 1
-    for i, row in enumerate(lam.parts, start=1):
-        for j in range(1, row + 1):
-            num *= n + j - i
-            den *= row - j + conj[j - 1] - i + 1
-    dim, rem = divmod(num, den)
-    if rem:
-        raise IncompatibleError("hook content product is not integral")
-    return dim
-
-
 def dim_quotient_Id(n: int, d: int, budget: int | None = None) -> int:
     """Sum of squared dimensions over the distinct sl_n constituents of the
     d-th tensor power of the natural module."""
@@ -354,6 +313,11 @@ def kostka(lam, a) -> int:
     horizontal strip lam/mu of a_m cells, and mu is a tableau in the letters
     below m.  Letters are peeled from the largest down, with the shapes of
     each level kept as a {shape: count} dict.
+
+    K(lam, a) is symmetric in a (the Bender-Knuth involutions swap the counts
+    of two adjacent letters), and a letter of count 0 adds nothing, so the
+    zeros are dropped and a is sorted ascending first: the largest counts are
+    peeled first, as the widest strips, which leaves the fewest shapes below.
     """
     lam = as_partition(lam)
     a = tuple(int(c) for c in a)
@@ -361,6 +325,7 @@ def kostka(lam, a) -> int:
         return 0
     if lam.size != sum(a):
         raise SizeMismatchError(f"|{lam.parts}| != sum{a}")
+    a = sorted(c for c in a if c)
     level = {lam.parts: 1}
     for m in range(len(a), 1, -1):
         below: dict[tuple[int, ...], int] = {}
@@ -369,7 +334,7 @@ def kostka(lam, a) -> int:
                 below[mu] = below.get(mu, 0) + count
         level = below
     # the letter 1 fills a one-row shape one way, and no other shape
-    return level.get((a[0],) if a and a[0] else (), 0)
+    return level.get((a[0],) if a else (), 0)
 
 
 def _bounded_compositions(total: int, bounds: tuple[int, ...]):

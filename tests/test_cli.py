@@ -212,6 +212,7 @@ def test_usage_error_exit_code():
         "verify --suite maffei --n 1 --seed 1",
         "quotients --n 3 --d 3 --budget -1",
         "quotients --n 3 --d 3 --budget 0",
+        "crystal --n 3 --w 1,1 --budget 0",
         "verify --suite signs --n-max 8",
     ],
 )
@@ -240,6 +241,34 @@ def test_budget_overrun_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n^d = 262144 exceeds the size budget 1000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env, err",
+    [
+        ("crystal --n 3 --w 1,1 --budget 7", None, "dim B(w) = 8 exceeds the size budget 7"),
+        ("crystal --n 3 --w 40,40 --format dot --budget 1000", None,
+         "dim B(w) = 68921 exceeds the size budget 1000"),
+        ("crystal --n 3 --w 40,40 --format dot", "1000",
+         "dim B(w) = 68921 exceeds the size budget 1000"),
+        ("crystal --n 3 --w 100,100", None, "dim B(w) = 1030301 exceeds the size budget 100000"),
+    ],
+)
+def test_crystal_over_budget_is_usage_error(monkeypatch, capsys, argv, env, err):
+    # the Weyl dimension is checked before a vertex is built
+    if env is not None:
+        monkeypatch.setenv("GEOCRYSTAL_BUDGET", env)
+    else:
+        monkeypatch.delenv("GEOCRYSTAL_BUDGET", raising=False)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_crystal_at_budget_runs(capsys):
+    assert main("crystal --n 3 --w 1,1 --budget 8".split()) == 0
+    assert capsys.readouterr().out.count('"word"') == 8
 
 
 def test_suites_never_pass_vacuously():

@@ -3,12 +3,15 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geocrystal.cartan import HighestWeight, Weight, pair_with_coroot
 from geocrystal.crystal import (
     CrystalGraph,
     StembridgeReport,
     StrataReport,
+    _signature,
     _vertex_of,
     crystal_to_dot,
     crystal_to_json,
@@ -17,6 +20,7 @@ from geocrystal.crystal import (
     stembridge_verify,
     strata_maps,
     weight_multiplicity,
+    word_content,
     yamanouchi_seed,
 )
 from geocrystal.errors import InternalConsistencyError
@@ -30,9 +34,7 @@ def test_standard_crystal():
     assert len(g2) == 2 and len(g2.f_edges) == 1
     g3 = highest_weight_crystal((1, 0))
     assert sorted(g3.vertices) == [(1,), (2,), (3,)]
-    assert g3.f((1,), 1) == (2,)
-    assert g3.f((2,), 2) == (3,)
-    assert g3.f((2,), 1) is None
+    assert g3.f_edges == {((1,), 1): (2,), ((2,), 2): (3,)}
     vx = g3.vertices[(2,)]
     assert vx.eps[0] == 1 and vx.phi[0] == 0
 
@@ -41,21 +43,45 @@ def test_golden_bracketing_convention():
     # frozen convention: raising acts on the rightmost surviving letter k+1,
     # lowering on the leftmost surviving letter k
     def f_op(word, k):
-        return _vertex_of(word, 3)[1][k - 1]
+        return _vertex(word, 3)[1][k - 1]
 
     assert f_op((1, 1), 1) == (2, 1)
     assert f_op((2, 1), 1) == (2, 2)
     assert e_op((2, 2), 1) == (2, 1)
     assert e_op((1, 2), 1) is None  # cancelled pair
-    vx = _vertex_of((2, 1), 3)[0]
+    vx = _vertex((2, 1), 3)[0]
     assert (vx.eps[0], vx.phi[0]) == (1, 1)
     assert e_op((2, 1), 1) == (1, 1) and f_op((2, 1), 1) == (2, 2)
-    assert _vertex_of((1, 1), 3)[0].phi[0] == 2
+    assert _vertex((1, 1), 3)[0].phi[0] == 2
     down2 = f_op(f_op((1, 1), 1), 1)
     assert e_op(e_op(down2, 1), 1) == (1, 1)
-    # one bracketing per k gives eps, phi and the f image together
-    vx, images = _vertex_of((2, 3, 1, 2), 3)
+    # one pass brackets every k and gives eps, phi and the f images together
+    vx, images = _vertex((2, 3, 1, 2), 3)
     assert (vx.eps, vx.phi, images) == ((1, 0), (0, 1), [None, (2, 3, 1, 3)])
+
+
+def _vertex(word, n):
+    a = word_content(word, n)
+    return _vertex_of(word, n, a, Weight.from_eps(a.parts))
+
+
+@st.composite
+def words(draw):
+    n = draw(st.integers(2, 5))
+    return n, tuple(draw(st.lists(st.integers(1, n), max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words())
+def test_one_pass_bracketing_matches_each_k_bracketing(case):
+    # _vertex_of brackets every k in one pass; _signature brackets one k
+    n, word = case
+    vx, images = _vertex(word, n)
+    for k in range(1, n):
+        minus, plus = _signature(word, k)
+        assert (vx.eps[k - 1], vx.phi[k - 1]) == (len(minus), len(plus))
+        flipped = word[: plus[0]] + (k + 1,) + word[plus[0] + 1 :] if plus else None
+        assert images[k - 1] == flipped
 
 
 def test_yamanouchi_seed():
@@ -207,7 +233,7 @@ def test_strata_maps():
     assert all(g.e(g.highest, k) is None for k in (1, 2))
     for word in g.sorted_words():
         for k in (1, 2):
-            down = g.f(word, k)
+            down = g.f_edges.get((word, k))
             if down is not None:
                 assert g.vertices[down].eps[k - 1] == g.vertices[word].eps[k - 1] + 1
 

@@ -299,6 +299,16 @@ def test_kostka_matches_cell_filling(case):
     assert kostka(lam, a) == reference_repalg.kostka(lam, a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(shapes_and_contents())
+def test_kostka_ignores_the_order_and_the_zeros_of_the_content(case):
+    # kostka sorts the content and drops its zeros; the oracle does neither
+    lam, a = case
+    for order in set(permutations(a)):
+        for content in (order, (0,) + order, order[:1] + (0,) + order[1:] + (0,)):
+            assert kostka(lam, content) == reference_repalg.kostka(lam, content), content
+
+
 def test_kostka_negative_entry_and_size_mismatch_as_reference():
     for lam, a in [((2, 1), (4, -1)), ((), (1, -1)), ((3,), (-1, 2, 2))]:
         assert kostka(lam, a) == reference_repalg.kostka(lam, a) == 0
