@@ -154,23 +154,14 @@ def test_stembridge_pass_and_corruption():
         stembridge_verify(corrupted(edges))
 
 
-def _union(*graphs, f_edges=None):
-    """One graph on the vertices of graphs, in their order, with their f-edges
-    updated by f_edges; the words of different shapes never coincide."""
-    vertices, edges = {}, {}
-    for g in graphs:
-        vertices.update(g.vertices)
-        edges.update(g.f_edges)
-    edges.update(f_edges or {})
-    return CrystalGraph(graphs[0].n, graphs[0].w, vertices, edges, graphs[0].highest)
-
-
 def _swap_strings(a, b, x, y, k):
-    """a and b with the k-edges into x and into y exchanged: x and y have
-    the same weight and eps_k, so every vertex keeps its k-string lengths
-    and weight steps, and only the other colors can see the swap."""
+    """One graph on the vertices of a and then b (words of different shapes
+    never coincide), with the k-edges into x and into y exchanged: x and y
+    have the same weight and eps_k, so every vertex keeps its k-string
+    lengths and weight steps, and only the other colors can see the swap."""
     up_x, up_y = a.e_edges[(x, k)], b.e_edges[(y, k)]
-    return _union(a, b, f_edges={(up_x, k): y, (up_y, k): x})
+    edges = {**a.f_edges, **b.f_edges, (up_x, k): y, (up_y, k): x}
+    return CrystalGraph(a.n, a.w, {**a.vertices, **b.vertices}, edges, a.highest)
 
 
 @pytest.mark.parametrize(
