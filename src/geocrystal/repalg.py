@@ -311,8 +311,11 @@ def kostka(lam, a) -> int:
 
     Gelfand-Tsetlin recursion: the cells holding the largest letter m form a
     horizontal strip lam/mu of a_m cells, and mu is a tableau in the letters
-    below m.  Letters are peeled from the largest down, with the shapes of
-    each level kept as a {shape: count} dict.
+    below m.  Letters are peeled from the largest down to the last two, with
+    the shapes of each level kept as a {shape: count} dict.  Two letters
+    a_1 <= a_2 fill a shape of at most two rows one way if its second row
+    s_2 <= a_1, and no other shape, so the last level is counted without
+    enumerating its strips.
 
     K(lam, a) is symmetric in a (the Bender-Knuth involutions swap the counts
     of two adjacent letters), and a letter of count 0 adds nothing, so the
@@ -327,14 +330,19 @@ def kostka(lam, a) -> int:
         raise SizeMismatchError(f"|{lam.parts}| != sum{a}")
     a = sorted(c for c in a if c)
     level = {lam.parts: 1}
-    for m in range(len(a), 1, -1):
+    for m in range(len(a), 2, -1):
         below: dict[tuple[int, ...], int] = {}
         for shape, count in level.items():
             for mu in _strip_removals(shape, a[m - 1], m - 1):
                 below[mu] = below.get(mu, 0) + count
         level = below
-    # the letter 1 fills a one-row shape one way, and no other shape
-    return level.get((a[0],) if a else (), 0)
+    if len(a) < 2:  # one letter fills a one-row shape one way
+        return level.get(tuple(a), 0)
+    return sum(
+        count
+        for shape, count in level.items()
+        if len(shape) == 1 or len(shape) == 2 and shape[1] <= a[0]
+    )
 
 
 def _bounded_compositions(total: int, bounds: tuple[int, ...]):
