@@ -22,6 +22,8 @@ from .errors import (
 from .linalg import (
     RatMat,
     Subspace,
+    _json_int,
+    _json_list,
     canonicalize,
     contains,
     contains_image,
@@ -110,11 +112,15 @@ class Flag(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Flag":
-        d = obj["d"]
+        """Inverse of to_json.  d and n must be JSON integers and spaces a
+        list; anything else raises ValueError (or KeyError for a missing field)."""
+        if not isinstance(obj, dict):
+            raise ValueError("a flag is an object")
+        d = _json_int(obj["d"], "d")
         spaces = [
-            canonicalize(RatMat.from_json(b), d) for b in obj["spaces"]
+            canonicalize(RatMat.from_json(b), d) for b in _json_list(obj["spaces"], "spaces")
         ]
-        return cls(spaces, obj["n"])
+        return cls(spaces, _json_int(obj["n"], "n"))
 
 
 def block_shift_x(w) -> tuple[NilEndo, tuple[tuple[int, int], ...]]:
@@ -249,8 +255,14 @@ def flag_bundle_to_json(x: NilEndo, flags: Sequence[Flag]) -> dict:
 
 
 def flag_bundle_from_json(obj: dict) -> tuple[NilEndo, list[Flag]]:
-    x = NilEndo(RatMat.from_json(obj["x"]), obj["n"])
-    flags = [Flag.from_json(f) for f in obj["flags"]]
+    """Inverse of flag_bundle_to_json.  d and n must be JSON integers and flags
+    a list, each flag read by Flag.from_json; anything else raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("a flag bundle is an object")
+    x = NilEndo(RatMat.from_json(obj["x"]), _json_int(obj["n"], "n"))
+    if _json_int(obj["d"], "d") != x.d:
+        raise SizeMismatchError("bundle d does not match x")
+    flags = [Flag.from_json(f) for f in _json_list(obj["flags"], "flags")]
     for F in flags:
         if F.d != x.d or F.n != x.n:
             raise SizeMismatchError("bundle flag does not match x")

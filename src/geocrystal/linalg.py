@@ -34,6 +34,20 @@ Vector = tuple[Fraction, ...]
 IntRows = tuple[tuple[int, ...], ...]
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer: not a boolean, a float or a string."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, name: str) -> list:
+    """A JSON array: not a string or an object."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

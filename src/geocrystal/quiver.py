@@ -32,6 +32,8 @@ from .linalg import (
     RatMat,
     Subspace,
     _echelon_rows,
+    _json_int,
+    _json_list,
     _kernel_ints,
     _product_map_rows,
     full_space,
@@ -54,17 +56,8 @@ _INDEX = "(0|[1-9][0-9]*)"
 _MAP_KEY = re.compile(f"B:{_INDEX}->{_INDEX}|([ij]):{_INDEX}")
 
 
-def _json_int(value, name: str) -> int:
-    """A JSON integer: not a boolean, a float or a string."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _json_ints(value, name: str) -> list[int]:
-    if type(value) is not list:
-        raise ValueError(f"{name} must be a list of integers, got {value!r}")
-    return [_json_int(c, name) for c in value]
+    return [_json_int(c, name) for c in _json_list(value, name)]
 
 
 class QuiverShape(Value):

@@ -2,11 +2,13 @@
 module into irreducibles, the two quotient dimensions, Kostka and RSK
 combinatorics, and the closing rank-3 separation example.
 
-Multiplicities are certified exact: the ranks of the raising operators on
-each dominant weight space are computed modulo a large prime by sparse
-elimination over Python ints, then the checksum sum(mult * dim) = n^d proves
-there was no rank drop (mod-p kernels can only be too big); on checksum
-failure the ranks are recomputed with exact rational elimination.
+By Schur-Weyl duality the multiplicity of L(lambda) in (Q^n)^{tensor d} is
+the number of standard tableaux of shape lambda, the Kostka number
+K(lambda, 1^d), for every partition lambda of d with at most n rows.  The
+checksum sum(mult * dim) = n^d, the RSK identity sum f^lambda dim L(lambda)
+= n^d, is checked on every decomposition.  The joint kernels of the raising
+operators on the dominant weight spaces give the same multiplicities by
+linear algebra; that route is the oracle of the tests, not a second path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from itertools import product
 
 from .cartan import (
     HighestWeight,
-    Partition,
     as_composition,
     as_highest_weight,
     as_partition,
@@ -38,12 +39,7 @@ from .errors import (
     SizeMismatchError,
     size_budget,
 )
-from .linalg import RatMat, rank
 from .values import Value
-
-# Mersenne prime 2^31 - 1.  A rank mod p never exceeds the rank over Q, and
-# only a minor divisible by p can make it smaller.
-_PRIME = 2_147_483_647
 
 
 def _check_budget(n: int, d: int, budget: int | None) -> None:
@@ -93,136 +89,25 @@ class Decomposition(Value):
         }
 
 
-def _words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The words with these letter counts, in lexicographic order: each
-    level extends the words of the last in order, letter by letter."""
-    level = [((), content)]
-    for _ in range(sum(content)):
-        level = [
-            (word + (letter + 1,), left[:letter] + (left[letter] - 1,) + left[letter + 1 :])
-            for word, left in level
-            for letter in range(len(left))
-            if left[letter]
-        ]
-    return [word for word, _ in level]
-
-
-def _rank_mod_p(rows: int, cols: int, triplets: list[tuple[int, int, int]]) -> int:
-    """Rank modulo _PRIME by sparse column elimination.
-
-    Each column is a {row: value} dict.  It is reduced against the pivot
-    columns, keyed by their leading (least) row, until its leading row is
-    new; then it becomes the pivot of that row, scaled to leading entry 1.
-    Columns are taken from the last to the first: on the raising-operator
-    blocks that order takes a third of the time of the opposite one.
-    """
-    columns: dict[int, dict[int, int]] = {}
-    for r, c, vt in triplets:
-        column = columns.setdefault(c, {})
-        column[r] = column.get(r, 0) + vt
-    pivots: dict[int, dict[int, int]] = {}
-    for c in sorted(columns, reverse=True):
-        column = {r: x % _PRIME for r, x in columns[c].items() if x % _PRIME}
-        while column:
-            lead = min(column)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(column[lead], -1, _PRIME)
-                pivots[lead] = {r: x * inv % _PRIME for r, x in column.items()}
-                break
-            f = column[lead]
-            for r, x in pivot.items():
-                # f * x is nonzero mod _PRIME, so y == 0 only where r is a key
-                y = (column.get(r, 0) - f * x) % _PRIME
-                if y:
-                    column[r] = y
-                else:
-                    del column[r]
-        if len(pivots) == rows:
-            break
-    return len(pivots)
-
-
-def _rank_exact(rows: int, cols: int, triplets: list[tuple[int, int, int]]) -> int:
-    if rows == 0 or cols == 0 or not triplets:
-        return 0
-    data = [[0] * cols for _ in range(rows)]
-    for r, c, vt in triplets:
-        data[r][c] += vt
-    return rank(RatMat(data, cols=cols))
-
-
-def _singular_multiplicities(n: int, d: int) -> dict[tuple[int, ...], int]:
-    """Multiplicity of each dominant content a, certified exact via checksum.
-
-    It is the dimension of the joint kernel of the raising operators
-    e_k: block(a) -> block(a + alpha_k), so only the dominant blocks and
-    their raising targets are built, once per call, each the lexicographic
-    list of the words of its content.
-    """
-    blocks: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-
-    def block(content: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        if content not in blocks:
-            blocks[content] = {wd: i for i, wd in enumerate(_words_of_content(content))}
-        return blocks[content]
-
-    dominant = [lam.parts + (0,) * (n - len(lam.parts)) for lam in gl_partitions(d, n)]
-
-    def kernels(rank_fn) -> dict[tuple[int, ...], int]:
-        mults = {}
-        for a in dominant:
-            source = block(a)
-            triplets: list[tuple[int, int, int]] = []
-            row_offset = 0
-            for k in range(1, n):
-                if a[k] == 0:
-                    continue
-                # e_k turns one letter k+1 into k
-                target = block(a[: k - 1] + (a[k - 1] + 1, a[k] - 1) + a[k + 1 :])
-                for col, word in enumerate(source):
-                    for pos, letter in enumerate(word):
-                        if letter == k + 1:
-                            row = target[word[:pos] + (k,) + word[pos + 1 :]]
-                            triplets.append((row_offset + row, col, 1))
-                row_offset += len(target)
-            mults[a] = len(source) - rank_fn(row_offset, len(source), triplets)
-        return mults
-
-    mults = kernels(_rank_mod_p)
-    checksum = sum(m * irrep_dim(_partition_of_content(a), n) for a, m in mults.items())
-    if checksum != n**d:
-        mults = kernels(_rank_exact)
-    return mults
-
-
-def _partition_of_content(a: tuple[int, ...]) -> Partition:
-    return Partition(tuple(p for p in a if p > 0))
-
-
 def decompose_tensor(n: int, d: int, budget: int | None = None) -> Decomposition:
     """Decomposition of (Q^n)^{tensor d} into sl_n irreducibles.
 
-    Multiplicities come from joint kernels of the raising operators on each
-    dominant weight space; the constituent records both the GL partition (the
-    dominant content) and its sl_n reduction mod full columns, plus the strict
-    partition-of-d flag.
+    One constituent per partition lambda of d with at most n rows, in
+    decreasing lex order, of multiplicity K(lambda, 1^d); it records both the
+    GL partition and its sl_n reduction mod full columns, plus the strict
+    partition-of-d flag.  A total other than n^d raises IncompatibleError.
     """
     _check_budget(n, d, budget)
-    mults = _singular_multiplicities(n, d)
     constituents = []
-    for a in sorted(mults, reverse=True):
-        mult = mults[a]
-        if mult == 0:
-            continue
-        gl_part = _partition_of_content(a)
-        w = partition_to_hw(reduce_mod_full_columns(gl_part, n), n)
+    for gl_part in gl_partitions(d, n):
+        sl_part = reduce_mod_full_columns(gl_part, n)
+        w = partition_to_hw(sl_part, n)
         constituents.append(
             Constituent(
                 w=w,
                 gl_partition=gl_part,
-                sl_partition=reduce_mod_full_columns(gl_part, n),
-                multiplicity=mult,
+                sl_partition=sl_part,
+                multiplicity=kostka(gl_part, (1,) * d),
                 dimension=irrep_dim(gl_part, n),
                 strict_partition_of_d=is_partition_of(w, d),
             )
@@ -249,9 +134,9 @@ def dominant_weights_of(w) -> list[tuple[HighestWeight, bool]]:
     """Dominant candidates omega_w - alpha_v with their weight-membership flag.
 
     Candidates are enumerated over the box where the associated composition is
-    non-negative; membership in L(omega_w) is decided by the crystal model
-    (count of vertices at that weight), with the Kostka number available as an
-    independent combinatorial check.
+    non-negative.  A candidate outside the image of a(v, w) is flagged False;
+    any other is flagged by the crystal model B(omega_w), True when it has a
+    vertex of content a(v, w).
     """
     from .crystal import highest_weight_crystal, weight_multiplicity
 

@@ -191,3 +191,53 @@ def test_flag_bundle_round_trip():
     payload = flag_bundle_to_json(x, [F])
     x2, flags = flag_bundle_from_json(payload)
     assert x2 == x and flags == [F]
+
+
+def _bundle_with(**changes):
+    """The round-trip bundle with top-level fields, or its one flag's
+    (keys prefixed flag_), replaced."""
+    x, _ = block_shift_x((1, 1))
+    payload = flag_bundle_to_json(x, [flag_of(3, 3, [(1, -1, 0)], [(1, 0, 0), (0, 1, 0)])])
+    for key, value in changes.items():
+        if key.startswith("flag_"):
+            payload["flags"][0][key[len("flag_"):]] = value
+        else:
+            payload[key] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_bundle_with(n=3.0), "n must be an integer"),
+        (_bundle_with(n=True), "n must be an integer"),
+        (_bundle_with(n="3"), "n must be an integer"),
+        (_bundle_with(d=3.0), "d must be an integer"),
+        (_bundle_with(flags="ab"), "flags must be a list"),
+        (_bundle_with(flags={"0": None}), "flags must be a list"),
+        (_bundle_with(flags=["ab"]), "a flag is an object"),
+        (_bundle_with(flag_d=3.0), "d must be an integer"),
+        (_bundle_with(flag_d=False), "d must be an integer"),
+        (_bundle_with(flag_n=3.0), "n must be an integer"),
+        (_bundle_with(flag_n=True), "n must be an integer"),
+        (_bundle_with(flag_spaces="ab"), "spaces must be a list"),
+        (_bundle_with(flag_spaces={"0": None}), "spaces must be a list"),
+        (["not", "an", "object"], "a flag bundle is an object"),
+    ],
+    ids=[
+        "float n", "bool n", "string n", "float d", "string flags", "object flags",
+        "string flag", "float flag d", "bool flag d", "float flag n", "bool flag n",
+        "string spaces", "object spaces", "list bundle",
+    ],
+)
+def test_flag_bundle_reader_takes_only_json_ints_and_lists(payload, message):
+    # a plain ValueError from the reader, not a GeoCrystalError from a
+    # constructor that was handed the wrong type
+    with pytest.raises(ValueError, match=f"^{message}") as exc:
+        flag_bundle_from_json(payload)
+    assert type(exc.value) is ValueError
+
+
+def test_flag_bundle_d_must_match_x():
+    with pytest.raises(SizeMismatchError):
+        flag_bundle_from_json(_bundle_with(d=4))

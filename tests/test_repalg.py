@@ -1,6 +1,7 @@
 import hashlib
 import json
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 import reference_linalg as ref
 import reference_repalg
-from geocrystal import repalg, suites
-from geocrystal.cartan import HighestWeight, hw_to_partition
+from geocrystal import cli, repalg, suites
+from geocrystal.cartan import HighestWeight, gl_partitions, hw_to_partition
 from geocrystal.errors import BudgetExceededError, IncompatibleError, SizeMismatchError
 from geocrystal.repalg import (
     decompose_tensor,
@@ -22,9 +23,6 @@ from geocrystal.repalg import (
     rsk,
     rsk_inverse,
     verify_sl3_example,
-    _rank_mod_p,
-    _singular_multiplicities,
-    _words_of_content,
 )
 
 
@@ -62,19 +60,20 @@ def test_decompose_3_3():
 
 
 def test_exact_fallback_matches_modp(monkeypatch):
-    """A mod-p rank that under-reports fails the checksum, and the exact
-    ranks that replace it give the unpatched multiplicities."""
-    expected = _singular_multiplicities(3, 3)
-    rank_exact = repalg._rank_exact
+    """In the raising-operator oracle, a mod-p rank that under-reports fails
+    the checksum, and the exact ranks that replace it give the unpatched
+    multiplicities."""
+    expected = reference_repalg.singular_multiplicities(3, 3)
+    rank_exact = reference_repalg.rank_exact
     exact_calls = []
 
     def exact(*args):
         exact_calls.append(args)
         return rank_exact(*args)
 
-    monkeypatch.setattr(repalg, "_rank_mod_p", lambda rows, cols, triplets: 0)
-    monkeypatch.setattr(repalg, "_rank_exact", exact)
-    assert _singular_multiplicities(3, 3) == expected
+    monkeypatch.setattr(reference_repalg, "rank_mod_p", lambda rows, cols, triplets: 0)
+    monkeypatch.setattr(reference_repalg, "rank_exact", exact)
+    assert reference_repalg.singular_multiplicities(3, 3) == expected
     assert exact_calls
 
 
@@ -108,22 +107,23 @@ def triplet_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(triplet_matrices())
 def test_rank_mod_p_matches_reference(case):
-    # every minor is at most (3 sqrt 6)^6 < _PRIME in absolute value, so the
-    # rank mod _PRIME is the rank over Q
+    # every minor is at most (3 sqrt 6)^6 < PRIME in absolute value, so the
+    # rank mod PRIME is the rank over Q
     rows, cols, entries, triplets = case
     _, pivots = ref.rref(ref.RatMat(entries, cols=cols))
-    assert _rank_mod_p(rows, cols, triplets) == len(pivots)
+    assert reference_repalg.rank_mod_p(rows, cols, triplets) == len(pivots)
 
 
 def test_modp_certifies_without_fallback(monkeypatch):
+    """The oracle's mod-p ranks pass its checksum on the benchmark's pairs."""
     def no_fallback(*args):
         raise AssertionError("exact fallback used")
 
-    monkeypatch.setattr(repalg, "_rank_exact", no_fallback)
+    monkeypatch.setattr(reference_repalg, "rank_exact", no_fallback)
     pairs = [(n, d) for n in (2, 3, 4) for d in range(1, 7)]
     pairs += [(3, 7), (3, 8), (4, 6), (4, 7)]
     for n, d in pairs:
-        assert decompose_tensor(n, d).total == n**d
+        reference_repalg.singular_multiplicities(n, d)
 
 
 def test_irrep_dim():
@@ -341,7 +341,7 @@ def test_weight_blocks_match_filtered_words():
     for n in range(2, 5):
         for d in range(8):
             for content, words in reference_repalg.contents_by_word(n, d).items():
-                assert _words_of_content(content) == words, content
+                assert reference_repalg.words_of_content(content) == words, content
 
 
 # The tensor pairs of the combinatorics benchmark, and four more: d = 0, long
@@ -361,3 +361,46 @@ def test_decompositions_golden_digest():
         payload = json.dumps(decompose_tensor(n, d).to_json(), sort_keys=True)
         digest.update(payload.encode() + b"\n")
     assert digest.hexdigest() == TENSOR_DIGEST
+
+
+def test_multiplicities_match_raising_operator_kernels():
+    for n, d in GOLDEN_TENSOR_PAIRS:
+        got = {
+            c.gl_partition.parts + (0,) * (n - len(c.gl_partition.parts)): c.multiplicity
+            for c in decompose_tensor(n, d).constituents
+        }
+        assert got == reference_repalg.singular_multiplicities(n, d), (n, d)
+
+
+def _hook_product(parts: tuple[int, ...]) -> int:
+    columns = [sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0)]
+    product_ = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            product_ *= (row - j - 1) + (columns[j] - i - 1) + 1
+    return product_
+
+
+def test_standard_tableaux_match_hook_length_formula():
+    for d in range(13):
+        for lam in gl_partitions(d, max(d, 1)):
+            hooks = _hook_product(lam.parts)
+            assert kostka(lam, (1,) * d) == factorial(d) // hooks, lam.parts
+            assert factorial(d) % hooks == 0
+
+
+def test_wrong_multiplicity_fails_the_checksum(monkeypatch, capsys):
+    """The checksum is the only certificate of the multiplicities: one too
+    many copies of L(2,1) in (Q^3)^{tensor 3} fails it, and the CLI reports
+    that as a failed check."""
+    real = repalg.kostka
+    monkeypatch.setattr(
+        repalg, "kostka", lambda lam, a: real(lam, a) + (lam.parts == (2, 1))
+    )
+    with pytest.raises(IncompatibleError, match="checksum 35 != 27"):
+        decompose_tensor(3, 3)
+    assert cli.main(["quotients", "--n", "3", "--d", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: decomposition checksum 35 != 27"]
+    assert "Traceback" not in err
