@@ -6,8 +6,8 @@ word order; a "+" immediately followed by an unmatched "-" cancels.  The
 raising operator flips the letter of the rightmost surviving "-", the
 lowering operator flips the letter of the leftmost surviving "+".  Seed words
 are column readings (right-to-left, top-to-bottom) of the highest tableau,
-and the constructor re-checks that the seed is killed by every raising
-operator instead of trusting the convention.
+and the constructor checks that the seed is killed by every raising
+operator (each eps_k of it is 0) instead of trusting the convention.
 """
 
 from __future__ import annotations
@@ -31,30 +31,6 @@ from .errors import (
 from .values import Frozen, Value
 
 Word = tuple[int, ...]
-
-
-def _signature(word: Word, k: int) -> tuple[list[int], list[int]]:
-    """Positions of surviving minuses and pluses for the k-bracketing."""
-    plus_stack: list[int] = []
-    minus_list: list[int] = []
-    for pos, letter in enumerate(word):
-        if letter == k:
-            plus_stack.append(pos)
-        elif letter == k + 1:
-            if plus_stack:
-                plus_stack.pop()
-            else:
-                minus_list.append(pos)
-    return minus_list, plus_stack
-
-
-def e_op(word: Word, k: int) -> Word | None:
-    """Raising operator: rightmost surviving k+1 becomes k; None if eps = 0."""
-    minus, _ = _signature(word, k)
-    if not minus:
-        return None
-    pos = minus[-1]
-    return word[:pos] + (k,) + word[pos + 1 :]
 
 
 def word_content(word: Word, n: int) -> Composition:
@@ -145,11 +121,6 @@ def highest_weight_crystal(w) -> CrystalGraph:
     one content share its Composition and Weight."""
     w = as_highest_weight(w)
     n, seed = w.n, yamanouchi_seed(w)
-    for k in range(1, n):
-        if e_op(seed, k) is not None:
-            raise InternalConsistencyError(
-                f"seed {seed} is not killed by the raising operator at {k}"
-            )
     shared: dict[tuple[int, ...], tuple[Composition, Weight]] = {}
 
     def vertex(word: Word, parts: tuple[int, ...]):
@@ -159,6 +130,11 @@ def highest_weight_crystal(w) -> CrystalGraph:
 
     vertices, images, f_edges = {}, {}, {}
     vertices[seed], images[seed] = vertex(seed, word_content(seed, n).parts)
+    for k, eps in enumerate(vertices[seed].eps, start=1):
+        if eps:
+            raise InternalConsistencyError(
+                f"seed {seed} is not killed by the raising operator at {k}"
+            )
     if vertices[seed].wt.omega != w.w:
         raise InternalConsistencyError(f"seed weight {vertices[seed].wt.omega} != {w.w}")
     queue = [seed]

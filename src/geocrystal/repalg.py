@@ -9,25 +9,27 @@ checksum sum(mult * dim) = n^d, the RSK identity sum f^lambda dim L(lambda)
 = n^d, is checked on every decomposition.  The joint kernels of the raising
 operators on the dominant weight spaces give the same multiplicities by
 linear algebra; that route is the oracle of the tests, not a second path.
+The weights of L(omega_w), which index dim U/J_w and the non-empty M(v, w),
+are found once, as the compositions a of level(w) with K(lambda(w), a) > 0.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from math import comb
 
 from .cartan import (
     HighestWeight,
     as_composition,
     as_highest_weight,
     as_partition,
-    a_of_vw,
     gl_partitions,
     hw_to_partition,
     irrep_dim,
     is_partition_of,
     partition_to_hw,
     reduce_mod_full_columns,
+    v_of_aw,
     weight_of_vw,
 )
 from .errors import (
@@ -35,7 +37,6 @@ from .errors import (
     GeoCrystalError,
     IncompatibleError,
     InvalidRankError,
-    NotInImageError,
     SizeMismatchError,
     size_budget,
 )
@@ -130,45 +131,38 @@ def dim_quotient_Id(n: int, d: int, budget: int | None = None) -> int:
     return sum(dim * dim for dim in seen.values())
 
 
-def dominant_weights_of(w) -> list[tuple[HighestWeight, bool]]:
-    """Dominant candidates omega_w - alpha_v with their weight-membership flag.
-
-    Candidates are enumerated over the box where the associated composition is
-    non-negative.  A candidate outside the image of a(v, w) is flagged False;
-    any other is flagged by the crystal model B(omega_w), True when it has a
-    vertex of content a(v, w).
-    """
-    from .crystal import highest_weight_crystal, weight_multiplicity
-
+def valid_dimvecs(w) -> list[tuple[int, ...]]:
+    """The v with M(v, w) non-empty, ascending: omega_w - alpha_v is a weight
+    of L(omega_w) exactly when its content a = a(v, w) has K(lambda(w), a) > 0,
+    so v = v_of_aw(a, w) over the compositions a of level(w) into n parts."""
     w = as_highest_weight(w)
-    n = w.n
-    d = w.level_d
-    graph = highest_weight_crystal(w)
-    out = []
-    for v in product(range(d + 1), repeat=n - 1):
-        mu = weight_of_vw(v, w).omega
-        if any(c < 0 for c in mu):
-            continue
-        try:
-            a = a_of_vw(v, w)
-        except NotInImageError:
-            out.append((HighestWeight(mu), False))
-            continue
-        member = weight_multiplicity(graph, a.parts) > 0
-        out.append((HighestWeight(mu), member))
-    out.sort(key=lambda pair: pair[0].w, reverse=True)
-    return out
+    lam, d = hw_to_partition(w), w.level_d
+    compositions = _bounded_compositions(d, (d,) * w.n)
+    return sorted(v_of_aw(a, w).v for a in compositions if kostka(lam, a) > 0)
+
+
+def dominant_weights_of(w) -> list[HighestWeight]:
+    """The dominant omega_w - alpha_v over valid_dimvecs(w), decreasing.
+
+    These are all the dominant mu <= omega_w, so no membership flag is needed:
+    the content a = a(v, w) of such a mu has a_k - a_{k+1} = <h_k, mu> >= 0 and
+    a_n = v_{n-1} >= 0, so it is a partition; v >= 0 makes lambda(w) dominate
+    it, so K(lambda(w), a) > 0.
+    """
+    w = as_highest_weight(w)
+    mus = (weight_of_vw(v, w).omega for v in valid_dimvecs(w))
+    dominant = [HighestWeight(mu) for mu in mus if min(mu) >= 0]
+    return sorted(dominant, key=lambda mu: mu.w, reverse=True)
 
 
 def dim_quotient_Jw(w, budget: int | None = None) -> int:
-    """Sum of squared dimensions over the dominant weights of L(omega_w)."""
-    w = as_highest_weight(w)
-    _check_budget(w.n, max(w.level_d, 1), budget)
-    total = 0
-    for mu, member in dominant_weights_of(w):
-        if member:
-            total += irrep_dim(hw_to_partition(mu), w.n) ** 2
-    return total
+    """Sum of squared dimensions over the dominant weights of L(omega_w); the
+    C(d + n - 1, n - 1) compositions of d = level(w) it visits are budgeted."""
+    w, budget = as_highest_weight(w), size_budget(budget)
+    visited = comb(w.level_d + w.n - 1, w.n - 1)
+    if visited > budget:
+        raise BudgetExceededError(f"{visited} compositions exceed the size budget {budget}")
+    return sum(irrep_dim(hw_to_partition(mu), w.n) ** 2 for mu in dominant_weights_of(w))
 
 
 def _strip_removals(shape: tuple[int, ...], size: int, rows: int) -> list[tuple[int, ...]]:

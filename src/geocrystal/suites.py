@@ -11,7 +11,6 @@ import time
 from itertools import product
 from math import factorial, prod
 
-from . import crystal as crystal_mod
 from . import repalg
 from .cartan import (
     HighestWeight,
@@ -32,6 +31,7 @@ from .maffei import (
     check_theta_point,
 )
 from .quiver import dim_and_sign, sample_lambda_point
+from .repalg import valid_dimvecs
 
 # ---------------------------------------------------------------------------
 # sign agreement / coefficient bridge grid
@@ -137,23 +137,6 @@ def suite_signs(
 # ---------------------------------------------------------------------------
 
 
-def valid_dimvecs(w) -> list[tuple[int, ...]]:
-    """Dimension vectors with a non-empty stable locus (Kostka number > 0)."""
-    w = as_highest_weight(w)
-    n = w.n
-    d = w.level_d
-    lam = hw_to_partition(w)
-    out = []
-    for v in product(range(d + 1), repeat=n - 1):
-        try:
-            a = a_of_vw(v, w)
-        except NotInImageError:
-            continue
-        if repalg.kostka(lam, a.parts) > 0:
-            out.append(v)
-    return out
-
-
 def suite_maffei(n: int, w, samples: int, seed: int, flags: list | None = None) -> dict:
     """Sample stable Lagrangian points for one (n, w) and run every identity.
 
@@ -240,6 +223,8 @@ def suite_crystal(n_max: int = 4, level_max: int = 8) -> dict:
     """For every w with n <= n_max and sum k*w_k <= level_max: Stembridge
     axioms, vertex count vs the Weyl dimension, weight multiplicities vs
     Kostka numbers, and the strata factorization of both operators."""
+    from . import crystal as crystal_mod
+
     failures: list[str] = []
     crystals = 0
     vertices = 0
@@ -255,10 +240,10 @@ def suite_crystal(n_max: int = 4, level_max: int = 8) -> dict:
             report = crystal_mod.stembridge_verify(g)
             if not report.ok:
                 _record(failures, f"{tag}: Stembridge: {report.violation}")
-            expected_dim = repalg.irrep_dim(hw_to_partition(hw), n)
+            lam = hw_to_partition(hw)
+            expected_dim = repalg.irrep_dim(lam, n)
             if len(g) != expected_dim:
                 _record(failures, f"{tag}: |B(w)| = {len(g)} != {expected_dim}")
-            lam = hw_to_partition(hw)
             for a in repalg._bounded_compositions(hw.level_d, (hw.level_d,) * n):
                 if crystal_mod.weight_multiplicity(g, a) != repalg.kostka(lam, a):
                     _record(failures, f"{tag}: multiplicity at a={a} != Kostka")

@@ -1,20 +1,35 @@
-"""Reference implementations of four ``geocrystal`` combinatorics kernels.
+"""Reference implementations of six ``geocrystal`` combinatorics kernels.
 
 These are the enumerating versions the package used before it counted by
 recursion and symmetry: Kostka numbers by filling the diagram cell by cell,
 the margin-matrix sum over every pair of compositions, the weight blocks of
-(Q^n)^{tensor d} from all n^d words, and the tensor-power multiplicities as
+(Q^n)^{tensor d} from all n^d words, the tensor-power multiplicities as
 joint kernels of the raising operators, by rank modulo a prime with an exact
-fallback.  They are kept only as the oracles of the differential tests in
-``test_repalg.py``; nothing in the package imports them.
+fallback, and the weights of L(omega_w) from a scan of the box
+[0, d]^{n-1} of dimension vectors, decided by Kostka numbers or by the
+vertex counts of the crystal B(omega_w).  They are kept only as the oracles
+of the differential tests in ``test_repalg.py``; nothing in the package
+imports them.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from geocrystal.cartan import Partition, as_composition, as_partition, gl_partitions, irrep_dim
-from geocrystal.errors import SizeMismatchError
+from geocrystal.cartan import (
+    HighestWeight,
+    Partition,
+    a_of_vw,
+    as_composition,
+    as_highest_weight,
+    as_partition,
+    gl_partitions,
+    hw_to_partition,
+    irrep_dim,
+    weight_of_vw,
+)
+from geocrystal.crystal import highest_weight_crystal, weight_multiplicity
+from geocrystal.errors import NotInImageError, SizeMismatchError
 from geocrystal.linalg import RatMat, rank
 from geocrystal.repalg import margin_matrix_count
 
@@ -192,3 +207,48 @@ def singular_multiplicities(n: int, d: int) -> dict[tuple[int, ...], int]:
 
 def partition_of_content(a: tuple[int, ...]) -> Partition:
     return Partition(tuple(p for p in a if p > 0))
+
+
+def valid_dimvecs(w) -> list[tuple[int, ...]]:
+    """Dimension vectors with a non-empty stable locus (Kostka number > 0)."""
+    w = as_highest_weight(w)
+    n = w.n
+    d = w.level_d
+    lam = hw_to_partition(w)
+    out = []
+    for v in product(range(d + 1), repeat=n - 1):
+        try:
+            a = a_of_vw(v, w)
+        except NotInImageError:
+            continue
+        if kostka(lam, a.parts) > 0:
+            out.append(v)
+    return out
+
+
+def dominant_weights_of(w) -> list[tuple[HighestWeight, bool]]:
+    """Dominant candidates omega_w - alpha_v with their weight-membership flag.
+
+    Candidates are enumerated over the box where the associated composition is
+    non-negative.  A candidate outside the image of a(v, w) is flagged False;
+    any other is flagged by the crystal model B(omega_w), True when it has a
+    vertex of content a(v, w).
+    """
+    w = as_highest_weight(w)
+    n = w.n
+    d = w.level_d
+    graph = highest_weight_crystal(w)
+    out = []
+    for v in product(range(d + 1), repeat=n - 1):
+        mu = weight_of_vw(v, w).omega
+        if any(c < 0 for c in mu):
+            continue
+        try:
+            a = a_of_vw(v, w)
+        except NotInImageError:
+            out.append((HighestWeight(mu), False))
+            continue
+        member = weight_multiplicity(graph, a.parts) > 0
+        out.append((HighestWeight(mu), member))
+    out.sort(key=lambda pair: pair[0].w, reverse=True)
+    return out

@@ -319,6 +319,7 @@ def test_cli_commands_import_only_what_they_run(p0_file):
     assert "geocrystal.crystal" in crystal
     assert not crystal & package("linalg", "flag", "quiver", "maffei", "repalg", "suites")
     assert "geocrystal.suites" in quotients
+    assert "geocrystal.crystal" not in quotients
     for loaded in (theta, crystal, quotients):
         assert not loaded & {"dataclasses", "inspect"}
 

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_crystal import _signature, e_op
+from geocrystal import crystal
 from geocrystal.cartan import HighestWeight, Weight, pair_with_coroot
 from geocrystal.crystal import (
     CrystalGraph,
     StembridgeReport,
     StrataReport,
-    _signature,
     _vertex_of,
     crystal_to_dot,
     crystal_to_json,
-    e_op,
     highest_weight_crystal,
     stembridge_verify,
     strata_maps,
@@ -90,6 +90,13 @@ def test_yamanouchi_seed():
     seed = yamanouchi_seed((1, 1))
     for k in (1, 2):
         assert e_op(seed, k) is None
+
+
+def test_seed_not_killed_raises(monkeypatch):
+    # (2, 1, 1) has the weight of (1, 1) but e_1 still acts on its first letter
+    monkeypatch.setattr(crystal, "yamanouchi_seed", lambda w: (2, 1, 1))
+    with pytest.raises(InternalConsistencyError, match="not killed"):
+        highest_weight_crystal((1, 1))
 
 
 def test_highest_weight_crystal_sizes():

@@ -10,7 +10,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Names no code in src/ or bench/ calls, each kept for what it states; a
 # method or property is named Class.name.
 KEPT = {
-    "v_of_aw": "inverse of the a(v, w) bijection, a definition of the paper",
     "epsilon_k_flag": "the paper's epsilon_k on the flag side",
     "epsilon_k_point": "the paper's epsilon_k on the quiver side",
     "flag_bundle_from_json": "reads the file that verify --dump-bundles writes",

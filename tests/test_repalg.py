@@ -143,19 +143,45 @@ def test_dim_quotient_Id():
 
 
 def test_dominant_weights_of():
-    table = dominant_weights_of((1, 1))
-    as_dict = {mu.w: member for mu, member in table}
-    assert as_dict[(1, 1)] is True
-    assert as_dict[(0, 0)] is True
-    assert (3, 0) not in as_dict  # not expressible with v >= 0
-    top = dominant_weights_of((3, 0))
-    assert {mu.w: m for mu, m in top}[(3, 0)] is True
+    weights = [mu.w for mu in dominant_weights_of((1, 1))]
+    assert (1, 1) in weights
+    assert (0, 0) in weights
+    assert (3, 0) not in weights  # not expressible with v >= 0
+    assert (3, 0) in [mu.w for mu in dominant_weights_of((3, 0))]
 
 
 def test_dim_quotient_Jw():
     assert dim_quotient_Jw((1, 1)) == 65
     assert dim_quotient_Jw((2,)) == 10
     assert dim_quotient_Jw((0, 0)) == 1
+
+
+def test_dim_quotient_Jw_budget_counts_compositions():
+    # level 12 into 3 parts: C(14, 2) = 91 compositions, though n^d = 3^12
+    assert dim_quotient_Jw((4, 4)) == 37_855
+    assert dim_quotient_Jw((4, 4), budget=91) == 37_855
+    with pytest.raises(BudgetExceededError, match="91 compositions"):
+        dim_quotient_Jw((4, 4), budget=90)
+
+
+def _weights_up_to_level(n_max, level_max):
+    """Every w with 2 <= n <= n_max and level at most level_max."""
+    for n in range(2, n_max + 1):
+        for w in product(range(level_max + 1), repeat=n - 1):
+            if HighestWeight(w).level_d <= level_max:
+                yield w
+
+
+def test_weights_of_L_match_box_scan_and_crystal():
+    # every dominant candidate of the box is flagged a weight by the crystal,
+    # so the Kostka enumeration needs no membership flag
+    ws = list(_weights_up_to_level(5, 6))
+    assert len(ws) == 73
+    for w in ws:
+        assert repalg.valid_dimvecs(w) == reference_repalg.valid_dimvecs(w), w
+        flagged = reference_repalg.dominant_weights_of(w)
+        assert all(member for _, member in flagged), w
+        assert dominant_weights_of(w) == [mu for mu, _ in flagged], w
 
 
 def test_kostka():
@@ -262,13 +288,11 @@ def test_verify_sl3_example_tamper(monkeypatch):
 def _criterion_5_kostka_pairs():
     """(lambda(w), a) for every crystal of the criterion-5 grid and every
     composition a of its level into n parts."""
-    for n in range(2, 5):
-        for w in product(range(9), repeat=n - 1):
-            hw = HighestWeight(w)
-            if hw.level_d <= 8:
-                lam = hw_to_partition(hw)
-                for a in reference_repalg.compositions(hw.level_d, n):
-                    yield lam, a
+    for w in _weights_up_to_level(4, 8):
+        hw = HighestWeight(w)
+        lam = hw_to_partition(hw)
+        for a in reference_repalg.compositions(hw.level_d, hw.n):
+            yield lam, a
 
 
 def test_kostka_matches_cell_filling_on_criterion_5_grid():

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from geocrystal import maffei, suites
+from geocrystal import maffei, repalg, suites
 from geocrystal.cartan import a_of_vw, pair_with_coroot, weight_of_vw
 from geocrystal.errors import NotInImageError
 from geocrystal.flag import Flag, s_k_exponent
@@ -77,14 +77,15 @@ def test_signs_failures_print_plain_ints(monkeypatch):
 
 def test_only_not_in_image_is_skipped(monkeypatch):
     # a v outside the image of a(-, w) is skipped; any other error from
-    # a_of_vw is a fault and must not turn into a pass over zero checks
-    def broken(v, w):
-        raise TypeError("broken a_of_vw")
+    # the weight maps is a fault and must not turn into a pass over zero checks
+    def broken(x, w):
+        raise TypeError("broken weight map")
 
     monkeypatch.setattr(suites, "a_of_vw", broken)
-    with pytest.raises(TypeError, match="broken a_of_vw"):
+    with pytest.raises(TypeError, match="broken weight map"):
         suites.suite_signs(n_max=3, max_entry=2, seed=0, spot_checks=50)
-    with pytest.raises(TypeError, match="broken a_of_vw"):
+    monkeypatch.setattr(repalg, "v_of_aw", broken)
+    with pytest.raises(TypeError, match="broken weight map"):
         suites.valid_dimvecs((1, 1))
 
 
