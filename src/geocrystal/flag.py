@@ -23,6 +23,7 @@ from .linalg import (
     RatMat,
     Subspace,
     _json_int,
+    _json_keys,
     _json_list,
     canonicalize,
     contains,
@@ -58,7 +59,9 @@ class Flag(Frozen):
     """Chain 0 = F_0 ⊆ F_1 ⊆ ... ⊆ F_n = Q^d of canonical subspaces.
 
     The flag is immutable, so :func:`flag_membership` records its last
-    verdict on it together with the nilpotent it was proved for.
+    verdict on it together with the nilpotent it was proved for, and
+    :func:`_max_admissible` records each meet it finds for that nilpotent
+    in the same record: (x, verdict, {k: meet}).
     """
 
     __slots__ = ("d", "n", "spaces", "_fiber")
@@ -112,10 +115,12 @@ class Flag(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Flag":
-        """Inverse of to_json.  d and n must be JSON integers and spaces a
-        list; anything else raises ValueError (or KeyError for a missing field)."""
+        """Inverse of to_json.  The keys are d, n and spaces, no others; d and
+        n must be JSON integers and spaces a list; anything else raises
+        ValueError (or KeyError for a missing field)."""
         if not isinstance(obj, dict):
             raise ValueError("a flag is an object")
+        _json_keys(obj, ("d", "n", "spaces"), "flag")
         d = _json_int(obj["d"], "d")
         spaces = [
             canonicalize(RatMat.from_json(b), d) for b in _json_list(obj["spaces"], "spaces")
@@ -158,7 +163,7 @@ def flag_membership(x: NilEndo, F: Flag) -> bool:
     if F._fiber is not None and F._fiber[0] == x:
         return F._fiber[1]
     verdict = all(contains_image(F[i - 1], x.x, F[i]) for i in range(1, F.n + 1))
-    object.__setattr__(F, "_fiber", (x, verdict))
+    object.__setattr__(F, "_fiber", (x, verdict, {}))
     return verdict
 
 
@@ -215,12 +220,17 @@ def is_hecke_pair(Fp: Flag, F: Flag, k: int) -> bool:
 
 def _max_admissible(F: Flag, x: NilEndo, k: int) -> Subspace:
     """F_{k+1} ∩ x^{-1}(F_{k-1}), the largest subspace that can stand in for
-    F_k; requires 1 <= k <= n - 1 and F in the fiber of x."""
+    F_k; requires 1 <= k <= n - 1 and F in the fiber of x.  The meet is
+    recorded on F beside the fiber verdict for x, so it is found once per
+    (flag, x, k) and a meet found for one x is never read for another."""
     if not 1 <= k <= F.n - 1:
         raise InvalidRankError(f"index {k} out of range")
     if not flag_membership(x, F):
         raise MembershipError("flag is not compatible with x")
-    return intersect(F[k + 1], preimage(x.x, F[k - 1]))
+    meets = F._fiber[2]
+    if k not in meets:
+        meets[k] = intersect(F[k + 1], preimage(x.x, F[k - 1]))
+    return meets[k]
 
 
 def epsilon_k_flag(F: Flag, x: NilEndo, k: int) -> int:
@@ -255,10 +265,13 @@ def flag_bundle_to_json(x: NilEndo, flags: Sequence[Flag]) -> dict:
 
 
 def flag_bundle_from_json(obj: dict) -> tuple[NilEndo, list[Flag]]:
-    """Inverse of flag_bundle_to_json.  d and n must be JSON integers and flags
-    a list, each flag read by Flag.from_json; anything else raises ValueError."""
+    """Inverse of flag_bundle_to_json.  The keys are those it writes, no
+    others, and schema_version, if given, is "1"; d and n must be JSON
+    integers and flags a list, each flag read by Flag.from_json; anything
+    else raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("a flag bundle is an object")
+    _json_keys(obj, ("schema_version", "d", "n", "x", "flags"), "flag bundle")
     x = NilEndo(RatMat.from_json(obj["x"]), _json_int(obj["n"], "n"))
     if _json_int(obj["d"], "d") != x.d:
         raise SizeMismatchError("bundle d does not match x")

@@ -13,7 +13,17 @@ at the public accessors (``entries`` and ``kernel_basis``) and in the
 ``"p/q"`` strings of ``to_json``.
 
 Subspaces are stored in reduced column-echelon form, so two equal subspaces
-have identical stored bases and serialize to identical bytes.
+have identical stored bases and serialize to identical bytes.  That basis is
+unique, so each canonical subspace is read off the one elimination that
+decides it, never re-reduced: a spanning set (``canonicalize``) is eliminated
+as rows, and a kernel (``kernel``, ``preimage``, ``intersect``) is eliminated
+with its columns reversed, which leaves the kernel vectors already in reduced
+form (see ``_null_space``).  ``preimage`` and ``intersect`` state their
+subspaces as kernels through ``Subspace._annihilator``, whose rows are read
+off a stored basis without an elimination.  The sampler alone draws from the
+other kernel basis, the free-column vectors of ``_kernel_ints`` and
+``kernel_basis``: its seeded coefficients combine exactly those vectors, so
+they stay as they are to keep every sampled point the same.
 """
 
 from __future__ import annotations
@@ -46,6 +56,16 @@ def _json_list(value, name: str) -> list:
     if type(value) is not list:
         raise ValueError(f"{name} must be a list, got {value!r}")
     return value
+
+
+def _json_keys(obj: dict, fields: tuple[str, ...], name: str) -> None:
+    """Refuse a key of the JSON object obj outside fields, and a
+    schema_version other than "1"; a missing field is left to the reader."""
+    unknown = [key for key in obj if key not in fields]
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}")
+    if obj.get("schema_version", "1") != "1":
+        raise ValueError(f"unsupported {name} schema_version {obj['schema_version']!r}")
 
 
 def _frac(x) -> Fraction:
@@ -179,7 +199,11 @@ def _kernel_ints(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[i
     """Kernel vectors scaled to integers, and the scale d.
 
     The vector for free column f is d times the :func:`kernel_basis` vector:
-    d at f, minus the f-th column of the eliminated rows at the pivots.
+    d at f, minus the f-th column of the eliminated rows at the pivots, so
+    it has entries at earlier pivot columns and is not the reduced basis
+    that :func:`kernel` returns.  The sampler's random kernel points are
+    seeded combinations of exactly these vectors, which is why this basis
+    is kept as it is.
     """
     red, pivots, d = _echelon(rows, ncols)
     pivot_set = set(pivots)
@@ -353,11 +377,13 @@ class RatMat(Frozen):
     def from_json(cls, obj: dict) -> "RatMat":
         """Inverse of to_json; a malformed payload raises ValueError or KeyError.
 
-        rows and cols must be JSON integers, entries a list of rows, each a
+        The keys are rows, cols and entries, no others; rows and cols must be
+        JSON integers, entries a list of rows, each a
         list, and an entry a JSON integer or a string of the _ENTRY grammar:
         not a boolean, a float, a decimal or an exponent."""
         if not isinstance(obj, dict):
             raise ValueError(f"matrix payload must be an object, not {type(obj).__name__}")
+        _json_keys(obj, ("rows", "cols", "entries"), "matrix")
         if type(obj["rows"]) is not int or type(obj["cols"]) is not int:
             raise ValueError("matrix rows and cols must be integers")
         entries = obj["entries"]
@@ -416,8 +442,12 @@ def power_ranks(m: RatMat) -> list[int]:
 class Subspace(Frozen):
     """Subspace of Q^ambient with canonical reduced column-echelon basis.
 
-    Two equal subspaces are represented by identical objects; equality is
-    plain attribute equality.  Construct through :func:`canonicalize`.
+    basis is ambient_dim x dim over one denominator, and pivots lists, for
+    each column j, the first coordinate p_j where it is nonzero: column j is
+    1 at p_j and 0 before p_j and at every other pivot.  Two equal
+    subspaces are represented by identical objects; equality is plain
+    attribute equality.  Construct through :func:`canonicalize`,
+    :func:`kernel` and the operations built on them.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots")
@@ -462,6 +492,25 @@ class Subspace(Frozen):
             for a, row in zip(u, self.basis.num)
         )
 
+    def _annihilator(self) -> list[list[int]]:
+        """Integer rows that cut the subspace out, one per non-pivot
+        coordinate q: den e_q - sum_j num[q][j] e_{p_j}, which vanishes on
+        u exactly when _contains_ints's equation at q holds.  They are
+        ambient_dim - dim independent rows; the zero space gets den = 1
+        times the identity and the full space none."""
+        den, pivots = self.basis.den, self.pivots
+        pivot_set = set(pivots)
+        out = []
+        for q, coeffs in enumerate(self.basis.num):
+            if q in pivot_set:
+                continue
+            row = [0] * self.ambient_dim
+            row[q] = den
+            for p, a in zip(pivots, coeffs):
+                row[p] = -a
+            out.append(row)
+        return out
+
     def _rows(self) -> list[tuple[int, ...]]:
         """The basis vectors as integer rows (each a multiple of a column)."""
         return _transpose(self.basis.num, self.dim)
@@ -497,35 +546,65 @@ def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, RatMat.identity(ambient_dim), tuple(range(ambient_dim)))
 
 
+def _null_space(rows: Sequence[Sequence[int]], ncols: int) -> Subspace:
+    """The canonical subspace {x : rows x = 0}, from one elimination.
+
+    The rows are eliminated with their columns in reverse order.  The kernel
+    vector of each free column f then has d at f, zeros at every other free
+    column, and its other entries at the pivot columns that come after f in
+    the original order; over d, these vectors are the reduced column-echelon
+    basis of the kernel, with the free columns as its pivots.
+    """
+    red, pivots, d = _echelon([row[::-1] for row in rows], ncols)
+    dim = ncols - len(pivots)
+    if not dim:
+        return zero_space(ncols)
+    pivot_row = dict(zip(pivots, red))
+    # the free columns in original order, as reversed indices
+    free = [c for c in range(ncols - 1, -1, -1) if c not in pivot_row]
+    num = []
+    j = 0
+    for c in range(ncols - 1, -1, -1):  # coordinate ncols - 1 - c
+        row = pivot_row.get(c)
+        if row is None:
+            unit = [0] * dim
+            unit[j] = d
+            num.append(unit)
+            j += 1
+        else:
+            num.append([-row[f] for f in free])
+    basis = RatMat._reduce(num, dim, d)
+    return Subspace(ncols, basis, tuple(ncols - 1 - f for f in free))
+
+
 def kernel(m: RatMat) -> Subspace:
-    """The canonical subspace {x : m x = 0}."""
-    return _span(_kernel_ints(m.num, m.cols)[0], m.cols)
+    """The canonical subspace {x : m x = 0}: its reduced column-echelon
+    basis, one vector per free column with a unit there, read off one
+    elimination (see :func:`_null_space`).  :func:`kernel_basis` returns
+    the other, free-column basis of the same space."""
+    return _null_space(m.num, m.cols)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """s1 ∩ s2 inside the common ambient space."""
+    """s1 ∩ s2 inside the common ambient space: the null space of the two
+    annihilators stacked."""
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatchError("ambient mismatch")
-    if s1.dim == 0 or s2.dim == 0:
-        return zero_space(s1.ambient_dim)
-    # (x, y) in ker [N1 | N2] gives N1 x = -N2 y in both spans; scaling the
-    # two bases by their denominators does not change the meet.
-    n1 = s1.basis.num
-    stacked = [ra + rb for ra, rb in zip(n1, s2.basis.num)]
-    coeffs = [k[: s1.dim] for k in _kernel_ints(stacked, s1.dim + s2.dim)[0]]
-    return _span(_matmul(coeffs, _transpose(n1, s1.dim)), s1.ambient_dim)
+    if s1.dim == 0 or s2.is_full():
+        return s1
+    if s2.dim == 0 or s1.is_full():
+        return s2
+    return _null_space(s1._annihilator() + s2._annihilator(), s1.ambient_dim)
 
 
 def preimage(m: RatMat, s: Subspace) -> Subspace:
-    """{x : m x ∈ s} for s inside the codomain of m."""
+    """{x : m x ∈ s} for s inside the codomain of m: the null space of the
+    annihilator of s times m (m's denominator does not change it)."""
     if s.ambient_dim != m.rows:
         raise DimensionMismatchError("subspace not in codomain")
-    # Equations cutting out s: the left annihilator of its basis.
-    ann, _ = _kernel_ints(s._rows(), m.rows)
-    if not ann:
+    if s.is_full():
         return full_space(m.cols)
-    constraints = _matmul(ann, m.num)
-    return _span(_kernel_ints(constraints, m.cols)[0], m.cols)
+    return _null_space(_matmul(s._annihilator(), m.num), m.cols)
 
 
 def contains(s1: Subspace, s2: Subspace) -> bool:

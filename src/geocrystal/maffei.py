@@ -24,6 +24,7 @@ from .cartan import (
 from .errors import DimensionMismatchError, IncompatibleError, LambdaPreconditionError
 from .flag import (
     Flag,
+    _max_admissible,
     block_shift_x,
     composition_of,
     flag_membership,
@@ -36,7 +37,6 @@ from .linalg import (
     canonicalize,
     embed,
     full_space,
-    intersect,
     kernel,
     preimage,
     rank,
@@ -224,6 +224,9 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
     Each piece of exact work is done once per point: the phi maps are those
     theta's flag F was built from, epsilon_k of the point is the dimension of
     the joint kernel that the flag-subspace check and kashiwara_reduce use,
+    the flag side of the flag-subspace check is the meet F_{k+1} ∩
+    x^{-1}(F_{k-1}) that F records for flag_reduce (its quiver side still
+    comes from phi_k and the joint kernel, so a wrong meet fails the check),
     epsilon_k of F is the multiplicity flag_reduce returns, and theta of a
     point that kashiwara_reduce leaves unchanged (c = 0) is F itself.  At
     epsilon_k = 1 the Hecke line is that joint kernel, so the Hecke quotient
@@ -265,8 +268,7 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
                 fail("comm2", f"comm2 fails at k={k}")
         kernel_k = joint_outgoing_kernel(r, k)
         lhs_sub = embed(preimage(phis[k], kernel_k), ctx.wleq[k], d)
-        rhs_sub = intersect(preimage(x.x, F[k - 1]), F[k + 1])
-        if lhs_sub != rhs_sub:
+        if lhs_sub != _max_admissible(F, x, k):
             fail("flag-subspace", f"flag-subspace fails at k={k}")
         eps_pt = kernel_k.dim
         reduced, c_pt = kashiwara_reduce(r, k)

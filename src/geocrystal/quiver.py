@@ -33,6 +33,7 @@ from .linalg import (
     Subspace,
     _echelon_rows,
     _json_int,
+    _json_keys,
     _json_list,
     _kernel_ints,
     _product_map_rows,
@@ -187,11 +188,14 @@ class QuiverRep(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuiverRep":
-        """Inverse of to_json.  n, v and w must be JSON integers and every map
-        key must be written as to_json writes it, so no two keys name one map;
-        anything else raises ValueError (or KeyError for a missing field)."""
+        """Inverse of to_json.  The keys are those to_json writes, no others,
+        and schema_version, if given, is "1"; n, v and w must be JSON integers
+        and every map key must be written as to_json writes it, so no two keys
+        name one map; anything else raises ValueError (or KeyError for a
+        missing field)."""
         if not isinstance(obj, dict) or not isinstance(obj.get("maps", {}), dict):
             raise ValueError("a quiver point is an object whose 'maps' is an object")
+        _json_keys(obj, ("schema_version", "n", "v", "w", "maps"), "quiver point")
         try:
             n = _json_int(obj["n"], "n")
             v, w = _json_ints(obj["v"], "v"), _json_ints(obj["w"], "w")

@@ -124,6 +124,28 @@ def test_theta_malformed_input(p0_file, tmp_path):
     assert main(["theta", "--input", str(bad)]) == 2
 
 
+def _with_extra_matrix_key(payload):
+    payload = json.loads(json.dumps(payload))
+    payload["maps"]["i:1"]["extra"] = 1
+    return payload
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda payload: dict(payload, extra=1), "unknown quiver point keys ['extra']"),
+        (_with_extra_matrix_key, "unknown matrix keys ['extra']"),
+        (lambda payload: dict(payload, schema_version=99), "quiver point schema_version 99"),
+    ],
+    ids=["extra top-level key", "extra matrix key", "schema_version 99"],
+)
+def test_theta_refuses_unknown_keys_and_versions(p0_file, tmp_path, capsys, change, message):
+    bad = tmp_path / "strict.json"
+    bad.write_text(json.dumps(change(json.loads(p0_file.read_text()))))
+    assert main(["theta", "--input", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -173,6 +175,35 @@ def test_flag_reduce():
     assert c4 == 2 and F4[1].is_full()
 
 
+def test_meet_recorded_for_one_x_is_not_read_for_another():
+    x, _ = block_shift_x((1, 1))
+    zero = NilEndo(RatMat.zeros(3, 3), 3)
+    F = flag_of(3, 3, [(1, -1, 0)], [(1, 0, 0), (0, 1, 0)])
+    # F_3 ∩ x^-1(F_1) is F_2 for x, but all of Q^3 for zero
+    for nil, eps in ((x, 0), (zero, 1), (x, 0), (zero, 1)):
+        assert epsilon_k_flag(F, nil, 2) == eps
+        assert F._fiber[0] == nil and set(F._fiber[2]) == {2}
+        fresh = flag_of(3, 3, [(1, -1, 0)], [(1, 0, 0), (0, 1, 0)])
+        assert flag_reduce(F, nil, 2) == flag_reduce(fresh, nil, 2)
+
+
+def test_recorded_meets_survive_copy_deepcopy_and_pickle():
+    x, _ = block_shift_x((1, 1))
+    F = flag_of(3, 3, [(1, -1, 0)], [(1, 0, 0), (0, 1, 0)])
+    reduced = [flag_reduce(F, x, k) for k in (1, 2)]
+    assert F._fiber[0] == x and set(F._fiber[2]) == {1, 2}
+    for twin in (
+        copy.copy(F),
+        copy.deepcopy(F),
+        pickle.loads(pickle.dumps(F)),
+        pickle.loads(pickle.dumps(F, protocol=0)),
+    ):
+        assert twin == F and twin._fiber == F._fiber
+        assert [flag_reduce(twin, x, k) for k in (1, 2)] == reduced
+        zero = NilEndo(RatMat.zeros(3, 3), 3)
+        assert epsilon_k_flag(twin, zero, 2) == 1 and twin._fiber[0] == zero
+
+
 def test_jordan_dominance_on_fibers():
     # composition type dominates the Jordan type of x on fiber members
     x, _ = block_shift_x((1, 1))
@@ -236,6 +267,30 @@ def test_flag_bundle_reader_takes_only_json_ints_and_lists(payload, message):
     with pytest.raises(ValueError, match=f"^{message}") as exc:
         flag_bundle_from_json(payload)
     assert type(exc.value) is ValueError
+
+
+def _bundle_with_x_key(key, value):
+    payload = _bundle_with()
+    payload["x"][key] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_bundle_with(extra=1), "unknown flag bundle keys ['extra']"),
+        (_bundle_with(schema_version="2"), "unsupported flag bundle schema_version '2'"),
+        (_bundle_with(schema_version=1), "unsupported flag bundle schema_version 1"),
+        (_bundle_with(flag_extra=1), "unknown flag keys ['extra']"),
+        (_bundle_with(flag_schema_version="1"), "unknown flag keys ['schema_version']"),
+        (_bundle_with_x_key("extra", 1), "unknown matrix keys ['extra']"),
+    ],
+    ids=["extra key", "version 2", "int version", "extra flag key", "flag version", "extra x key"],
+)
+def test_flag_bundle_reader_refuses_unknown_keys_and_versions(payload, message):
+    with pytest.raises(ValueError) as exc:
+        flag_bundle_from_json(payload)
+    assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 def test_flag_bundle_d_must_match_x():

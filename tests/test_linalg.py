@@ -10,6 +10,7 @@ from geocrystal.errors import DimensionMismatchError
 from geocrystal.linalg import (
     RatMat,
     _echelon,
+    _matmul,
     canonicalize,
     contains,
     contains_image,
@@ -41,6 +42,13 @@ def test_ratmat_json_round_trip():
     m = RatMat([[1, Fraction(1, 2)], [0, -3]])
     payload = json.loads(json.dumps(m.to_json()))
     assert RatMat.from_json(payload) == m
+
+
+def test_ratmat_reader_refuses_unknown_keys():
+    payload = RatMat([[1, Fraction(1, 2)]]).to_json()
+    for key in ("den", "schema_version"):
+        with pytest.raises(ValueError, match=f"unknown matrix keys \\['{key}'\\]"):
+            RatMat.from_json(dict(payload, **{key: "1"}))
 
 
 def test_canonicalize_dependent_columns():
@@ -284,6 +292,15 @@ def test_rref_and_kernel_match_reference(rows):
     assert kernel_basis(RatMat(rows)) == ref.kernel_basis(ref.RatMat(rows))
 
 
+@settings(max_examples=150, deadline=None)
+@given(rational_rows(max_dim=8))
+def test_kernel_matches_reference(rows):
+    # kernel reads the reduced basis off one reversed elimination; the
+    # reference spans the free-column kernel vectors a second time
+    m = RatMat(rows)
+    assert same_subspace(kernel(m), ref.kernel_and_image(ref.RatMat(rows))[0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(rational_rows())
 def test_canonicalize_matches_reference(rows):
@@ -296,12 +313,20 @@ def test_canonicalize_matches_reference(rows):
 
 
 @st.composite
+def spanning_set(draw, ambient):
+    """Vectors spanning the zero space, the full space or a random one."""
+    kind = draw(st.sampled_from(("zero", "full", "random")))
+    if kind == "zero":
+        return []
+    if kind == "full":
+        return [[int(i == j) for j in range(ambient)] for i in range(ambient)]
+    return draw(rational_rows(draw(st.integers(min_value=1, max_value=ambient)), ambient))
+
+
+@st.composite
 def two_spanning_sets(draw):
-    ambient = draw(st.integers(min_value=1, max_value=5))
-    sizes = [draw(st.integers(min_value=0, max_value=ambient)) for _ in range(2)]
-    return ambient, [
-        draw(rational_rows(k, ambient)) if k else [] for k in sizes
-    ]
+    ambient = draw(st.integers(min_value=1, max_value=8))
+    return ambient, [draw(spanning_set(ambient)) for _ in range(2)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -336,10 +361,9 @@ def test_embed_matches_reference(data):
 
 @st.composite
 def rational_map_and_span(draw):
-    rows = draw(st.integers(min_value=1, max_value=5))
-    cols = draw(st.integers(min_value=1, max_value=5))
-    k = draw(st.integers(min_value=0, max_value=rows))
-    return draw(rational_rows(rows, cols)), draw(rational_rows(k, rows)) if k else []
+    rows = draw(st.integers(min_value=1, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    return draw(rational_rows(rows, cols)), draw(spanning_set(rows))
 
 
 @settings(max_examples=100, deadline=None)
@@ -470,3 +494,73 @@ def test_echelon_matches_eager_bareiss_on_moment_map_systems(monkeypatch):
     assert len(seen) >= 1000 and max(len(rows) for rows, _ in seen) >= 12
     for rows, ncols in seen:
         assert echelon(rows, ncols) == ref.echelon(rows, ncols)
+
+
+def _ref_space(s):
+    """The reference subspace with the span of s."""
+    return ref.canonicalize(_columns(s.basis), s.ambient_dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda ambient: st.tuples(st.just(ambient), spanning_set(ambient))
+))
+def test_annihilator_cuts_out_the_subspace(data):
+    ambient, vecs = data
+    s = canonicalize(vecs, ambient)
+    ann = s._annihilator()
+    assert len(ann) == ambient - s.dim
+    assert rank(RatMat(ann, cols=ambient)) == len(ann)
+    assert all(not any(row) for row in _matmul(ann, s.basis.num))
+    # its kernel is s again, so the rows cut out no more than s
+    assert same_subspace(kernel(RatMat(ann, cols=ambient)), _ref_space(s))
+
+
+def test_annihilator_of_zero_and_full_spaces():
+    assert zero_space(3)._annihilator() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert full_space(3)._annihilator() == []
+    assert zero_space(0)._annihilator() == full_space(0)._annihilator() == []
+    # den e_q - sum_j num[q][j] e_{p_j} for the line through (2, 1, -1)
+    assert canonicalize([(2, 1, -1)], 3)._annihilator() == [[-1, 2, 0], [1, 0, 2]]
+
+
+def _theta_operands():
+    """Points sampled at a spread of dimension vectors of every acceptance
+    config, with their context, phi maps and flag."""
+    from geocrystal.maffei import ThetaContext, phi_maps, theta
+    from geocrystal.quiver import sample_lambda_point
+    from geocrystal.suites import ACCEPTANCE_MAFFEI_CONFIGS, valid_dimvecs
+
+    for idx, (n, w) in enumerate(ACCEPTANCE_MAFFEI_CONFIGS):
+        ctx = ThetaContext(w)
+        vs = valid_dimvecs(w)
+        for v in vs[:: max(1, len(vs) // 6)]:
+            r = sample_lambda_point(v, w, seed=100 * idx + sum(v))
+            yield r, ctx, phi_maps(r, ctx), theta(r, ctx)
+
+
+def test_theta_operands_match_reference():
+    # the subspaces check_theta_point builds on real points: ker phi_k, the
+    # joint outgoing kernels, x^-1(F_{k-1}) and the maximal admissible meets
+    from geocrystal.flag import _max_admissible
+    from geocrystal.quiver import joint_outgoing_kernel
+
+    checked = 0
+    for r, ctx, phis, F in _theta_operands():
+        x = ref.RatMat(ctx.x.x.entries, cols=ctx.d)
+        for k, phi in enumerate(phis, 1):
+            old_phi = ref.RatMat(phi.entries, cols=phi.cols)
+            assert same_subspace(kernel(phi), ref.kernel_and_image(old_phi)[0])
+            outgoing = [r.B[h] for h in r.shape.edges_out_of(k)]
+            if outgoing:
+                stacked = RatMat.block([[b] for b in outgoing])
+                old = ref.kernel_and_image(ref.RatMat(stacked.entries, cols=stacked.cols))[0]
+                assert same_subspace(joint_outgoing_kernel(r, k), old)
+            pre = preimage(ctx.x.x, F[k - 1])
+            old_pre = ref.preimage(x, _ref_space(F[k - 1]))
+            assert same_subspace(pre, old_pre)
+            old_meet = ref.intersect_and_sum(_ref_space(F[k + 1]), old_pre)[0]
+            assert same_subspace(intersect(F[k + 1], pre), old_meet)
+            assert same_subspace(_max_admissible(F, ctx.x, k), old_meet)
+            checked += 1
+    assert checked >= 130

@@ -261,3 +261,65 @@ def test_acceptance_points_unchanged():
     assert digest.hexdigest() == (
         "499d0a6154b672c8ad1c8d6be81eb7bfa3c194050a1ec8b475ca7c02950dea4b"
     )
+
+
+def _guard_point():
+    """A fixed point of the (5, (0, 1, 1, 0)) acceptance config, read back
+    from JSON so that nothing is recorded on it yet."""
+    w = (0, 1, 1, 0)
+    r = sample_lambda_point((1, 2, 2, 1), w, seed=7)
+    return QuiverRep.from_json(r.to_json()), ThetaContext(w)
+
+
+def test_check_theta_point_elimination_count(monkeypatch):
+    # A deterministic guard on the exact work of one check: every canonical
+    # subspace comes out of one elimination and each meet F_{k+1} ∩
+    # x^-1(F_{k-1}) is found once, so a re-reduction that creeps back raises
+    # the count without any timing noise.  A change that removes eliminations
+    # lowers BOUND to the new count; one that must add some raises it and
+    # says why.
+    from geocrystal import linalg
+
+    BOUND = 72
+    r, ctx = _guard_point()
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    result = check_theta_point(r, ctx, random.Random(0))
+    assert result["failures"] == [] and result["hecke_cases"] == 2
+    assert len(calls) <= BOUND
+
+
+def test_corrupted_recorded_meet_fails_flag_subspace(monkeypatch):
+    # the flag side of the flag-subspace check is the meet F records for
+    # flag_reduce, so a wrong record must be caught by the quiver side; the
+    # wrong meet still lies between F_1 and F_2, so flag_reduce can use it
+    from geocrystal import maffei
+    from geocrystal.flag import _max_admissible
+
+    r, ctx = _guard_point()
+    assert check_theta_point(r, ctx, random.Random(0))["failed_invariants"] == set()
+    build = maffei.theta_with_phi_maps
+    corrupted = []
+
+    def corrupt(point, context):
+        F, phis = build(point, context)
+        if not corrupted:
+            meet = _max_admissible(F, context.x, 1)
+            wrong = F[2] if meet == F[1] else F[1]
+            assert wrong != meet
+            F._fiber[2][1] = wrong
+            corrupted.append(F)
+        return F, phis
+
+    monkeypatch.setattr(maffei, "theta_with_phi_maps", corrupt)
+    r, ctx = _guard_point()
+    result = check_theta_point(r, ctx, random.Random(0))
+    assert corrupted and result["flag"] is corrupted[0]
+    assert "flag-subspace" in result["failed_invariants"]
+    assert any("flag-subspace fails at k=1" in f for f in result["failures"])
