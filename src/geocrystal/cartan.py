@@ -13,6 +13,7 @@ stores one tuple of ints and iterates, indexes and serialises as it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 from typing import Iterator, Sequence
@@ -21,8 +22,10 @@ from .errors import IncompatibleError, InvalidRankError, NotInImageError
 from .values import Value
 
 
+@lru_cache(maxsize=None)
 def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """The (n-1)x(n-1) Cartan matrix of type A_{n-1}."""
+    """The (n-1)x(n-1) Cartan matrix of type A_{n-1}, built once per n: the
+    nested tuples are immutable, so every caller shares them."""
     if n < 2:
         raise InvalidRankError(f"rank parameter n must be >= 2, got {n}")
     size = n - 1

@@ -38,6 +38,25 @@ from .repalg import valid_dimvecs
 # ---------------------------------------------------------------------------
 
 
+def _spot_draws(n_max: int, max_entry: int, seed: int, tries: int):
+    """The (v, w) pairs the spot checks of suite_signs try, in order.
+
+    First, for every n, the boundary pairs: v = (m, ..., m) with
+    w = (0, ..., 0, m), whose composition is (0, m, ..., m), and v = w = 0,
+    for m = max_entry.  Then tries pairs drawn uniformly, n first."""
+    m = max_entry
+    for n in range(2, n_max + 1):
+        yield (m,) * (n - 1), (0,) * (n - 2) + (m,)
+    for n in range(2, n_max + 1):
+        yield (0,) * (n - 1), (0,) * (n - 1)
+    rng = random.Random(seed)
+    for _ in range(tries):
+        n = rng.randint(2, n_max)
+        v = tuple(rng.randint(0, m) for _ in range(n - 1))
+        w = tuple(rng.randint(0, m) for _ in range(n - 1))
+        yield v, w
+
+
 def suite_signs(
     n_max: int = 6, max_entry: int = 4, seed: int = 0, spot_checks: int = 200
 ) -> dict:
@@ -45,9 +64,14 @@ def suite_signs(
     over the full grid n <= n_max, entries <= max_entry.
 
     The grid is evaluated with vectorized numpy arithmetic in the narrowest
-    signed int dtype that holds every value it computes; seeded spot checks
-    re-derive both sides through the library operations to pin the engine to
-    the public API.
+    signed int dtype that holds every value it computes.  For each n the w
+    rows are taken in chunks of (1 << 20) // (count * n) rows, and every pass
+    over a chunk writes into buffers allocated once per n, so the chunks, the
+    order of the checks and the failure records do not depend on the buffers.
+    Seeded spot checks re-derive both sides through the library operations to
+    pin the engine to the public API; they start with the boundary pairs of
+    every n (see _spot_draws), so from 2 * (n_max - 1) spot checks on each
+    (n, k) and the entries 0 and max_entry are reached.
     """
     # The one numpy user: importing it here keeps it off every other path.
     import numpy as np
@@ -74,44 +98,60 @@ def suite_signs(
             return f"w={tuple(Wc[wi].tolist())} v={tuple(grid[vi].tolist())}"
 
         chunk = max(1, (1 << 20) // max(count * n, 1))
+        shape = (min(chunk, count), count)
+        # A[k - 1] holds a_k for every (w, v) of the chunk, contiguously
+        A_buf = np.empty((n,) + shape, dtype=dtype)
+        pairing_buf = np.empty(shape, dtype=dtype)
+        col_buf = np.empty(shape, dtype=dtype)
+        valid_buf = np.empty(shape, dtype=bool)
+        bad_buf = np.empty(shape, dtype=bool)
         for start in range(0, count, chunk):
             Wc = grid[start : start + chunk]
             suffix = np.cumsum(Wc[:, ::-1], axis=1, dtype=dtype)[:, ::-1]
             nc = Wc.shape[0]
-            # A[k - 1] holds a_k for every (w, v) of the chunk, contiguously
-            A = np.empty((n, nc, count), dtype=dtype)
-            A[0] = suffix[:, 0, None] - V[0]
+            A = A_buf[:, :nc]
+            pairing, col = pairing_buf[:nc], col_buf[:nc]
+            valid, bad = valid_buf[:nc], bad_buf[:nc]
+            np.subtract(suffix[:, 0, None], V[0], out=A[0])
             for k in range(2, n):
-                A[k - 1] = suffix[:, k - 1, None] - V[k - 1] + V[k - 2]
+                np.subtract(suffix[:, k - 1, None], V[k - 1], out=A[k - 1])
+                np.add(A[k - 1], V[k - 2], out=A[k - 1])
             A[n - 1] = V[n - 2]
-            valid = (A >= 0).all(axis=0)
-            checks = int(valid.sum())
+            # an or of two's-complement ints is negative iff one of them is
+            np.bitwise_or(A[0], A[1], out=col)
+            for k in range(2, n):
+                np.bitwise_or(col, A[k], out=col)
+            np.greater_equal(col, 0, out=valid)
+            checks = int(np.count_nonzero(valid))
             grid_points += checks
             for k in range(1, n):
-                pairing = Wc[:, k - 1, None] - CV[k - 1]
-                bridge_bad = valid & ((A[k - 1] - A[k]) != pairing)
+                # bridge: a_k - a_{k+1} against <h_k, w - Cv>
+                np.subtract(Wc[:, k - 1, None], CV[k - 1], out=pairing)
+                np.subtract(A[k - 1], A[k], out=col)
+                np.not_equal(col, pairing, out=bad)
+                np.logical_and(valid, bad, out=bad)
                 bridge_checks += checks
-                if bridge_bad.any():
-                    _record(failures, f"bridge n={n} k={k} {first_point(bridge_bad, Wc)}")
-                s_val = A[k] - A[k - 1] - 1
-                r_val = -pairing - 1
-                sign_bad = valid & (s_val != r_val)
+                if bad.any():
+                    _record(failures, f"bridge n={n} k={k} {first_point(bad, Wc)}")
+                # sign: s_k = a_{k+1} - a_k - 1 against r_k = -<h_k, w - Cv> - 1,
+                # both compared plus one
+                np.subtract(A[k], A[k - 1], out=col)
+                np.negative(pairing, out=pairing)
+                np.not_equal(col, pairing, out=bad)
+                np.logical_and(valid, bad, out=bad)
                 sign_checks += checks
-                if sign_bad.any():
-                    _record(failures, f"sign n={n} k={k} {first_point(sign_bad, Wc)}")
-    rng = random.Random(seed)
+                if bad.any():
+                    _record(failures, f"sign n={n} k={k} {first_point(bad, Wc)}")
     spots_done = 0
-    tries = 0
-    while spots_done < spot_checks and tries < 100 * spot_checks:
-        tries += 1
-        n = rng.randint(2, n_max)
-        v = tuple(rng.randint(0, max_entry) for _ in range(n - 1))
-        w = tuple(rng.randint(0, max_entry) for _ in range(n - 1))
+    for v, w in _spot_draws(n_max, max_entry, seed, 100 * spot_checks):
+        if spots_done == spot_checks:
+            break
         try:
             a = a_of_vw(v, w)
         except NotInImageError:
             continue
         spots_done += 1
+        n = len(a)
         mu = weight_of_vw(v, w)
         for k in range(1, n):
             if pair_with_coroot(mu, k) != a[k - 1] - a[k]:

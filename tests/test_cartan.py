@@ -33,11 +33,14 @@ def test_cartan_matrix_small():
     assert cartan_matrix(2) == ((2,),)
     assert cartan_matrix(3) == ((2, -1), (-1, 2))
     assert cartan_matrix(4) == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    assert cartan_matrix(4) is cartan_matrix(4)  # built once per n
 
 
 def test_cartan_matrix_invalid_rank():
-    with pytest.raises(InvalidRankError):
-        cartan_matrix(1)
+    # the per-n cache keeps no failed call: each one raises again
+    for n in (1, 1, 0, -3):
+        with pytest.raises(InvalidRankError):
+            cartan_matrix(n)
 
 
 def test_pair_with_coroot_basics():

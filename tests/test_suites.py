@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from geocrystal import maffei, repalg, suites
-from geocrystal.cartan import a_of_vw, pair_with_coroot, weight_of_vw
+from geocrystal.cartan import a_of_vw, cartan_matrix, pair_with_coroot, weight_of_vw
 from geocrystal.errors import NotInImageError
 from geocrystal.flag import Flag, s_k_exponent
 from geocrystal.linalg import full_space, zero_space
@@ -73,6 +73,88 @@ def test_signs_failures_print_plain_ints(monkeypatch):
         for msg in report["failures"]
     )
     assert not any("np." in msg for msg in report["failures"])
+
+
+def test_signs_reports_unchanged(monkeypatch):
+    # whole reports, failure lists included, for three grids under the real
+    # Cartan matrix, the zero matrix and the real one with its last diagonal
+    # entry raised by 1; the grid alone reads the patched matrix
+    def zero(n):
+        return tuple(tuple(0 for _ in range(n - 1)) for _ in range(n - 1))
+
+    def raised(n):
+        rows = [list(row) for row in cartan_matrix(n)]
+        rows[-1][-1] += 1
+        return tuple(map(tuple, rows))
+
+    digest = hashlib.sha256()
+    failures = []
+    for args in [(5, 3, 2, 20), (3, 2, 0, 0), (2, 128, 0, 5)]:
+        for cartan in (cartan_matrix, zero, raised):
+            monkeypatch.setattr(suites, "cartan_matrix", cartan)
+            report = suites.suite_signs(*args)
+            failures.append(len(report["failures"]))
+            digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    assert failures == [0, 20, 8, 0, 6, 4, 0, 2, 2]
+    assert digest.hexdigest() == (
+        "76654a9f4fe5a6b069f8a4f27295d930e9fd2a0c89681cf34a3ae0d9db4052dc"
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_spot_checks_catch_a_wrong_boundary_sign(monkeypatch, seed):
+    # s_k off by one on the six-part compositions (0, ..., 4): the grid never
+    # calls s_k_exponent, so only a spot point at that boundary can see it
+    def wrong(a, k):
+        return s_k_exponent(a, k) + (len(a) == 6 and a[0] == 0 and a[-1] == 4)
+
+    monkeypatch.setattr(suites, "s_k_exponent", wrong)
+    report = suites.suite_signs(6, 4, seed, 200)
+    assert report["pass"] is False
+    assert report["spot_checks"] == 200
+    assert report["failures"] and all(
+        msg.startswith("spot sign n=6 ") for msg in report["failures"]
+    )
+
+
+def _spot_points(monkeypatch, *args):
+    """The (v, w, a) of every spot point of suite_signs(*args), in order,
+    and the report."""
+    seen = []
+
+    def recording(v, w):
+        a = a_of_vw(v, w)
+        seen.append((v, w, a))
+        return a
+
+    monkeypatch.setattr(suites, "a_of_vw", recording)
+    report = suites.suite_signs(*args)
+    assert report["spot_checks"] == len(seen)
+    return seen, report
+
+
+@pytest.mark.parametrize("n_max, max_entry, spot_checks", [(6, 4, 200), (4, 3, 50)])
+def test_spot_checks_reach_every_n_and_boundary(monkeypatch, n_max, max_entry, spot_checks):
+    seen, _ = _spot_points(monkeypatch, n_max, max_entry, 3, spot_checks)
+    assert len(seen) == spot_checks
+    for n in range(2, n_max + 1):
+        points = [(v, w, a) for v, w, a in seen if len(a) == n]
+        assert any(a[0] == 0 and a[-1] == max_entry for _, _, a in points)
+        for x in (0, max_entry):
+            assert any(x in v for v, _, _ in points)
+            assert any(x in w for _, w, _ in points)
+    # the boundary points come first; the rest stay uniform over n
+    uniform = [len(a) for _, _, a in seen[2 * (n_max - 1) :]]
+    assert set(uniform) == set(range(2, n_max + 1))
+
+
+@pytest.mark.parametrize("spot_checks", [0, 1, 5])
+def test_few_spot_checks_take_the_top_boundary_first(monkeypatch, spot_checks):
+    seen, report = _spot_points(monkeypatch, 6, 4, 0, spot_checks)
+    assert report["spot_checks"] == spot_checks
+    assert [tuple(a) for _, _, a in seen] == [
+        (0,) + (4,) * (n - 1) for n in range(2, 2 + spot_checks)
+    ]
 
 
 def test_only_not_in_image_is_skipped(monkeypatch):
