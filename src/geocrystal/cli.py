@@ -29,6 +29,16 @@ CHECK_FAILED = 1
 # on a 2-CPU machine, so nearly a minute at 8.
 SIGNS_N_MAX = 7
 
+# The options of verify that each suite reads, besides --seed, --format and
+# --out; giving any other is a usage error, not an option silently dropped.
+SUITE_OPTIONS = {
+    "maffei": ("n", "w", "samples", "dump_bundles"),
+    "signs": ("n_max",),
+    "crystal": ("n_max",),
+    "quotients": ("n", "d", "budget"),
+    "all": ("samples", "budget"),
+}
+
 
 def _parse_weight(text: str) -> tuple[int, ...]:
     try:
@@ -72,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=_int_at_least(2))
     verify.add_argument("--d", type=_int_at_least(0))
     verify.add_argument("--w", type=_parse_weight)
-    verify.add_argument("--n-max", type=_int_at_least(2), default=4)
-    verify.add_argument("--samples", type=_int_at_least(1), default=50)
+    verify.add_argument("--n-max", type=_int_at_least(2))
+    verify.add_argument("--samples", type=_int_at_least(1))
     verify.add_argument("--seed", type=int)
     verify.add_argument("--budget", type=_int_at_least(1))
     verify.add_argument("--format", dest="fmt", choices=["json", "text"], default="json")
@@ -146,20 +156,28 @@ def _finish(report: dict, fmt: str, out: str | None) -> int:
     return 0 if report.get("pass", False) else CHECK_FAILED
 
 
+def _unread_option(args) -> str | None:
+    """The first option given to verify that its suite does not read."""
+    for name in ("n", "d", "w", "n_max", "samples", "budget", "dump_bundles"):
+        if getattr(args, name) is not None and name not in SUITE_OPTIONS[args.suite]:
+            return "--" + name.replace("_", "-")
+    return None
+
+
 def cmd_verify(args) -> int:
     from . import suites
 
     suite = args.suite
+    n_max = args.n_max if args.n_max is not None else 4
+    samples = args.samples if args.samples is not None else 50
     if suite in ("maffei", "all") and args.seed is None:
         print("error: --seed is required for sampling suites", file=sys.stderr)
         return USAGE_ERROR
-    if suite == "signs" and args.n_max > SIGNS_N_MAX:
+    if suite == "signs" and n_max > SIGNS_N_MAX:
         print(f"error: --suite signs needs --n-max <= {SIGNS_N_MAX}", file=sys.stderr)
         return USAGE_ERROR
     if suite == "signs":
-        report = suites.suite_signs(
-            n_max=args.n_max, seed=args.seed if args.seed is not None else 0
-        )
+        report = suites.suite_signs(n_max=n_max, seed=args.seed if args.seed is not None else 0)
     elif suite == "maffei":
         n = args.n if args.n is not None else 3
         w = args.w if args.w is not None else (1,) * (n - 1)
@@ -167,18 +185,18 @@ def cmd_verify(args) -> int:
             print(f"error: --w needs {n - 1} entries", file=sys.stderr)
             return USAGE_ERROR
         flags = [] if args.dump_bundles else None
-        report = suites.suite_maffei(n, w, args.samples, args.seed, flags)
+        report = suites.suite_maffei(n, w, samples, args.seed, flags)
         if args.dump_bundles:
             _dump_bundles(w, flags[:16], args.dump_bundles)
             report["bundles_written_to"] = args.dump_bundles
     elif suite == "crystal":
-        report = suites.suite_crystal(n_max=args.n_max)
+        report = suites.suite_crystal(n_max=n_max)
     elif suite == "quotients":
         n = args.n if args.n is not None else 3
         d = args.d if args.d is not None else 3
         report = suites.suite_quotients(n, d, args.budget)
     else:
-        report = suites.suite_all(args.seed, samples=args.samples, budget=args.budget)
+        report = suites.suite_all(args.seed, samples=samples, budget=args.budget)
     report["command"] = "verify"
     report["seed"] = args.seed
     return _finish(report, args.fmt, args.out)
@@ -282,6 +300,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    # before the budget is resolved, while a --budget not given is None
+    unread = _unread_option(args) if args.command == "verify" else None
+    if unread is not None:
+        print(f"error: --suite {args.suite} does not read {unread}", file=sys.stderr)
+        return USAGE_ERROR
     if hasattr(args, "budget"):
         # resolved here so a malformed GEOCRYSTAL_BUDGET is a usage error
         try:

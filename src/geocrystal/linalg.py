@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -538,10 +539,14 @@ def canonicalize(spanning_set, ambient_dim: int) -> Subspace:
     return _span(_int_rows(vectors)[0], ambient_dim)
 
 
+# A Subspace is immutable, so one zero and one full space per ambient
+# dimension serve every caller: every flag begins and ends with them.
+@lru_cache(maxsize=None)
 def zero_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, RatMat.zeros(ambient_dim, 0), ())
 
 
+@lru_cache(maxsize=None)
 def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, RatMat.identity(ambient_dim), tuple(range(ambient_dim)))
 

@@ -31,11 +31,13 @@ from .errors import (
 from .linalg import (
     RatMat,
     Subspace,
+    _echelon,
     _echelon_rows,
     _json_int,
     _json_keys,
     _json_list,
     _kernel_ints,
+    _matmul,
     _product_map_rows,
     full_space,
     kernel,
@@ -506,6 +508,110 @@ def _solve_right_maps(
     return dict(zip(unknown, blocks)), d
 
 
+class _LeftChain:
+    """The leftward maps L_k: V_k -> V_{k-1} of a candidate as integer rows,
+    each any nonzero multiple of its map, and the ranks r(a, b) of their
+    composites L_{a+1}...L_b: V_b -> V_a.  Each composite and each rank is
+    found when first asked for."""
+
+    __slots__ = ("v", "left", "_products", "_ranks")
+
+    def __init__(self, v: DimVec, left: dict[Edge, Rows]):
+        self.v, self.left = v, left
+        self._products: dict[Edge, Rows] = {}
+        self._ranks: dict[Edge, int] = {}
+
+    def rank(self, a: int, b: int) -> int:
+        """r(a, b) for a <= b, with r(a, a) = v_a and r = 0 when a or b is
+        not a vertex."""
+        if a < 1 or b >= self.v.n:
+            return 0
+        if a == b:
+            return self.v[a - 1]
+        if (a, b) not in self._ranks:
+            # a composite through a zero one is zero, and is not multiplied out
+            self._ranks[a, b] = self.rank(a, b - 1) and len(
+                _echelon(self._product(a, b), self.v[b - 1])[1]
+            )
+        return self._ranks[a, b]
+
+    def _product(self, a: int, b: int) -> Rows:
+        if b == a + 1:
+            return self.left[b, a]
+        if (a, b) not in self._products:
+            self._products[a, b] = _matmul(self._product(a, b - 1), self.left[b, b - 1])
+        return self._products[a, b]
+
+    def ext_dim(self) -> int:
+        """dim Ext^1(X, X) for X = (V, L), a representation of the linearly
+        oriented A_{n-1} quiver: the nullity of the mu = 0 system of the
+        rightward maps (j = 0), so the number of kernel coefficients that
+        :func:`_solve_right_maps` draws.
+
+        That system is the transpose, under the trace pairing, of the map
+        (phi_k) -> (phi_{k-1} L_k - L_k phi_k), whose kernel is End(X) and
+        whose cokernel is Ext^1(X, X) (Crawley-Boevey, "Geometry of the
+        moment map for representations of quivers", Compositio Math. 2001).
+        So the nullity is dim End(X) - <v, v>.  X is a sum of intervals
+        I[a, b] (Gabriel), I[a, b] with multiplicity r(a, b) - r(a-1, b) -
+        r(a, b+1) + r(a-1, b+1), and Hom(I[a, b], I[c, d]) is one-dimensional
+        when a <= c <= b <= d and zero otherwise.
+        """
+        v, r = self.v.v, self.rank
+        last = len(v)
+        intervals = [
+            (a, b, r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1))
+            for a in range(1, last + 1)
+            for b in range(a, last + 1)
+        ]
+        intervals = [(a, b, m) for a, b, m in intervals if m]
+        end = sum(m * p for a, b, m in intervals for c, d, p in intervals if a <= c <= b <= d)
+        return end - sum(x * x for x in v) + sum(map(mul, v, v[1:]))
+
+
+def _cannot_be_stable(chain: _LeftChain, w: HighestWeight, right_zero: bool) -> bool:
+    """True when no i and no rightward maps R with mu = 0 (R = 0 when
+    right_zero) make a stable point with j = 0 and these leftward maps: a
+    sound bound on ranks, so such a candidate need not be solved.
+
+    The subspace equal to im i_k + im L_{k+1} + im R_{k-1} at k and to V
+    elsewhere is B-stable and contains im i, so stability needs v_k <= w_k
+    + rk L_{k+1} + rk R_{k-1} at every k.  rk R_{k-1} is at most 0 when R = 0
+    and min(v_{k-1}, v_k) otherwise; also at most v_2 - rk L_2 at k = 2, as
+    mu_1 = L_2 R_1 = 0, and v_{n-2} - rk L_{n-1} at k = n - 1, as mu_{n-1} =
+    -R_{n-2} L_{n-1} = 0.  At vertex 1, the relations L_{k+1} R_k = R_{k-1}
+    L_k move every rightward map of a path to its end, and L_2 R_1 = 0, so a
+    path through a rightward map is zero there: V_1 is spanned by im i_1 and
+    the images of L_2...L_s i_s, and stability also needs v_1 <= w_1 +
+    min(rk L_2, sum over s >= 2 of min(w_s, r(1, s))).
+    """
+    v, n, r = chain.v, chain.v.n, chain.rank
+    for k in range(1, n):
+        rho = 0
+        if k > 1 and not right_zero:
+            rho = min(v[k - 2], v[k - 1])
+            if k == 2:
+                rho = min(rho, v[1] - r(1, 2))
+            if k == n - 1:
+                rho = min(rho, v[n - 3] - r(n - 2, n - 1))
+        if v[k - 1] > w[k - 1] + r(k, k + 1) + rho:
+            return True
+    # the bound at k = 1 holds, so min(rk L_2, reach) is reach
+    short, reach = v[0] - w[0], 0
+    for s in range(2, n):
+        if reach >= short:
+            break
+        reach += min(w[s - 1], r(1, s))
+    return reach < short
+
+
+def _skip_right_maps(chain: _LeftChain, rng: random.Random) -> None:
+    """The draws :func:`_solve_right_maps` makes for these leftward maps,
+    one coefficient per kernel vector, without the system or its kernel."""
+    for _ in range(chain.ext_dim()):
+        rng.randint(ENTRY_LO, ENTRY_HI)
+
+
 def _extend_at_vertex(r: QuiverRep, k: int, s: int, rng: random.Random) -> QuiverRep | None:
     """One random attempt to enlarge V_k by an s-dimensional sink summand.
 
@@ -612,10 +718,18 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
     Draws the leftward maps with small random integers (zeroing each edge by
     a coin flip, since stability sometimes forces vanishing leftward maps),
     solves the moment map equations exactly for the rightward maps (leaving
-    them zero on every fourth attempt), then draws i.  Each candidate is
-    decided on integer rows: :func:`_closure_rows` reads the leftward maps
-    and i as drawn, and the rightward maps as the solve returns them, d times
-    the maps, with the same images.  Only a candidate the closure finds
+    them zero on every fourth attempt), then draws i.  A candidate whose
+    leftward maps already rule out stability is rejected on their ranks
+    (:func:`_cannot_be_stable`) before its rightward maps are solved.  It
+    still makes the solve's draws, one per kernel vector of the mu = 0
+    system; their count is dim Ext^1 of the leftward representation
+    (Crawley-Boevey, "Geometry of the moment map for representations of
+    quivers", Compositio Math. 2001), read off its interval decomposition
+    (Gabriel) by :meth:`_LeftChain.ext_dim`, so every later candidate is the
+    one the solve would have left.  Every other candidate is decided on
+    integer rows: :func:`_closure_rows` reads the leftward maps and i as
+    drawn, and the rightward maps as the solve returns them, d times the
+    maps, with the same images.  Only a candidate the closure finds
     stable becomes a QuiverRep, and only that point is proved stable and in
     Lambda (j = 0 and moment map = 0, which force B nilpotent by Lusztig's
     theorem, see lambda_failure); the solved candidates are nearly always in
@@ -650,13 +764,20 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
 
     for attempt in range(MAX_TRIES):
         left = {h: draw_left(v[h[1] - 1], v[h[0] - 1]) for h in left_edges}
-        right, d = ({}, 1) if attempt % 4 == 3 else _solve_right_maps(left, n, v, rng)
+        left_rows = {h: m.num for h, m in left.items()}
+        chain = _LeftChain(v, left_rows)
+        right_zero = attempt % 4 == 3
+        hopeless = _cannot_be_stable(chain, w, right_zero)
+        if hopeless and not right_zero:
+            _skip_right_maps(chain, rng)
+        right, d = ({}, 1) if right_zero or hopeless else _solve_right_maps(left, n, v, rng)
         i = {
             k: [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(w[k - 1])] for _ in range(v[k - 1])]
             for k in range(1, n)
         }
-        rows = {h: m.num for h, m in left.items()}
-        rows.update(right or zero_right)
+        if hopeless:
+            continue
+        rows = {**left_rows, **(right or zero_right)}
         if not _spans_full(v, _closure_rows(v, i, rows)):
             continue
         # QuiverRep zero-fills the maps it is not given

@@ -242,6 +242,32 @@ def test_size_out_of_range_is_usage_error(argv):
     assert main(argv.split()) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("verify --suite all --n-max 2 --samples 1 --seed 1", "--n-max"),
+        ("verify --suite crystal --n 3 --w 0,0", "--n"),
+        ("verify --suite crystal --n-max 2 --samples 3", "--samples"),
+        ("verify --suite signs --n-max 2 --dump-bundles {out}", "--dump-bundles"),
+        ("verify --suite signs --n-max 2 --budget 10", "--budget"),
+        ("verify --suite maffei --n 3 --w 1,1 --seed 1 --budget 5", "--budget"),
+        ("verify --suite maffei --seed 1 --d 2", "--d"),
+        ("verify --suite quotients --n 3 --d 3 --w 1,1", "--w"),
+        ("verify --suite quotients --n 2 --d 2 --dump-bundles {out}", "--dump-bundles"),
+        ("verify --suite all --seed 1 --n 3", "--n"),
+    ],
+)
+def test_options_the_suite_does_not_read_are_usage_errors(tmp_path, capsys, argv, flag):
+    # an option the chosen suite would drop is refused before anything runs
+    out = tmp_path / "bundles.json"
+    assert main(argv.format(out=out).split()) == 2
+    captured = capsys.readouterr()
+    suite = argv.split()[2]
+    assert captured.out == ""
+    assert captured.err == f"error: --suite {suite} does not read {flag}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["abc", "1.5", "0", "-5"])
 def test_budget_env_out_of_range_is_usage_error(monkeypatch, capsys, budget):
     monkeypatch.setenv("GEOCRYSTAL_BUDGET", budget)

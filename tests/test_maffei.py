@@ -8,7 +8,7 @@ import pytest
 from geocrystal.cartan import HighestWeight
 from geocrystal.errors import IncompatibleError, InvalidRankError, LambdaPreconditionError
 from geocrystal.flag import composition_of, flag_membership
-from geocrystal.linalg import RatMat, canonicalize, kernel
+from geocrystal.linalg import RatMat, canonicalize, full_space, kernel, zero_space
 from geocrystal.maffei import ThetaContext, phi_maps, theta, theta_w1_special
 from geocrystal.quiver import (
     QuiverRep,
@@ -235,6 +235,18 @@ def test_theta_w1_special_agrees_with_theta():
         if checked >= 100:
             break
     assert checked >= 100
+
+
+def test_flags_share_one_zero_and_one_full_space():
+    # Subspace is immutable, so theta and its special form end every flag
+    # with the one zero and the one full space of the ambient dimension
+    w = (3, 0)
+    ctx = ThetaContext(HighestWeight(w))
+    flags = []
+    for seed, v in enumerate(valid_dimvecs(w)[:3]):
+        r = sample_lambda_point(v, w, seed)
+        flags += [theta(r, ctx), theta_w1_special(r)[1]]
+    assert all(F[0] is zero_space(3) and F[3] is full_space(3) for F in flags)
 
 
 def test_full_point_check_on_samples(p0):

@@ -17,8 +17,10 @@ from geocrystal.errors import (
 )
 from geocrystal.linalg import (
     RatMat,
+    _kernel_ints,
     canonicalize,
     contains_image,
+    rank,
     rref,
     zero_space,
 )
@@ -40,11 +42,14 @@ from geocrystal.quiver import (
     quotient_by_invariant_subspace,
     random_gauge,
     sample_lambda_point,
+    _LeftChain,
+    _cannot_be_stable,
     _closure_rows,
     _map_rows,
     _maps_over,
     _moment_map_rows,
     _random_kernel_blocks,
+    _skip_right_maps,
     _solve_right_maps,
 )
 from geocrystal.suites import ACCEPTANCE_MAFFEI_CONFIGS, valid_dimvecs
@@ -613,13 +618,9 @@ def test_sampler_proves_lambda_only_on_stable_candidates(monkeypatch):
     assert all(verdicts.get(candidate) == {True} for candidate in proved_in_lambda)
 
 
-def _candidate_points(v, w, seed):
-    """The rejection candidates of sample_lambda_point in draw order, up to
-    the one it accepts, each built as a QuiverRep: the sampler's loop as it
-    was when every candidate became a point."""
-    v, w = as_dimvec(v), as_highest_weight(w)
-    n = v.n
-    rng = random.Random(seed)
+def _sampler_left(rng, v):
+    """Leftward maps drawn as sample_lambda_point draws them: each edge zero,
+    rank one or dense, by a draw from rng."""
 
     def draw_left(rows, cols):
         kind = rng.randrange(3)
@@ -634,28 +635,66 @@ def _candidate_points(v, w, seed):
             cols=cols,
         )
 
+    return {h: draw_left(v[h[1] - 1], v[h[0] - 1]) for h in QuiverShape(len(v) + 1).omega()}
+
+
+def _sampler_i(rng, v, w):
+    """The maps i, drawn as sample_lambda_point draws them."""
+    return {
+        k: RatMat(
+            [[rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(w[k - 1])] for _ in range(v[k - 1])],
+            cols=w[k - 1],
+        )
+        for k in range(1, len(v) + 1)
+    }
+
+
+def _candidate_points(v, w, seed):
+    """The rejection candidates of sample_lambda_point in draw order, up to
+    the one it accepts, each built as a QuiverRep: the sampler's loop as it
+    was when every candidate became a point and had its rightward maps
+    solved."""
+    v, w = as_dimvec(v), as_highest_weight(w)
+    n = v.n
+    rng = random.Random(seed)
     points = []
     for attempt in range(MAX_TRIES):
-        left = {h: draw_left(v[h[1] - 1], v[h[0] - 1]) for h in QuiverShape(n).omega()}
+        left = _sampler_left(rng, v)
         right = {} if attempt % 4 == 3 else _maps_over(*_solve_right_maps(left, n, v, rng), v)
-        i = {}
-        for k in range(1, n):
-            i[k] = RatMat(
-                [
-                    [rng.randint(ENTRY_LO, ENTRY_HI) for _ in range(w[k - 1])]
-                    for _ in range(v[k - 1])
-                ],
-                cols=w[k - 1],
-            )
+        i = _sampler_i(rng, v, w)
         points.append(QuiverRep(n, v, w, B={**left, **right}, i=i))
         if is_stable(points[-1]) and in_Lambda(points[-1]):
             break
     return points
 
 
+def _left_lines(v, left):
+    """The leftward maps of a candidate up to a nonzero scalar on each."""
+    return _lines(v, {}, {h: left[h] for h in QuiverShape(len(v) + 1).omega()})
+
+
+def _watch_bound(monkeypatch):
+    """Record (leftward maps as _left_lines, verdict) for every
+    _cannot_be_stable call."""
+    from geocrystal import quiver
+
+    calls = []
+    bound = quiver._cannot_be_stable
+
+    def watched(chain, w, right_zero):
+        verdict = bound(chain, w, right_zero)
+        calls.append((_left_lines(chain.v, chain.left), verdict))
+        return verdict
+
+    monkeypatch.setattr(quiver, "_cannot_be_stable", watched)
+    return calls
+
+
 def test_sampler_integer_verdicts_match_is_stable(monkeypatch):
-    # every candidate the sampler decides on integer rows, rejected ones
-    # included, gets the verdict is_stable gives the QuiverRep it stands for
+    # every candidate the sampler decides, in draw order and rejected ones
+    # included, gets the verdict is_stable gives the QuiverRep it stands for:
+    # False when the rank bound rejects it (its leftward maps are the
+    # point's), else the closure's verdict on its integer rows
     cases = [
         ((1, 1), (2, 1)),
         ((1, 2, 1), (1, 1, 0)),
@@ -663,24 +702,257 @@ def test_sampler_integer_verdicts_match_is_stable(monkeypatch):
         ((1, 3, 2, 1), (0, 1, 1, 0)),  # no candidate passes: the crystal walk
     ]
     expected = {}
-    walked = rejected = 0
+    walked = 0
     for v, w in cases:
         for seed in range(4):
             points = _candidate_points(v, w, seed)
-            expected[v, w, seed] = [(_lines(r.v, *_map_rows(r)), is_stable(r)) for r in points]
+            expected[v, w, seed] = [
+                (_left_lines(r.v, _map_rows(r)[1]), _lines(r.v, *_map_rows(r)), is_stable(r))
+                for r in points
+            ]
             walked += not (is_stable(points[-1]) and in_Lambda(points[-1]))
     closure_calls = _watch_closure(monkeypatch)
+    bound_calls = _watch_bound(monkeypatch)
+    by_bound = by_closure = 0
     for (v, w, seed), candidates in expected.items():
-        del closure_calls[:]
+        del closure_calls[:], bound_calls[:]
         sample_lambda_point(v, w, seed)
-        decided = [
+        closed = iter(
             (candidate, verdict)
             for caller, candidate, verdict in closure_calls
             if caller == "sample_lambda_point"
-        ]
-        assert decided == candidates
-        rejected += sum(not verdict for _, verdict in decided)
-    assert rejected >= 100 and walked >= 3
+        )
+        assert len(bound_calls) == len(candidates)
+        for (left, hopeless), (left_point, lines, stable) in zip(bound_calls, candidates):
+            assert left == left_point
+            if hopeless:
+                assert not stable
+                by_bound += 1
+            else:
+                assert next(closed) == (lines, stable)
+                by_closure += not stable
+        assert next(closed, None) is None
+    assert by_bound + by_closure >= 100 and walked >= 3
+    assert by_bound >= 50 and by_closure >= 50
+
+
+def _chain(v, left):
+    return _LeftChain(v, {h: m.num for h, m in left.items()})
+
+
+def _right_nullity(left, n, v):
+    """The number of free columns _kernel_ints finds in the mu = 0 system of
+    the rightward maps, as _solve_right_maps builds it."""
+    shape = QuiverShape(n)
+    unknown = {h: (v[h[1] - 1], v[h[0] - 1]) for h in map(shape.bar, shape.omega())}
+    rows = _moment_map_rows(shape, left, unknown, shape.vertices)
+    return len(_kernel_ints(rows, sum(a * b for a, b in unknown.values()))[0])
+
+
+def test_ext_dim_is_the_nullity_of_the_right_system():
+    # dim End(X) - <v, v> from the interval multiplicities against the
+    # elimination, on the sampler's three kinds of leftward map and on dense
+    # rational ones, with zeros in v
+    rng = random.Random(41)
+    ranks = {0: 0, 1: 0, 2: 0}
+    fractions = zero_dims = positive = 0
+    for trial in range(600):
+        n = rng.randint(2, 6)
+        v = DimVec(tuple(rng.randint(0, 3) for _ in range(n - 1)))
+        if trial % 3:
+            left = _sampler_left(rng, v)
+        else:
+            left = {
+                (k, k - 1): RatMat(
+                    [[_random_entry(rng, True) for _ in range(v[k - 1])] for _ in range(v[k - 2])],
+                    cols=v[k - 1],
+                )
+                for k in range(2, n)
+            }
+        nullity = _right_nullity(left, n, v)
+        assert _chain(v, left).ext_dim() == nullity
+        for m in left.values():
+            ranks[min(rank(m), 2)] += 1
+        fractions += any(m.den > 1 for m in left.values())
+        zero_dims += 0 in v.v
+        positive += nullity > 0
+    assert min(ranks.values()) >= 100
+    assert fractions >= 50 and zero_dims >= 100 and positive >= 200
+
+
+def _random_candidate_shape(rng):
+    n = rng.randint(2, 6)
+    v = DimVec(tuple(rng.randint(0, 3) for _ in range(n - 1)))
+    w = HighestWeight(tuple(rng.randint(0, 2) for _ in range(n - 1)))
+    return n, v, w
+
+
+def test_hopeless_candidates_make_the_draws_of_the_solve():
+    # a candidate the bound rejects leaves the rng where the solve and the
+    # draws of i would have left it, so every later candidate is unchanged
+    rng = random.Random(43)
+    hopeless = drawn = 0
+    for trial in range(500):
+        n, v, w = _random_candidate_shape(rng)
+        left = _sampler_left(rng, v)
+        chain = _chain(v, left)
+        if not _cannot_be_stable(chain, w, False):
+            continue
+        solved, skipped = random.Random(trial), random.Random(trial)
+        _solve_right_maps(left, n, v, solved)
+        _sampler_i(solved, v, w)
+        _skip_right_maps(chain, skipped)
+        _sampler_i(skipped, v, w)
+        assert skipped.getstate() == solved.getstate()
+        hopeless += 1
+        drawn += chain.ext_dim() > 0
+    assert hopeless >= 100 and drawn >= 50
+
+
+def test_rank_bound_rejects_only_unstable_candidates():
+    # with the rightward maps solved and with them zero, and i drawn wider
+    # than the sampler draws it
+    rng = random.Random(47)
+    rejected = {False: 0, True: 0}
+    stable = 0
+    for _ in range(800):
+        n, v, w = _random_candidate_shape(rng)
+        left = _sampler_left(rng, v)
+        chain = _chain(v, left)
+        for right_zero in (False, True):
+            right = {} if right_zero else _maps_over(*_solve_right_maps(left, n, v, rng), v)
+            i = {
+                k: RatMat(
+                    [[rng.randint(-9, 9) for _ in range(w[k - 1])] for _ in range(v[k - 1])],
+                    cols=w[k - 1],
+                )
+                for k in range(1, n)
+            }
+            r = QuiverRep(n, v, w, B={**left, **right}, i=i)
+            assert in_Lambda(r)
+            if _cannot_be_stable(chain, w, right_zero):
+                assert not is_stable(r)
+                rejected[right_zero] += 1
+            else:
+                stable += is_stable(r)
+    assert min(rejected.values()) >= 200 and stable >= 100
+
+
+@pytest.mark.parametrize(
+    "v, w, left",
+    [
+        # mu_1 = L_2 R_1 = 0 with L_2 invertible: R_1 = 0 cannot reach V_2
+        ((1, 1, 0), (1, 0, 0), {(2, 1): [[1]]}),
+        # mu_3 = -R_2 L_3 = 0 with L_3 invertible: R_2 = 0 cannot reach V_3
+        ((0, 1, 1), (0, 1, 0), {(3, 2): [[1]]}),
+        # V_1 is im i_1 + L_2 im i_2 + L_2 L_3 im i_3 + ..., at most 1 < 2 here
+        ((2, 2, 2, 2), (0, 1, 0, 1), {(2, 1): [[1, 0], [0, 1]], (3, 2): [[1, 0], [0, 1]]}),
+    ],
+    ids=["rho_1", "rho_n-2", "vertex 1"],
+)
+def test_rank_bound_uses_each_refinement(v, w, left):
+    # each case is rejected only by the named refinement of the bound
+    v, w = DimVec(v), HighestWeight(w)
+    left = {
+        h: RatMat(left.get(h, [[0] * v[h[0] - 1]] * v[h[1] - 1]), cols=v[h[0] - 1])
+        for h in QuiverShape(v.n).omega()
+    }
+    assert _cannot_be_stable(_chain(v, left), w, False)
+    rng = random.Random(0)
+    right = _maps_over(*_solve_right_maps(left, v.n, v, rng), v)
+    i = {k: RatMat([[1] * w[k - 1]] * v[k - 1], cols=w[k - 1]) for k in range(1, v.n)}
+    assert not is_stable(QuiverRep(v.n, v, w, B={**left, **right}, i=i))
+
+
+def _interval(n, a, b):
+    """The interval representation I[a, b] of the leftward A_{n-1} quiver:
+    Q at the vertices a..b, the identity along each L_k with a < k <= b."""
+    v = tuple(int(a <= k <= b) for k in range(1, n))
+    left = {(k, k - 1): [[int(a < k <= b)] * v[k - 1]] * v[k - 2] for k in range(2, n)}
+    return v, left
+
+
+def _hom_dim(n, x, y):
+    """dim Hom(X, Y) for representations (v, L) of the leftward A_{n-1}
+    quiver, L as integer rows: the Fraction nullity of L'_k f_k = f_{k-1} L_k
+    in the maps f_k: V_k -> V'_k, each unknown block row-major."""
+    (v, L), (u, M) = x, y
+    offsets, ncols = {}, 0
+    for k in range(1, n):
+        offsets[k] = ncols
+        ncols += u[k - 1] * v[k - 1]
+    rows = []
+    for k in range(2, n):
+        for p in range(u[k - 2]):
+            for q in range(v[k - 1]):
+                row = [0] * ncols
+                for t in range(u[k - 1]):
+                    row[offsets[k] + t * v[k - 1] + q] += M[k, k - 1][p][t]
+                for t in range(v[k - 2]):
+                    row[offsets[k - 1] + p * v[k - 2] + t] -= L[k, k - 1][t][q]
+                rows.append(row)
+    return len(ref.kernel_basis(ref.RatMat(rows, cols=ncols)))
+
+
+def test_interval_hom_closed_form():
+    # Hom(I[a, b], I[c, d]) is one-dimensional iff a <= c <= b <= d, which
+    # ext_dim sums over the interval multiplicities; each interval is rigid
+    for n in range(2, 9):
+        intervals = [(a, b) for a in range(1, n) for b in range(a, n)]
+        for a, b in intervals:
+            x = _interval(n, a, b)
+            assert _LeftChain(DimVec(x[0]), x[1]).ext_dim() == 0
+            for c, d in intervals:
+                assert _hom_dim(n, x, _interval(n, c, d)) == int(a <= c <= b <= d)
+
+
+def test_hopeless_candidates_reach_no_solve_or_closure(monkeypatch):
+    # a pinned fallback case (seed 1): every candidate is rejected and the
+    # crystal walk runs.  A candidate the bound rejects reaches neither _kernel_ints
+    # nor _closure_rows, and the number of full solves is pinned; a change
+    # that brings the solves back must update these counts on purpose.
+    from geocrystal import quiver
+
+    events = []
+    bound, kernel_ints, closure = quiver._cannot_be_stable, quiver._kernel_ints, quiver._closure_rows
+
+    def watched_bound(chain, w, right_zero):
+        verdict = bound(chain, w, right_zero)
+        events.append("rejected" if verdict else "passed")
+        return verdict
+
+    def watched_kernel(rows, ncols):
+        # the caller of _random_kernel_blocks: the sampler's solve or the walk
+        events.append(sys._getframe(2).f_code.co_name)
+        return kernel_ints(rows, ncols)
+
+    def watched_closure(v, i, B):
+        events.append(sys._getframe(1).f_code.co_name)
+        return closure(v, i, B)
+
+    monkeypatch.setattr(quiver, "_cannot_be_stable", watched_bound)
+    monkeypatch.setattr(quiver, "_kernel_ints", watched_kernel)
+    monkeypatch.setattr(quiver, "_closure_rows", watched_closure)
+    assert sample_lambda_point((1, 3, 2, 1), (0, 1, 1, 0), 1).v.v == (1, 3, 2, 1)
+    attempts = []
+    for event in events:
+        if event in ("rejected", "passed"):
+            attempts.append([event])
+        elif event in ("_solve_right_maps", "sample_lambda_point"):
+            attempts[-1].append(event)
+    assert len(attempts) == MAX_TRIES
+    assert all(a == ["rejected"] for a in attempts if a[0] == "rejected")
+    assert all(
+        a in (["passed", "_solve_right_maps", "sample_lambda_point"], ["passed", "sample_lambda_point"])
+        for a in attempts
+        if a[0] == "passed"
+    )
+    assert "_extend_at_vertex" in events
+    # 21 of the 32 candidates are rejected by the bound, all 8 with R = 0
+    # among them, so 11 are solved where every one of the 24 with R drawn was
+    rejected = sum(a[0] == "rejected" for a in attempts)
+    solves = sum("_solve_right_maps" in a for a in attempts)
+    assert (rejected, solves) == (21, 11)
 
 
 def _kron(a, b):
