@@ -25,8 +25,8 @@ SCHEMA_VERSION = "1"
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-# The signs grid has 25 times more (w, v) pairs per step of n: about 2 s at 7
-# on a 2-CPU machine, so nearly a minute at 8.
+# The signs grid has 25 times more (w, v) pairs per step of n: about 1 s at 7
+# on a 2-CPU machine, so about half a minute at 8.
 SIGNS_N_MAX = 7
 
 # The options of verify that each suite reads, besides --seed, --format and

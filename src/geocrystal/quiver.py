@@ -338,17 +338,15 @@ def joint_outgoing_kernel(r: QuiverRep, k: int) -> Subspace:
     return r._kernels[k]
 
 
-def dim_and_sign(v, w, k: int) -> tuple[int, int]:
-    """dim M(v,w) = v.(2w - Cv) and r_k(v,w) = -e^k.(w - Cv) - 1."""
+def dim_and_signs(v, w) -> tuple[int, tuple[int, ...]]:
+    """dim M(v,w) = v.(2w - Cv) and (r_1, ..., r_{n-1}) with
+    r_k(v,w) = -e^k.(w - Cv) - 1, from one Cv."""
     v, w = as_dimvec(v), as_highest_weight(w)
     if v.n != w.n:
         raise DimensionMismatchError("rank mismatch")
-    if not 1 <= k <= v.n - 1:
-        raise InvalidRankError(f"vertex {k} out of range")
     Cv = alpha_weight(v).omega
-    dimM = sum(v[idx] * (2 * w[idx] - Cv[idx]) for idx in range(len(v)))
-    r_k = -(w[k - 1] - Cv[k - 1]) - 1
-    return dimM, r_k
+    dimM = sum(vk * (2 * wk - cvk) for vk, wk, cvk in zip(v, w, Cv))
+    return dimM, tuple(cvk - wk - 1 for wk, cvk in zip(w, Cv))
 
 
 def quotient_by_invariant_subspace(r: QuiverRep, k: int, S: Subspace) -> QuiverRep:

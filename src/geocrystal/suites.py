@@ -13,6 +13,7 @@ from math import factorial, prod
 
 from . import repalg
 from .cartan import (
+    DimVec,
     HighestWeight,
     a_of_vw,
     as_highest_weight,
@@ -23,14 +24,14 @@ from .cartan import (
     weight_of_vw,
 )
 from .errors import NotInImageError, SampleExhaustedError
-from .flag import s_k_exponent
+from .flag import flag_dim, s_k_exponent
 from .maffei import (
     MAX_RECORDED_FAILURES,
     ThetaContext,
     _record,
     check_theta_point,
 )
-from .quiver import dim_and_sign, sample_lambda_point
+from .quiver import dim_and_signs, sample_lambda_point
 from .repalg import valid_dimvecs
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,37 @@ def _spot_draws(n_max: int, max_entry: int, seed: int, tries: int):
         yield v, w
 
 
+def _chunk_checks(n, Wc, CV, A, pairing, col, bad):
+    """Write the mismatches of each check over one chunk of the grid of n
+    into bad, in report order, and yield the check's label after each: for
+    k = 1, ..., n - 1 the bridge, a_k - a_{k+1} against <h_k, w - Cv>, then
+    the sign, s_k = a_{k+1} - a_k - 1 against r_k = -<h_k, w - Cv> - 1, both
+    compared plus one.  Both passes over a chunk read the checks from here."""
+    import numpy as np
+
+    for k in range(1, n):
+        np.subtract(Wc[:, k - 1, None], CV[k - 1], out=pairing)
+        np.subtract(A[k - 1], A[k], out=col)
+        np.not_equal(col, pairing, out=bad)
+        yield f"bridge n={n} k={k}"
+        np.subtract(A[k], A[k - 1], out=col)
+        np.negative(pairing, out=pairing)
+        np.not_equal(col, pairing, out=bad)
+        yield f"sign n={n} k={k}"
+
+
+def _record_chunk(failures: list[str], checks, valid, bad, where) -> None:
+    """The record pass over a chunk where some check fails at a valid point:
+    for each of checks, in order, keep its mismatches at valid points and, if
+    one is left, record the check's label and where(bad)."""
+    import numpy as np
+
+    for label in checks:
+        np.logical_and(valid, bad, out=bad)
+        if bad.any():
+            _record(failures, f"{label} {where(bad)}")
+
+
 def suite_signs(
     n_max: int = 6, max_entry: int = 4, seed: int = 0, spot_checks: int = 200
 ) -> dict:
@@ -68,12 +100,18 @@ def suite_signs(
     rows are taken in chunks of (1 << 20) // (count * n) rows, and every pass
     over a chunk writes into buffers allocated once per n, so the chunks, the
     order of the checks and the failure records do not depend on the buffers.
+    The mismatches of every check of a chunk are or-ed into one mask first;
+    only a chunk where that mask holds at a valid point is passed again,
+    check by check, to record each failing check's first point.
     Seeded spot checks re-derive both sides through the library operations to
-    pin the engine to the public API; they start with the boundary pairs of
-    every n (see _spot_draws), so from 2 * (n_max - 1) spot checks on each
-    (n, k) and the entries 0 and max_entry are reached.
+    pin the engine to the public API, evaluating each (v, w) once, and check
+    Maffei's dimension identity dim M(v, w) = 2 dim F_a - (d^2 - sum lambda_i^2)
+    for lambda the partition of w and d its size.  They start with the
+    boundary pairs of every n (see _spot_draws), so from 2 * (n_max - 1) spot
+    checks on each (n, k) and the entries 0 and max_entry are reached.
     """
-    # The one numpy user: importing it here keeps it off every other path.
+    # The one numpy user, with its two chunk helpers: importing it here
+    # keeps it off every other path.
     import numpy as np
 
     # Entries lie in [0, max_entry], so a_k lies in [-max_entry, n * max_entry]
@@ -84,14 +122,18 @@ def suite_signs(
         t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound
     )
     failures: list[str] = []
-    sign_checks = 0
-    bridge_checks = 0
     grid_points = 0
+    identity_checks = 0  # of each of the two identities
     for n in range(2, n_max + 1):
         grid = np.array(list(product(range(max_entry + 1), repeat=n - 1)), dtype=dtype)
         count = grid.shape[0]
         V = np.ascontiguousarray(grid.T)  # V[k] is entry k of every v
         CV = np.ascontiguousarray((grid @ np.array(cartan_matrix(n), dtype=dtype)).T)
+        # a_k = (w_k + ... + w_{n-1}) + T[k - 1] for k < n, T[k - 1] = v_{k-1} - v_k
+        # with v_0 = 0, so each chunk writes a row of A in one add
+        T = np.empty_like(V)
+        np.negative(V[0], out=T[0])
+        np.subtract(V[:-1], V[1:], out=T[1:])
 
         def first_point(bad, Wc) -> str:
             wi, vi = divmod(int(bad.argmax()), count)
@@ -99,24 +141,24 @@ def suite_signs(
 
         chunk = max(1, (1 << 20) // max(count * n, 1))
         shape = (min(chunk, count), count)
-        # A[k - 1] holds a_k for every (w, v) of the chunk, contiguously
+        # A[k - 1] holds a_k for every (w, v) of the chunk, contiguously;
+        # a_n = v_{n-1} does not depend on w, so it is written once
         A_buf = np.empty((n,) + shape, dtype=dtype)
+        A_buf[n - 1] = V[n - 2]
         pairing_buf = np.empty(shape, dtype=dtype)
         col_buf = np.empty(shape, dtype=dtype)
         valid_buf = np.empty(shape, dtype=bool)
         bad_buf = np.empty(shape, dtype=bool)
+        failing_buf = np.empty(shape, dtype=bool)
         for start in range(0, count, chunk):
             Wc = grid[start : start + chunk]
             suffix = np.cumsum(Wc[:, ::-1], axis=1, dtype=dtype)[:, ::-1]
             nc = Wc.shape[0]
             A = A_buf[:, :nc]
             pairing, col = pairing_buf[:nc], col_buf[:nc]
-            valid, bad = valid_buf[:nc], bad_buf[:nc]
-            np.subtract(suffix[:, 0, None], V[0], out=A[0])
-            for k in range(2, n):
-                np.subtract(suffix[:, k - 1, None], V[k - 1], out=A[k - 1])
-                np.add(A[k - 1], V[k - 2], out=A[k - 1])
-            A[n - 1] = V[n - 2]
+            valid, bad, failing = valid_buf[:nc], bad_buf[:nc], failing_buf[:nc]
+            for k in range(1, n):
+                np.add(suffix[:, k - 1, None], T[k - 1], out=A[k - 1])
             # an or of two's-complement ints is negative iff one of them is
             np.bitwise_or(A[0], A[1], out=col)
             for k in range(2, n):
@@ -124,28 +166,24 @@ def suite_signs(
             np.greater_equal(col, 0, out=valid)
             checks = int(np.count_nonzero(valid))
             grid_points += checks
-            for k in range(1, n):
-                # bridge: a_k - a_{k+1} against <h_k, w - Cv>
-                np.subtract(Wc[:, k - 1, None], CV[k - 1], out=pairing)
-                np.subtract(A[k - 1], A[k], out=col)
-                np.not_equal(col, pairing, out=bad)
-                np.logical_and(valid, bad, out=bad)
-                bridge_checks += checks
-                if bad.any():
-                    _record(failures, f"bridge n={n} k={k} {first_point(bad, Wc)}")
-                # sign: s_k = a_{k+1} - a_k - 1 against r_k = -<h_k, w - Cv> - 1,
-                # both compared plus one
-                np.subtract(A[k], A[k - 1], out=col)
-                np.negative(pairing, out=pairing)
-                np.not_equal(col, pairing, out=bad)
-                np.logical_and(valid, bad, out=bad)
-                sign_checks += checks
-                if bad.any():
-                    _record(failures, f"sign n={n} k={k} {first_point(bad, Wc)}")
+            identity_checks += (n - 1) * checks
+            failing.fill(False)
+            for _ in _chunk_checks(n, Wc, CV, A, pairing, col, bad):
+                np.logical_or(failing, bad, out=failing)
+            np.logical_and(failing, valid, out=failing)
+            if failing.any():
+                _record_chunk(
+                    failures,
+                    _chunk_checks(n, Wc, CV, A, pairing, col, bad),
+                    valid,
+                    bad,
+                    lambda bad: first_point(bad, Wc),
+                )
     spots_done = 0
     for v, w in _spot_draws(n_max, max_entry, seed, 100 * spot_checks):
         if spots_done == spot_checks:
             break
+        v, w = DimVec(v), HighestWeight(w)
         try:
             a = a_of_vw(v, w)
         except NotInImageError:
@@ -153,19 +191,23 @@ def suite_signs(
         spots_done += 1
         n = len(a)
         mu = weight_of_vw(v, w)
+        dim_m, r = dim_and_signs(v, w)
         for k in range(1, n):
             if pair_with_coroot(mu, k) != a[k - 1] - a[k]:
-                _record(failures, f"spot bridge n={n} v={v} w={w} k={k}")
-            _, r_k = dim_and_sign(v, w, k)
-            if s_k_exponent(a, k) != r_k:
-                _record(failures, f"spot sign n={n} v={v} w={w} k={k}")
+                _record(failures, f"spot bridge n={n} v={v.v} w={w.w} k={k}")
+            if s_k_exponent(a, k) != r[k - 1]:
+                _record(failures, f"spot sign n={n} v={v.v} w={w.w} k={k}")
+        d = w.level_d
+        orbit_dim = d * d - sum(part * part for part in hw_to_partition(w))
+        if dim_m != 2 * flag_dim(a) - orbit_dim:
+            _record(failures, f"spot dim n={n} v={v.v} w={w.w}")
     return {
         "suite": "signs",
         "n_max": n_max,
         "max_entry": max_entry,
         "grid_points": grid_points,
-        "sign_checks": sign_checks,
-        "bridge_checks": bridge_checks,
+        "sign_checks": identity_checks,
+        "bridge_checks": identity_checks,
         "spot_checks": spots_done,
         "failures": failures,
         "pass": not failures,

@@ -13,7 +13,6 @@ KEPT = {
     "epsilon_k_flag": "the paper's epsilon_k on the flag side",
     "epsilon_k_point": "the paper's epsilon_k on the quiver side",
     "flag_bundle_from_json": "reads the file that verify --dump-bundles writes",
-    "flag_dim": "dimension of Ginzburg's flag variety",
     "suite_maffei_acceptance": "the acceptance harness of criterion 3",
     "RatMat.entries": "the Fraction view of a matrix, which tests read entries and columns from",
 }

@@ -31,7 +31,7 @@ from geocrystal.quiver import (
     QuiverRep,
     QuiverShape,
     apply_gauge,
-    dim_and_sign,
+    dim_and_signs,
     epsilon_k_point,
     in_Lambda,
     is_stable,
@@ -227,9 +227,9 @@ def test_epsilon_k_point(p0):
 
 
 def test_dim_and_sign():
-    assert dim_and_sign((1, 1), (1, 1), 1) == (2, -1)
-    assert dim_and_sign((0, 0), (1, 1), 1)[0] == 0
-    assert dim_and_sign((1, 0), (1, 1), 1) == (0, 0)
+    assert dim_and_signs((1, 1), (1, 1)) == (2, (-1, -1))
+    assert dim_and_signs((0, 0), (1, 1))[0] == 0
+    assert dim_and_signs((1, 0), (1, 1)) == (0, (0, -3))
 
 
 def test_dim_difference_identity():
@@ -245,9 +245,9 @@ def test_dim_difference_identity():
                     smaller = tuple(
                         c - (1 if t == k - 1 else 0) for t, c in enumerate(v)
                     )
-                    dim_small, _ = dim_and_sign(smaller, w, k)
-                    dim_big, r_k = dim_and_sign(v, w, k)
-                    assert dim_small - dim_big == 2 * r_k
+                    dim_small, _ = dim_and_signs(smaller, w)
+                    dim_big, r = dim_and_signs(v, w)
+                    assert dim_small - dim_big == 2 * r[k - 1]
 
 
 def test_quotient_by_invariant_subspace(p0):

@@ -5,14 +5,15 @@ import re
 from itertools import product
 
 import pytest
+import reference_suites
 
 from geocrystal import maffei, repalg, suites
 from geocrystal.cartan import a_of_vw, cartan_matrix, pair_with_coroot, weight_of_vw
 from geocrystal.errors import NotInImageError
-from geocrystal.flag import Flag, s_k_exponent
+from geocrystal.flag import Flag, flag_dim, s_k_exponent
 from geocrystal.linalg import full_space, zero_space
 from geocrystal.maffei import ThetaContext
-from geocrystal.quiver import dim_and_sign, sample_lambda_point
+from geocrystal.quiver import dim_and_signs, sample_lambda_point
 
 
 def _signs_by_pair(n_max, max_entry):
@@ -28,10 +29,11 @@ def _signs_by_pair(n_max, max_entry):
                     continue
                 points += 1
                 mu = weight_of_vw(v, w)
+                _, r = dim_and_signs(v, w)
                 for k in range(1, n):
                     checks += 1
                     bad += pair_with_coroot(mu, k) != a[k - 1] - a[k]
-                    bad += s_k_exponent(a, k) != dim_and_sign(v, w, k)[1]
+                    bad += s_k_exponent(a, k) != r[k - 1]
     return points, checks, bad
 
 
@@ -114,6 +116,106 @@ def test_spot_checks_catch_a_wrong_boundary_sign(monkeypatch, seed):
     assert report["spot_checks"] == 200
     assert report["failures"] and all(
         msg.startswith("spot sign n=6 ") for msg in report["failures"]
+    )
+
+
+def _zero_cartan(n):
+    return tuple(tuple(0 for _ in range(n - 1)) for _ in range(n - 1))
+
+
+def _raised_cartan(n):
+    rows = [list(row) for row in cartan_matrix(n)]
+    rows[-1][-1] += 1
+    return tuple(map(tuple, rows))
+
+
+def _perturbed_cartans(n_max, count, seed):
+    """count Cartan matrix functions, each the real one with one entry of the
+    matrix of one n <= n_max moved by +-1 or +-2, drawn with seed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        at, i, j = rng.randint(2, n_max), rng.randrange(n_max - 1), rng.randrange(n_max - 1)
+        delta = rng.choice((-2, -1, 1, 2))
+
+        def perturbed(n, at=at, i=i % (at - 1), j=j % (at - 1), delta=delta):
+            rows = [list(row) for row in cartan_matrix(n)]
+            if n == at:
+                rows[i][j] += delta
+            return tuple(map(tuple, rows))
+
+        yield perturbed
+
+
+@pytest.mark.parametrize(
+    "args",
+    # the defaults, two smaller grids, a one-chunk grid and the int16 path
+    [(6, 4, 0, 200), (5, 3, 2, 20), (4, 3, 1, 30), (3, 2, 0, 0), (2, 128, 0, 5)],
+)
+def test_signs_match_reference(monkeypatch, args):
+    cartans = [cartan_matrix, _zero_cartan, _raised_cartan]
+    cartans += _perturbed_cartans(args[0], 6, seed=sum(args))
+    failing = 0
+    for cartan in cartans:
+        monkeypatch.setattr(suites, "cartan_matrix", cartan)
+        report = suites.suite_signs(*args)
+        assert report == reference_suites.suite_signs(*args, cartan=cartan)
+        failing += not report["pass"]
+    assert failing >= 2
+
+
+def test_dim_and_signs_matches_per_k_reference():
+    for n in (2, 3, 4):
+        for v in product(range(3), repeat=n - 1):
+            for w in product(range(3), repeat=n - 1):
+                dim_m, r = dim_and_signs(v, w)
+                assert len(r) == n - 1
+                for k in range(1, n):
+                    assert (dim_m, r[k - 1]) == reference_suites.dim_and_sign(v, w, k)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_passing_sign_op_takes_one_pass_per_chunk(monkeypatch, seed):
+    # a passing grid never runs the per-check record pass, and each spot
+    # point evaluates the quiver side once, whatever its n
+    record_passes = []
+    spot_calls = []
+    record_chunk, dim_and_signs_ = suites._record_chunk, suites.dim_and_signs
+
+    def counting_record_chunk(*args):
+        record_passes.append(args)
+        return record_chunk(*args)
+
+    def counting_dim_and_signs(v, w):
+        spot_calls.append((v, w))
+        return dim_and_signs_(v, w)
+
+    monkeypatch.setattr(suites, "_record_chunk", counting_record_chunk)
+    monkeypatch.setattr(suites, "dim_and_signs", counting_dim_and_signs)
+    report = suites.suite_signs(6, 4, seed, 200)
+    assert report["pass"] is True
+    assert record_passes == []
+    assert len(spot_calls) == report["spot_checks"] == 200
+    # the spy sees the record pass where the grid fails
+    monkeypatch.setattr(suites, "cartan_matrix", _zero_cartan)
+    assert suites.suite_signs(3, 2, seed, 0)["pass"] is False
+    assert record_passes
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_spot_checks_catch_a_wrong_flag_dimension(monkeypatch, seed):
+    # dim F_a off by one on the four-part compositions (0, ...): the grid
+    # never reads flag_dim, so only the dimension identity at a spot point
+    # can see it
+    def wrong(a):
+        return flag_dim(a) + (len(a) == 4 and a[0] == 0)
+
+    monkeypatch.setattr(suites, "flag_dim", wrong)
+    report = suites.suite_signs(6, 4, seed, 200)
+    assert report["pass"] is False
+    assert report["grid_points"] == 7874050 and report["spot_checks"] == 200
+    assert report["failures"] and all(
+        re.fullmatch(r"spot dim n=4 v=\(\d+, \d+, \d+\) w=\(\d+, \d+, \d+\)", msg)
+        for msg in report["failures"]
     )
 
 
