@@ -25,18 +25,18 @@ SCHEMA_VERSION = "1"
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-# The signs grid has 25 times more (w, v) pairs per step of n: about 1 s at 7
-# on a 2-CPU machine, so about half a minute at 8.
+# The signs grid has 25 times more (w, v) pairs per step of n: a whole
+# verify process takes about 0.9 s at 7 on a 2-CPU machine, so over 20 s at 8.
 SIGNS_N_MAX = 7
 
-# The options of verify that each suite reads, besides --seed, --format and
-# --out; giving any other is a usage error, not an option silently dropped.
+# The options of verify that each suite reads, besides --format and --out;
+# giving any other is a usage error, not an option silently dropped.
 SUITE_OPTIONS = {
-    "maffei": ("n", "w", "samples", "dump_bundles"),
-    "signs": ("n_max",),
+    "maffei": ("n", "w", "samples", "dump_bundles", "seed"),
+    "signs": ("n_max", "seed"),
     "crystal": ("n_max",),
     "quotients": ("n", "d", "budget"),
-    "all": ("samples", "budget"),
+    "all": ("samples", "budget", "seed"),
 }
 
 
@@ -158,7 +158,7 @@ def _finish(report: dict, fmt: str, out: str | None) -> int:
 
 def _unread_option(args) -> str | None:
     """The first option given to verify that its suite does not read."""
-    for name in ("n", "d", "w", "n_max", "samples", "budget", "dump_bundles"):
+    for name in ("n", "d", "w", "n_max", "samples", "budget", "dump_bundles", "seed"):
         if getattr(args, name) is not None and name not in SUITE_OPTIONS[args.suite]:
             return "--" + name.replace("_", "-")
     return None

@@ -1,9 +1,16 @@
-"""Exception hierarchy shared by all geocrystal modules, and the size budget
-past which a computation raises BudgetExceededError."""
+"""Exception hierarchy shared by all geocrystal modules, the size budget
+past which a computation raises BudgetExceededError, and the cap on the
+failure messages a report records."""
 
 import os
 
 DEFAULT_BUDGET = 100_000
+MAX_RECORDED_FAILURES = 20
+
+
+def _record(failures: list[str], msg: str) -> None:
+    if len(failures) < MAX_RECORDED_FAILURES:
+        failures.append(msg)
 
 
 class GeoCrystalError(Exception):

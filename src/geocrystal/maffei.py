@@ -21,7 +21,12 @@ from .cartan import (
     hw_to_partition,
     jordan_type,
 )
-from .errors import DimensionMismatchError, IncompatibleError, LambdaPreconditionError
+from .errors import (
+    DimensionMismatchError,
+    IncompatibleError,
+    LambdaPreconditionError,
+    _record,
+)
 from .flag import (
     Flag,
     _max_admissible,
@@ -53,14 +58,6 @@ from .quiver import (
     random_gauge,
 )
 from .values import Frozen
-
-MAX_RECORDED_FAILURES = 20
-
-
-def _record(failures: list[str], msg: str) -> None:
-    if len(failures) < MAX_RECORDED_FAILURES:
-        failures.append(msg)
-
 
 class ThetaContext(Frozen):
     """Fixed identification of the sum of copies W_k^(m) with Q^d, and the

@@ -23,14 +23,14 @@ from .cartan import (
     pair_with_coroot,
     weight_of_vw,
 )
-from .errors import NotInImageError, SampleExhaustedError
-from .flag import flag_dim, s_k_exponent
-from .maffei import (
+from .errors import (
     MAX_RECORDED_FAILURES,
-    ThetaContext,
+    NotInImageError,
+    SampleExhaustedError,
     _record,
-    check_theta_point,
 )
+from .flag import flag_dim, s_k_exponent
+from .maffei import ThetaContext, check_theta_point
 from .quiver import dim_and_signs, sample_lambda_point
 from .repalg import valid_dimvecs
 
@@ -58,37 +58,6 @@ def _spot_draws(n_max: int, max_entry: int, seed: int, tries: int):
         yield v, w
 
 
-def _chunk_checks(n, Wc, CV, A, pairing, col, bad):
-    """Write the mismatches of each check over one chunk of the grid of n
-    into bad, in report order, and yield the check's label after each: for
-    k = 1, ..., n - 1 the bridge, a_k - a_{k+1} against <h_k, w - Cv>, then
-    the sign, s_k = a_{k+1} - a_k - 1 against r_k = -<h_k, w - Cv> - 1, both
-    compared plus one.  Both passes over a chunk read the checks from here."""
-    import numpy as np
-
-    for k in range(1, n):
-        np.subtract(Wc[:, k - 1, None], CV[k - 1], out=pairing)
-        np.subtract(A[k - 1], A[k], out=col)
-        np.not_equal(col, pairing, out=bad)
-        yield f"bridge n={n} k={k}"
-        np.subtract(A[k], A[k - 1], out=col)
-        np.negative(pairing, out=pairing)
-        np.not_equal(col, pairing, out=bad)
-        yield f"sign n={n} k={k}"
-
-
-def _record_chunk(failures: list[str], checks, valid, bad, where) -> None:
-    """The record pass over a chunk where some check fails at a valid point:
-    for each of checks, in order, keep its mismatches at valid points and, if
-    one is left, record the check's label and where(bad)."""
-    import numpy as np
-
-    for label in checks:
-        np.logical_and(valid, bad, out=bad)
-        if bad.any():
-            _record(failures, f"{label} {where(bad)}")
-
-
 def suite_signs(
     n_max: int = 6, max_entry: int = 4, seed: int = 0, spot_checks: int = 200
 ) -> dict:
@@ -97,12 +66,15 @@ def suite_signs(
 
     The grid is evaluated with vectorized numpy arithmetic in the narrowest
     signed int dtype that holds every value it computes.  For each n the w
-    rows are taken in chunks of (1 << 20) // (count * n) rows, and every pass
-    over a chunk writes into buffers allocated once per n, so the chunks, the
-    order of the checks and the failure records do not depend on the buffers.
-    The mismatches of every check of a chunk are or-ed into one mask first;
-    only a chunk where that mask holds at a valid point is passed again,
-    check by check, to record each failing check's first point.
+    rows are taken in chunks of (1 << 20) // (count * n) rows, each checked
+    in one pass, check by check, into buffers allocated once per n, so the
+    chunks, the order of the checks and the failure records do not depend on
+    the buffers.  A check's mismatches are masked by the valid points only
+    when it has a mismatch at all, and a record is made only after that mask,
+    so it names the first valid mismatch.  With the true Cartan matrix a
+    check has none, valid or not: the w terms cancel, and col - pairing =
+    (T[k-1] - T[k])(v) + (Cv)_k, reading T[n-1] as v_{n-1}, is a function of
+    v alone that vanishes.
     Seeded spot checks re-derive both sides through the library operations to
     pin the engine to the public API, evaluating each (v, w) once, and check
     Maffei's dimension identity dim M(v, w) = 2 dim F_a - (d^2 - sum lambda_i^2)
@@ -110,8 +82,7 @@ def suite_signs(
     boundary pairs of every n (see _spot_draws), so from 2 * (n_max - 1) spot
     checks on each (n, k) and the entries 0 and max_entry are reached.
     """
-    # The one numpy user, with its two chunk helpers: importing it here
-    # keeps it off every other path.
+    # The one numpy user: importing it here keeps it off every other path.
     import numpy as np
 
     # Entries lie in [0, max_entry], so a_k lies in [-max_entry, n * max_entry]
@@ -149,14 +120,13 @@ def suite_signs(
         col_buf = np.empty(shape, dtype=dtype)
         valid_buf = np.empty(shape, dtype=bool)
         bad_buf = np.empty(shape, dtype=bool)
-        failing_buf = np.empty(shape, dtype=bool)
         for start in range(0, count, chunk):
             Wc = grid[start : start + chunk]
             suffix = np.cumsum(Wc[:, ::-1], axis=1, dtype=dtype)[:, ::-1]
             nc = Wc.shape[0]
             A = A_buf[:, :nc]
             pairing, col = pairing_buf[:nc], col_buf[:nc]
-            valid, bad, failing = valid_buf[:nc], bad_buf[:nc], failing_buf[:nc]
+            valid, bad = valid_buf[:nc], bad_buf[:nc]
             for k in range(1, n):
                 np.add(suffix[:, k - 1, None], T[k - 1], out=A[k - 1])
             # an or of two's-complement ints is negative iff one of them is
@@ -167,18 +137,20 @@ def suite_signs(
             checks = int(np.count_nonzero(valid))
             grid_points += checks
             identity_checks += (n - 1) * checks
-            failing.fill(False)
-            for _ in _chunk_checks(n, Wc, CV, A, pairing, col, bad):
-                np.logical_or(failing, bad, out=failing)
-            np.logical_and(failing, valid, out=failing)
-            if failing.any():
-                _record_chunk(
-                    failures,
-                    _chunk_checks(n, Wc, CV, A, pairing, col, bad),
-                    valid,
-                    bad,
-                    lambda bad: first_point(bad, Wc),
-                )
+            for k in range(1, n):
+                # bridge: a_k - a_{k+1} against <h_k, w - Cv>
+                np.subtract(Wc[:, k - 1, None], CV[k - 1], out=pairing)
+                np.subtract(A[k - 1], A[k], out=col)
+                np.not_equal(col, pairing, out=bad)
+                if bad.any() and np.logical_and(valid, bad, out=bad).any():
+                    _record(failures, f"bridge n={n} k={k} {first_point(bad, Wc)}")
+                # sign: s_k = a_{k+1} - a_k - 1 against r_k = -<h_k, w - Cv> - 1,
+                # both compared plus one
+                np.subtract(A[k], A[k - 1], out=col)
+                np.negative(pairing, out=pairing)
+                np.not_equal(col, pairing, out=bad)
+                if bad.any() and np.logical_and(valid, bad, out=bad).any():
+                    _record(failures, f"sign n={n} k={k} {first_point(bad, Wc)}")
     spots_done = 0
     for v, w in _spot_draws(n_max, max_entry, seed, 100 * spot_checks):
         if spots_done == spot_checks:

@@ -1,11 +1,12 @@
-"""The sign-agreement suite as it was before its chunks were checked as a
-whole, the oracle for ``suites.suite_signs``.
+"""The sign-agreement suite in its plainest form, the oracle for
+``suites.suite_signs``.
 
-Every chunk of the grid is passed check by check, each check masked by the
-valid points and tested for a set bit, and every spot point is evaluated once
-per k through ``dim_and_sign``, the per-k quiver-side formula.  The Cartan
-matrix is a parameter, so a test can run this and the package suite on the
-same perturbed matrix; nothing in the package imports this module.
+Every chunk of the grid is passed check by check, each check always masked
+by the valid points and then tested for a set bit, and every spot point is
+evaluated once per k through ``dim_and_sign``, the per-k quiver-side
+formula.  The Cartan matrix is a parameter, so a test can run this and the
+package suite on the same perturbed matrix; nothing in the package imports
+this module.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from geocrystal.cartan import (
     pair_with_coroot,
     weight_of_vw,
 )
-from geocrystal.errors import NotInImageError
+from geocrystal.errors import NotInImageError, _record
 from geocrystal.flag import flag_dim, s_k_exponent
-from geocrystal.maffei import _record
 from geocrystal.suites import _spot_draws
 
 

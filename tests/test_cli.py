@@ -255,6 +255,8 @@ def test_size_out_of_range_is_usage_error(argv):
         ("verify --suite quotients --n 3 --d 3 --w 1,1", "--w"),
         ("verify --suite quotients --n 2 --d 2 --dump-bundles {out}", "--dump-bundles"),
         ("verify --suite all --seed 1 --n 3", "--n"),
+        ("verify --suite quotients --n 2 --d 2 --seed 5", "--seed"),
+        ("verify --suite crystal --n-max 2 --seed 0", "--seed"),
     ],
 )
 def test_options_the_suite_does_not_read_are_usage_errors(tmp_path, capsys, argv, flag):

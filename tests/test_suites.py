@@ -4,6 +4,7 @@ import random
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 import reference_suites
 
@@ -175,30 +176,37 @@ def test_dim_and_signs_matches_per_k_reference():
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_passing_sign_op_takes_one_pass_per_chunk(monkeypatch, seed):
-    # a passing grid never runs the per-check record pass, and each spot
-    # point evaluates the quiver side once, whatever its n
-    record_passes = []
+    # a passing grid has no raw mismatch, so it never masks a check by the
+    # valid points nor records, and each spot point evaluates the quiver side
+    # once, whatever its n
+    masks = []
+    records = []
     spot_calls = []
-    record_chunk, dim_and_signs_ = suites._record_chunk, suites.dim_and_signs
+    logical_and, record, dim_and_signs_ = np.logical_and, suites._record, suites.dim_and_signs
 
-    def counting_record_chunk(*args):
-        record_passes.append(args)
-        return record_chunk(*args)
+    def counting_logical_and(*args, **kwargs):
+        masks.append(args)
+        return logical_and(*args, **kwargs)
+
+    def counting_record(failures, msg):
+        records.append(msg)
+        return record(failures, msg)
 
     def counting_dim_and_signs(v, w):
         spot_calls.append((v, w))
         return dim_and_signs_(v, w)
 
-    monkeypatch.setattr(suites, "_record_chunk", counting_record_chunk)
+    monkeypatch.setattr(np, "logical_and", counting_logical_and)
+    monkeypatch.setattr(suites, "_record", counting_record)
     monkeypatch.setattr(suites, "dim_and_signs", counting_dim_and_signs)
     report = suites.suite_signs(6, 4, seed, 200)
     assert report["pass"] is True
-    assert record_passes == []
+    assert masks == [] and records == []
     assert len(spot_calls) == report["spot_checks"] == 200
-    # the spy sees the record pass where the grid fails
+    # the spies see the mask and the records where the grid fails
     monkeypatch.setattr(suites, "cartan_matrix", _zero_cartan)
     assert suites.suite_signs(3, 2, seed, 0)["pass"] is False
-    assert record_passes
+    assert masks and records
 
 
 @pytest.mark.parametrize("seed", [0, 11])
