@@ -89,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", dest="fmt", choices=["json", "text"], default="json")
     verify.add_argument("--out")
     verify.add_argument("--dump-bundles", dest="dump_bundles")
+    verify.set_defaults(run=cmd_verify)
 
     crystal = sub.add_parser("crystal", help="emit a highest weight crystal")
     crystal.add_argument("--n", type=_int_at_least(2), required=True)
@@ -96,11 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     crystal.add_argument("--format", dest="fmt", choices=["dot", "json"], default="json")
     crystal.add_argument("--budget", type=_int_at_least(1))
     crystal.add_argument("--out")
+    crystal.set_defaults(run=cmd_crystal)
 
     theta_cmd = sub.add_parser("theta", help="map a quiver point to its flag")
     theta_cmd.add_argument("--input", dest="input_path", required=True)
     theta_cmd.add_argument("--seed", type=int, default=0)
     theta_cmd.add_argument("--out")
+    theta_cmd.set_defaults(run=cmd_theta)
 
     quotients = sub.add_parser("quotients", help="alias for verify --suite quotients")
     quotients.add_argument("--n", type=_int_at_least(2), required=True)
@@ -108,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     quotients.add_argument("--budget", type=_int_at_least(1))
     quotients.add_argument("--format", dest="fmt", choices=["json", "text"], default="json")
     quotients.add_argument("--out")
+    quotients.set_defaults(run=cmd_quotients)
     return parser
 
 
@@ -313,22 +317,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "crystal":
-            return cmd_crystal(args)
-        if args.command == "theta":
-            return cmd_theta(args)
-        if args.command == "quotients":
-            return cmd_quotients(args)
+        return args.run(args)
     except (BudgetExceededError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except GeoCrystalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    parser.error(f"unknown command {args.command}")
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

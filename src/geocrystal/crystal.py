@@ -49,7 +49,12 @@ class CrystalVertex(Value):
 
 
 class CrystalGraph(Frozen):
-    """Vertices with statistics, the partial e/f edge maps and vertex counts per content."""
+    """Vertices with statistics, the partial e/f edge maps and vertex counts per content.
+
+    e_edges is built as the inverse of f_edges, so f_k e_k = id wherever e_k
+    is defined, on every graph this constructor builds.  e_k f_k = id holds
+    only where f_k is injective, which is for the checks to decide.
+    """
 
     __slots__ = ("n", "w", "vertices", "f_edges", "e_edges", "highest", "multiplicities")
 
@@ -184,11 +189,13 @@ def _chain_lengths(step: dict[tuple[Word, int], Word], k: int, words) -> dict[Wo
 def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
     """Check the simply-laced local axioms on the stored graph structure.
 
-    Verified per vertex: operators mutually inverse, seminormal statistics
+    Verified per vertex: e_k f_k = id, seminormal statistics
     (eps/phi equal the monochromatic chain lengths), weight steps, the
     eps/phi difference bounds across an edge of a different color, the
     commuting square for non-boosting pairs and the hexagon relation for
     doubly-boosting adjacent pairs.  Returns the first violation found.
+    f_k e_k = id is not checked: CrystalGraph builds e_edges as the inverse
+    of f_edges, so it holds on every graph.
     The chain lengths come from one walk per k-string: a vertex's e_k chain
     is one longer than the chain of e_k of it, and likewise for f_k.  A
     chain length is 0 exactly where its operator is undefined, so the
@@ -216,10 +223,8 @@ def stembridge_verify(g: CrystalGraph) -> StembridgeReport:
     for word, vx in vertices.items():
         eps, phi, omega = vx.eps, vx.phi, vx.wt.omega
         for k, alpha_k in enumerate(alpha, start=1):
-            above, below = up((word, k)), down((word, k))
+            below = down((word, k))
             checks += 1
-            if above is not None and down((above, k)) != word:
-                return fail(f"f_{k} e_{k} != id at {word}")
             if below is not None and up((below, k)) != word:
                 return fail(f"e_{k} f_{k} != id at {word}")
             if chain(e_len[k - 1], word) != eps[k - 1]:
@@ -281,21 +286,16 @@ class StrataReport(Value):
 def strata_maps(g: CrystalGraph, k: int) -> StrataReport:
     """Verify that both operators factor through the eps_k = 0 stratum.
 
-    For eps_k(X) = c: e_k^c lands in the 0-stratum; the composites
-    f_k^{c-1} e_k^c and f_k^{c+1} e_k^c reproduce the direct operators;
-    e_k vanishes exactly on the 0-stratum; f_k raises eps_k by one.
+    For eps_k(X) = c: e_k^c lands in the 0-stratum; e_k vanishes exactly on
+    the 0-stratum; f_k raises eps_k by one.  The composites f_k^{c-1} e_k^c
+    = e_k and f_k^{c+1} e_k^c = f_k are not checked: once e_k^c X is defined
+    they follow from f_k e_k = id, which holds by construction of e_edges
+    (see CrystalGraph).
     """
     if not 1 <= k <= g.n - 1:
         raise InvalidRankError(f"vertex {k} out of range")
     sizes: dict[int, int] = {}
     up, down = g.e_edges.get, g.f_edges.get
-
-    def compose(word: Word | None, step, times: int) -> Word | None:
-        for _ in range(times):
-            if word is None:
-                return None
-            word = step((word, k))
-        return word
 
     def fail(msg: str) -> StrataReport:
         return StrataReport(False, len(g), sizes, msg)
@@ -303,16 +303,14 @@ def strata_maps(g: CrystalGraph, k: int) -> StrataReport:
     for word, vx in g.vertices.items():
         c = vx.eps[k - 1]
         sizes[c] = sizes.get(c, 0) + 1
-        above, below = up((word, k)), down((word, k))
-        reduced = compose(word, up, c)
+        reduced: Word | None = word
+        for _ in range(c):
+            reduced = up((reduced, k))  # (None, k) is no key: None stays None
         if reduced is None or g.vertices[reduced].eps[k - 1] != 0:
             return fail(f"e_{k}^{c} does not reach the 0-stratum at {word}")
-        if (above is None) != (c == 0):
+        if (up((word, k)) is None) != (c == 0):
             return fail(f"e_{k} vanishing does not match c = 0 at {word}")
-        if c > 0 and compose(reduced, down, c - 1) != above:
-            return fail(f"f^{c - 1} e^{c} != e_{k} at {word}")
-        if compose(reduced, down, c + 1) != below:
-            return fail(f"f^{c + 1} e^{c} != f_{k} at {word}")
+        below = down((word, k))
         if below is not None and g.vertices[below].eps[k - 1] != c + 1:
             return fail(f"eps_{k}(f_{k} X) != eps_{k}(X) + 1 at {word}")
     return StrataReport(True, len(g), sizes, None)

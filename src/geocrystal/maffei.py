@@ -292,12 +292,9 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
     g = random_gauge(rng, r.v)
     if theta(apply_gauge(r, g), ctx) != F:
         fail(None, "theta is not gauge invariant")
-    if all(r.w[t] == 0 for t in range(1, n - 1)):
-        x_w1, F_w1 = theta_w1_special(r)
-        if not x_w1.is_zero():
-            fail(None, "special-form x nonzero on a Lagrangian point")
-        if F_w1 != F:
-            fail(None, "special form disagrees with theta")
+    # theta_with_phi_maps refused j != 0, so the special form's x = j_1 i_1 is 0
+    if all(r.w[t] == 0 for t in range(1, n - 1)) and theta_w1_special(r)[1] != F:
+        fail(None, "special form disagrees with theta")
     return {
         "failures": failures,
         "failed_invariants": failed,

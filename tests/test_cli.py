@@ -8,6 +8,7 @@ import pytest
 from geocrystal import maffei, suites
 from geocrystal.cli import main
 from geocrystal.linalg import RatMat
+from geocrystal.maffei import ThetaContext
 from geocrystal.quiver import QuiverRep
 
 
@@ -166,11 +167,22 @@ def test_unwritable_output_is_usage_error(p0_file, tmp_path, capsys, argv):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+def _context_with(name, value):
+    """The ThetaContext of p0's w with one field replaced."""
+    ctx = ThetaContext((1, 1))
+    object.__setattr__(ctx, name, value)
+    return ctx
+
+
 @pytest.mark.parametrize(
     "target, replacement, invariant",
     [
         ("is_hecke_pair", lambda *args: False, "hecke-compatibility"),
+        ("comp_shift", lambda *args: None, "hecke-compatibility"),
         ("rank", lambda m: -1, "surjectivity"),
+        # x_down and inclusion are read only by comm1 and comm2
+        ("ThetaContext", lambda w: _context_with("x_down", {2: RatMat.zeros(2, 3)}), "comm1"),
+        ("ThetaContext", lambda w: _context_with("inclusion", {1: (0, 2)}), "comm2"),
     ],
 )
 def test_theta_names_failed_invariant(

@@ -11,6 +11,7 @@ from geocrystal import crystal
 from geocrystal.cartan import HighestWeight, Weight, pair_with_coroot
 from geocrystal.crystal import (
     CrystalGraph,
+    CrystalVertex,
     StembridgeReport,
     StrataReport,
     _vertex_of,
@@ -23,7 +24,7 @@ from geocrystal.crystal import (
     word_content,
     yamanouchi_seed,
 )
-from geocrystal.errors import InternalConsistencyError
+from geocrystal.errors import InternalConsistencyError, InvalidRankError
 from geocrystal.repalg import irrep_dim, kostka
 from geocrystal.cartan import hw_to_partition
 
@@ -136,9 +137,35 @@ def test_stembridge_pass_and_corruption():
     assert stembridge_verify(g) == StembridgeReport(True, 8, 25, None)
     assert stembridge_verify(highest_weight_crystal((1, 0, 0))).ok
 
-    def corrupted(edges):
-        return CrystalGraph(g.n, g.w, g.vertices, edges, g.highest)
+    def corrupted(edges=g.f_edges, vertex=None):
+        """g with the given f-edges, and vertex in place of g's vertex of its word."""
+        vertices = dict(g.vertices)
+        if vertex is not None:
+            vertices[vertex.word] = vertex
+        return CrystalGraph(g.n, g.w, vertices, edges, g.highest)
 
+    top, low = g.vertices[(1, 1, 2)], g.vertices[(2, 1, 2)]
+    assert g.highest == top.word and g.f_edges[(top.word, 1)] == low.word
+    # a non-injective f_1: the e-edges keep one preimage, the later one
+    edges = {**g.f_edges, ((1, 1, 2), 1): (2, 1, 3)}
+    assert stembridge_verify(corrupted(edges)) == StembridgeReport(
+        False, 8, 1, "e_1 f_1 != id at (1, 1, 2)"
+    )
+    # a wrong eps on the highest vertex
+    vx = CrystalVertex(top.word, top.wt, top.a, (1, 0), top.phi)
+    assert stembridge_verify(corrupted(vertex=vx)) == StembridgeReport(
+        False, 8, 1, "eps_1 not seminormal at (1, 1, 2)"
+    )
+    # weights that contradict the statistics: at the highest vertex itself,
+    # and at its f_1 image, which the highest vertex's weight step reads first
+    vx = CrystalVertex(top.word, Weight((0, 1)), top.a, top.eps, top.phi)
+    assert stembridge_verify(corrupted(vertex=vx)) == StembridgeReport(
+        False, 8, 1, "phi - eps != <h_1, wt> at (1, 1, 2)"
+    )
+    vx = CrystalVertex(low.word, Weight((0, 1)), low.a, low.eps, low.phi)
+    assert stembridge_verify(corrupted(vertex=vx)) == StembridgeReport(
+        False, 8, 1, "wt(f_1 x) != wt(x) - alpha_1 at (1, 1, 2)"
+    )
     # a redirected f-edge
     edges = dict(g.f_edges)
     (src, k), dst = next(sk_d for sk_d in edges.items() if sk_d[0][1] == 1)
@@ -195,16 +222,11 @@ def test_stembridge_later_passes_corruption(shapes, x, y, k, report):
 def test_strata_maps_corruption():
     g = highest_weight_crystal((2, 1))
 
-    def redirected(src, dst, order=g.vertices, keep_e=False):
-        """g with f_1(src) = dst; keep_e leaves the e-edges of g in place,
-        so they are no longer the inverse of the f-edges."""
+    def redirected(src, dst):
+        """g with f_1(src) = dst, and the e-edges rebuilt as their inverse."""
         edges = {**g.f_edges, (src, 1): dst}
-        bad = CrystalGraph(g.n, g.w, order, g.f_edges if keep_e else edges, g.highest)
-        if keep_e:
-            object.__setattr__(bad, "f_edges", edges)
-        return strata_maps(bad, 1)
+        return strata_maps(CrystalGraph(g.n, g.w, g.vertices, edges, g.highest), 1)
 
-    low_first = dict(reversed(g.vertices.items()))
     cases = [
         (redirected((1, 1, 1, 2), (1, 1, 1, 3)), {0: 1},
          "eps_1(f_1 X) != eps_1(X) + 1 at (1, 1, 1, 2)"),
@@ -212,10 +234,6 @@ def test_strata_maps_corruption():
          "e_1^1 does not reach the 0-stratum at (2, 1, 1, 2)"),
         (redirected((2, 1, 1, 2), (1, 1, 1, 2)), {0: 1},
          "e_1 vanishing does not match c = 0 at (1, 1, 1, 2)"),
-        (redirected((1, 1, 1, 2), (1, 1, 1, 3), low_first, keep_e=True),
-         {0: 4, 1: 4, 2: 3, 3: 1}, "f^1 e^2 != e_1 at (2, 2, 1, 2)"),
-        (redirected((1, 1, 1, 2), (2, 1, 1, 3), keep_e=True), {0: 1, 1: 1},
-         "f^2 e^1 != f_1 at (2, 1, 1, 2)"),
     ]
     for report, sizes, violation in cases:
         assert report == StrataReport(False, 15, sizes, violation)
@@ -227,6 +245,9 @@ def test_strata_maps():
         report = strata_maps(g, k)
         assert report.ok
         assert sum(report.stratum_sizes.values()) == 8
+    for k in (0, 3):
+        with pytest.raises(InvalidRankError, match=f"vertex {k} out of range"):
+            strata_maps(g, k)
     # raising kills exactly the highest weight vertex for both colors
     assert all(g.e(g.highest, k) is None for k in (1, 2))
     for word in g.sorted_words():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from geocrystal import maffei
 from geocrystal.cartan import HighestWeight
 from geocrystal.errors import IncompatibleError, InvalidRankError, LambdaPreconditionError
 from geocrystal.flag import composition_of, flag_membership
@@ -217,24 +218,23 @@ def test_theta_w1_special_examples():
 
 
 def test_theta_w1_special_agrees_with_theta():
-    # 100 sampled single-vertex-framed points across several shapes
+    # 20 sampled single-vertex-framed points of each shape, which visit every
+    # valid dimension vector of it
     cases = [(2, (2,)), (2, (3,)), (3, (2, 0)), (3, (3, 0)), (4, (2, 0, 0))]
-    checked = 0
+    checked = {}
     for n, w in cases:
         ctx = ThetaContext(HighestWeight(w))
         vs = valid_dimvecs(w)
-        t = 0
-        while checked < 100 and t < 40:
-            v = vs[t % len(vs)]
-            t += 1
-            r = sample_lambda_point(v, w, seed=300 + t)
+        checked[w] = []
+        for t in range(20):
+            r = sample_lambda_point(vs[t % len(vs)], w, seed=301 + t)
             x, special = theta_w1_special(r)
             assert x.is_zero()
             assert special == theta(r, ctx)
-            checked += 1
-        if checked >= 100:
-            break
-    assert checked >= 100
+            checked[w].append(r.v.v)
+    assert {w: sorted(set(v)) for w, v in checked.items()} == {
+        w: sorted(valid_dimvecs(w)) for _, w in cases
+    }
 
 
 def test_flags_share_one_zero_and_one_full_space():
@@ -247,6 +247,33 @@ def test_flags_share_one_zero_and_one_full_space():
         r = sample_lambda_point(v, w, seed)
         flags += [theta(r, ctx), theta_w1_special(r)[1]]
     assert all(F[0] is zero_space(3) and F[3] is full_space(3) for F in flags)
+
+
+# A point of w = (2, 0) with v = (1, 0), whose theta and special form differ
+# from those of the v = 0 point of the same w.
+_V10 = QuiverRep(3, (1, 0), (2, 0), i={1: RatMat([[1, 0]])})
+
+
+@pytest.mark.parametrize(
+    "target, replacement, message",
+    [
+        ("composition_of", lambda F: None, "composition_of(theta) != a(v,w)"),
+        ("flag_membership", lambda x, F: False, "theta output not in the fiber of x"),
+        ("dominates", lambda *args: False, "composition type does not dominate type of x"),
+        ("apply_gauge", lambda r, g: _V10, "theta is not gauge invariant"),
+        ("theta_w1_special", lambda r: theta_w1_special(_V10), "special form disagrees with theta"),
+    ],
+)
+def test_unnamed_checks_fail_the_point(monkeypatch, target, replacement, message):
+    # each check outside THETA_INVARIANTS fails the point on its own and
+    # names no invariant; the v = 0 point has no Hecke case, so
+    # composition_of is read only on theta's flag
+    monkeypatch.setattr(maffei, target, replacement)
+    zero = QuiverRep(3, (0, 0), (2, 0))
+    result = check_theta_point(zero, ThetaContext((2, 0)), random.Random(0))
+    assert result["failures"] == [f"(n=3, v=(0, 0), w=(2, 0)): {message}"]
+    assert result["failed_invariants"] == set()
+    assert result["hecke_cases"] == 0
 
 
 def test_full_point_check_on_samples(p0):

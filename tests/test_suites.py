@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import reference_suites
 
-from geocrystal import maffei, repalg, suites
+from geocrystal import crystal, maffei, repalg, suites
 from geocrystal.cartan import a_of_vw, cartan_matrix, pair_with_coroot, weight_of_vw
-from geocrystal.errors import NotInImageError
+from geocrystal.errors import NotInImageError, SampleExhaustedError
 from geocrystal.flag import Flag, flag_dim, s_k_exponent
 from geocrystal.linalg import full_space, zero_space
 from geocrystal.maffei import ThetaContext
@@ -362,3 +362,64 @@ def test_unreduced_point_is_checked_against_flag_reduce(monkeypatch):
     assert sum(changed for _, changed in results) >= 20
     for failed, changed in results:
         assert failed == ({"reduction-intertwining"} if changed else set())
+
+
+def test_suite_maffei_records_point_failures(monkeypatch):
+    def check(r, ctx, rng):
+        return {"failures": [f"bad {r.v.v}"], "failed_invariants": set(), "hecke_cases": 1}
+
+    monkeypatch.setattr(suites, "check_theta_point", check)
+    report = suites.suite_maffei(3, (1, 1), 3, 1)
+    assert report["failures"] == ["bad (0, 0)", "bad (0, 1)", "bad (1, 0)"]
+    assert (report["points_checked"], report["hecke_cases"]) == (3, 3)
+    assert report["pass"] is False
+
+
+def test_suite_maffei_refuses_w_of_another_rank():
+    with pytest.raises(ValueError, match=r"w=\(1, 1\) does not match n=4"):
+        suites.suite_maffei(4, (1, 1), 1, 1)
+
+
+def test_suite_maffei_counts_sampler_exhaustions(monkeypatch):
+    real = suites.sample_lambda_point
+
+    def odd_seeds_exhaust(v, w, seed):
+        if seed % 2:
+            raise SampleExhaustedError(f"no point at seed {seed}")
+        return real(v, w, seed)
+
+    # attempt a uses seed 2 + a: attempts 1 and 3 exhaust, 0, 2 and 4 check
+    monkeypatch.setattr(suites, "sample_lambda_point", odd_seeds_exhaust)
+    report = suites.suite_maffei(3, (1, 1), 3, 1)
+    assert (report["points_checked"], report["sampler_exhaustions"]) == (3, 2)
+    assert report["pass"] is True
+
+    def always_exhaust(v, w, seed):
+        raise SampleExhaustedError(f"no point at seed {seed}")
+
+    monkeypatch.setattr(suites, "sample_lambda_point", always_exhaust)
+    report = suites.suite_maffei(3, (1, 1), 3, 1)
+    assert (report["points_checked"], report["sampler_exhaustions"]) == (0, 12)
+    assert report["failures"] == [] and report["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "module, name, replacement, first_failure",
+    [
+        (crystal, "stembridge_verify",
+         lambda g: crystal.StembridgeReport(False, len(g), 0, "broken"),
+         "(n=2, w=(0,)): Stembridge: broken"),
+        (repalg, "irrep_dim", lambda lam, n: 0, "(n=2, w=(0,)): |B(w)| = 1 != 0"),
+        (repalg, "kostka", lambda lam, a: -1, "(n=2, w=(0,)): multiplicity at a=(0, 0) != Kostka"),
+        (crystal, "strata_maps",
+         lambda g, k: crystal.StrataReport(False, len(g), {}, "broken"),
+         "(n=2, w=(0,)): strata at k=1: broken"),
+    ],
+    ids=["stembridge", "vertex-count", "multiplicity", "strata"],
+)
+def test_suite_crystal_records_each_check(monkeypatch, module, name, replacement, first_failure):
+    monkeypatch.setattr(module, name, replacement)
+    report = suites.suite_crystal(n_max=3, level_max=1)
+    assert report["crystals"] == 4
+    assert report["failures"][0] == first_failure
+    assert report["pass"] is False
