@@ -83,10 +83,13 @@ class Weight(IntTuple):
 
     @classmethod
     def from_eps(cls, eps: Sequence[int]) -> "Weight":
+        """The weight of eps-coordinates eps_1..eps_n: omega_k = eps_k - eps_{k+1}.
+        eps is validated here, so the differences, n - 1 >= 1 ints, are stored
+        as they are."""
         eps = [int(e) for e in eps]
         if len(eps) < 2:
             raise InvalidRankError("eps coordinates need length >= 2")
-        return cls(tuple(map(sub, eps, eps[1:])))
+        return cls._trusted(tuple(map(sub, eps, eps[1:])))
 
     def __sub__(self, other: "Weight") -> "Weight":
         if self.n != other.n:

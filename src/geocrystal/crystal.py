@@ -106,7 +106,7 @@ def _vertex_of(word: Word, n: int, a: Composition, wt: Weight) -> tuple[CrystalV
         word[: pos[0]] + (k + 1,) + word[pos[0] + 1 :] if pos else None
         for k, pos in enumerate(plus[1:n], start=1)
     ]
-    return CrystalVertex(word, wt, a, eps, phi), images
+    return CrystalVertex._trusted(word, wt, a, eps, phi), images
 
 
 def yamanouchi_seed(w) -> Word:
@@ -123,18 +123,28 @@ def yamanouchi_seed(w) -> Word:
 def highest_weight_crystal(w) -> CrystalGraph:
     """Closure of the Yamanouchi seed of shape lambda(w) under all f_k, breadth
     first: vertices and f_edges keep their discovery order.  The vertices of
-    one content share its Composition and Weight."""
+    one content share its Composition and Weight.
+
+    Only the seed's content is validated (``word_content``).  Every other
+    content is derived from its parent's: f_k moves one unit from part k to
+    part k + 1, and part k >= 1 because the word has a letter k, so the parts
+    stay non-negative ints and the Composition is built without a check.
+    Its weight still comes from ``Weight.from_eps``, and ``_vertex_of``
+    still checks phi - eps = <h_k, wt> on every vertex."""
     w = as_highest_weight(w)
     n, seed = w.n, yamanouchi_seed(w)
-    shared: dict[tuple[int, ...], tuple[Composition, Weight]] = {}
+    content = word_content(seed, n)
+    shared: dict[tuple[int, ...], tuple[Composition, Weight]] = {
+        content.parts: (content, Weight.from_eps(content.parts))
+    }
 
     def vertex(word: Word, parts: tuple[int, ...]):
         if parts not in shared:
-            shared[parts] = Composition(parts), Weight.from_eps(parts)
+            shared[parts] = Composition._trusted(parts), Weight.from_eps(parts)
         return _vertex_of(word, n, *shared[parts])
 
     vertices, images, f_edges = {}, {}, {}
-    vertices[seed], images[seed] = vertex(seed, word_content(seed, n).parts)
+    vertices[seed], images[seed] = vertex(seed, content.parts)
     for k, eps in enumerate(vertices[seed].eps, start=1):
         if eps:
             raise InternalConsistencyError(

@@ -190,16 +190,22 @@ def kostka(lam, a) -> int:
 
     Gelfand-Tsetlin recursion: the cells holding the largest letter m form a
     horizontal strip lam/mu of a_m cells, and mu is a tableau in the letters
-    below m.  Letters are peeled from the largest down to the last two, with
-    the shapes of each level kept as a {shape: count} dict.  Two letters
-    a_1 <= a_2 fill a shape of at most two rows one way if its second row
-    s_2 <= a_1, and no other shape, so the last level is counted without
-    enumerating its strips.
+    below m.  Letters are peeled from the largest down to the last three,
+    with the shapes of each level kept as a {shape: count} dict.
 
     K(lam, a) is symmetric in a (the Bender-Knuth involutions swap the counts
     of two adjacent letters), and a letter of count 0 adds nothing, so the
     zeros are dropped and a is sorted ascending first: the largest counts are
     peeled first, as the widest strips, which leaves the fewest shapes below.
+    A content of fewer than three letters is padded with zeros in front.
+
+    The last three letters a_1 <= a_2 <= a_3 are counted in closed form.  A
+    shape of more than 3 rows adds 0.  For s = (s_1, s_2, s_3), peeling a_3
+    as a horizontal strip leaves mu with mu_1 + mu_2 = |s| - a_3 = a_1 + a_2,
+    s_2 <= mu_1 <= s_1 and s_3 <= mu_2 <= s_2; two letters fill mu one way
+    if mu_2 <= a_1, and no other way.  So s adds its count times the number
+    of mu_2 with max(s_3, a_1 + a_2 - s_1) <= mu_2 <= min(s_2, a_1, a_1 + a_2 - s_2),
+    and no strip of that level is enumerated.
     """
     lam = as_partition(lam)
     a = tuple(int(c) for c in a)
@@ -208,20 +214,25 @@ def kostka(lam, a) -> int:
     if lam.size != sum(a):
         raise SizeMismatchError(f"|{lam.parts}| != sum{a}")
     a = sorted(c for c in a if c)
+    a = [0] * (3 - len(a)) + a
     level = {lam.parts: 1}
-    for m in range(len(a), 2, -1):
+    for m in range(len(a), 3, -1):
         below: dict[tuple[int, ...], int] = {}
         for shape, count in level.items():
             for mu in _strip_removals(shape, a[m - 1], m - 1):
                 below[mu] = below.get(mu, 0) + count
         level = below
-    if len(a) < 2:  # one letter fills a one-row shape one way
-        return level.get(tuple(a), 0)
-    return sum(
-        count
-        for shape, count in level.items()
-        if len(shape) == 1 or len(shape) == 2 and shape[1] <= a[0]
-    )
+    a1, a2 = a[0], a[1]
+    total = 0
+    for shape, count in level.items():
+        if len(shape) > 3:
+            continue
+        s1, s2, s3 = shape + (0,) * (3 - len(shape))
+        lo = max(s3, a1 + a2 - s1)
+        hi = min(s2, a1, a1 + a2 - s2)
+        if hi >= lo:
+            total += count * (hi - lo + 1)
+    return total
 
 
 def _bounded_compositions(total: int, bounds: tuple[int, ...]):

@@ -14,6 +14,14 @@ parameters, compares equal to a value of the same class with equal fields,
 hashes as the tuple of its fields and prints as ``Cls(f1=..., f2=...)``.  A
 subclass that validates or normalises its arguments does so in its own
 ``__init__`` and then calls ``super().__init__``.
+
+``Value._trusted(*fields)`` is the internal constructor for fields that are
+already valid: it sets the slots in order without calling ``__init__``, as
+``RatMat._exact`` does for a matrix and ``copy`` does for any ``Frozen``.
+It is for fields derived, by a step that keeps them valid, from values
+already validated, and has three callers: the vertex ``_vertex_of`` returns,
+the content ``highest_weight_crystal`` derives from its parent's, and
+``Weight.from_eps``.  The public constructors still validate.
 """
 
 from __future__ import annotations
@@ -68,12 +76,26 @@ class Frozen:
 class Value(Frozen):
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the subclass's slot descriptors' setters, in field order, for _trusted
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
         if kwargs or len(args) != len(fields):
             args = _bind(self.__class__, args, kwargs)
         for name, value in zip(fields, args):
             _SET(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The value with these fields, in slot order, set without ``__init__``:
+        the caller vouches that they are what ``__init__`` would store."""
+        obj = object.__new__(cls)
+        for setter, value in zip(cls._setters, fields):
+            setter(obj, value)
+        return obj
 
     def _field_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -302,6 +302,23 @@ def test_kostka_matches_cell_filling_on_criterion_5_grid():
         assert kostka(lam, a) == reference_repalg.kostka(lam, a), (lam, a)
 
 
+def test_kostka_matches_cell_filling_on_every_small_shape():
+    # every partition of d <= 7, of any number of rows, against every
+    # composition of d into 1-5 parts: shapes with more rows than letters
+    # reach the closed form's "more than 3 rows" skip and the strip
+    # removal's early exit, which the hypothesis shapes rarely do
+    pairs = [
+        (lam, a)
+        for d in range(8)
+        for lam in gl_partitions(d, d)
+        for letters in range(1, 6)
+        for a in reference_repalg.compositions(d, letters)
+    ]
+    assert len(pairs) == 13455
+    for lam, a in pairs:
+        assert kostka(lam, a) == reference_repalg.kostka(lam, a), (lam.parts, a)
+
+
 @st.composite
 def shapes_and_contents(draw):
     """A partition of at most 4 rows of at most 4 cells, and a content of the

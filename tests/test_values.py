@@ -3,6 +3,7 @@ immutability, and copies of every frozen type."""
 
 import copy
 import pickle
+from itertools import product
 
 import pytest
 
@@ -166,6 +167,43 @@ def test_arguments_bind_as_in_a_def(cls, fields, text):
         with pytest.raises(TypeError) as info:
             call()
         assert cls.__name__ in str(info.value) and part in str(info.value)
+
+
+@pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
+def test_trusted_construction_is_the_validated_value(cls, fields, text):
+    trusted, validated = cls._trusted(*fields().values()), cls(**fields())
+    assert type(trusted) is cls and trusted == validated and repr(trusted) == text
+    if cls is not StrataReport:  # its stratum sizes are a dict
+        assert hash(trusted) == hash(validated)
+    for name in (*fields(), "extra"):
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            setattr(trusted, name, None)
+    for twin in (copy.copy(trusted), copy.deepcopy(trusted), pickle.loads(pickle.dumps(trusted))):
+        assert type(twin) is cls and twin == validated and repr(twin) == text
+
+
+def _is_int_tuple(items) -> bool:
+    return type(items) is tuple and all(type(c) is int for c in items)
+
+
+def test_crystal_vertices_hold_the_validated_records():
+    # the build derives each content and weight and sets each vertex without
+    # validating; a JSON digest would not see a list where a tuple belongs
+    crystals = 0
+    for n in range(2, 5):
+        for w in product(range(9), repeat=n - 1):
+            if HighestWeight(w).level_d > 8:
+                continue
+            crystals += 1
+            for vx in highest_weight_crystal(w).vertices.values():
+                a, wt = Composition(vx.a.parts), Weight.from_eps(vx.a.parts)
+                assert type(vx) is CrystalVertex
+                assert type(vx.a) is Composition and vx.a == a and hash(vx.a) == hash(a)
+                assert type(vx.wt) is Weight and vx.wt == wt and hash(vx.wt) == hash(wt)
+                assert len(vx.a.parts) == n and len(vx.eps) == len(vx.phi) == n - 1
+                for items in (vx.word, vx.eps, vx.phi, vx.a.parts, vx.wt.omega):
+                    assert _is_int_tuple(items)
+    assert crystals == 75
 
 
 def test_unequal_fields_or_classes():
