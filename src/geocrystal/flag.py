@@ -59,17 +59,13 @@ class Flag(Frozen):
     """Chain 0 = F_0 ⊆ F_1 ⊆ ... ⊆ F_n = Q^d of canonical subspaces.
 
     The flag is immutable, so :func:`flag_membership` records its last
-    verdict on it together with the nilpotent it was proved for, and
-    :func:`_max_admissible` records each meet it finds for that nilpotent
-    in the same record: (x, verdict, {k: meet}).
+    verdict on it together with the nilpotent it was proved for: (x, verdict).
     """
 
     __slots__ = ("d", "n", "spaces", "_fiber")
 
-    def __init__(self, spaces: Sequence[Subspace], n: int | None = None):
+    def __init__(self, spaces: Sequence[Subspace], n: int):
         spaces = tuple(spaces)
-        if n is None:
-            n = len(spaces) - 1
         if len(spaces) != n + 1:
             raise DimensionMismatchError(f"need n+1={n + 1} spaces, got {len(spaces)}")
         if n < 2:
@@ -163,7 +159,7 @@ def flag_membership(x: NilEndo, F: Flag) -> bool:
     if F._fiber is not None and F._fiber[0] == x:
         return F._fiber[1]
     verdict = all(contains_image(F[i - 1], x.x, F[i]) for i in range(1, F.n + 1))
-    object.__setattr__(F, "_fiber", (x, verdict, {}))
+    object.__setattr__(F, "_fiber", (x, verdict))
     return verdict
 
 
@@ -220,17 +216,12 @@ def is_hecke_pair(Fp: Flag, F: Flag, k: int) -> bool:
 
 def _max_admissible(F: Flag, x: NilEndo, k: int) -> Subspace:
     """F_{k+1} ∩ x^{-1}(F_{k-1}), the largest subspace that can stand in for
-    F_k; requires 1 <= k <= n - 1 and F in the fiber of x.  The meet is
-    recorded on F beside the fiber verdict for x, so it is found once per
-    (flag, x, k) and a meet found for one x is never read for another."""
+    F_k; requires 1 <= k <= n - 1 and F in the fiber of x, read from F's record."""
     if not 1 <= k <= F.n - 1:
         raise InvalidRankError(f"index {k} out of range")
     if not flag_membership(x, F):
         raise MembershipError("flag is not compatible with x")
-    meets = F._fiber[2]
-    if k not in meets:
-        meets[k] = intersect(F[k + 1], preimage(x.x, F[k - 1]))
-    return meets[k]
+    return intersect(F[k + 1], preimage(x.x, F[k - 1]))
 
 
 def epsilon_k_flag(F: Flag, x: NilEndo, k: int) -> int:

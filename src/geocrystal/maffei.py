@@ -29,7 +29,6 @@ from .errors import (
 )
 from .flag import (
     Flag,
-    _max_admissible,
     block_shift_x,
     composition_of,
     flag_membership,
@@ -200,8 +199,8 @@ def theta_w1_special(r: QuiverRep) -> tuple[RatMat, Flag]:
 
 
 # The per-point invariants a theta run reports by name; the other checks of
-# check_theta_point (composition, fiber, dominance, gauge, special form) fail
-# the point without naming one of these.
+# check_theta_point (fiber, dominance, gauge, special form) fail the point
+# without naming one of these.
 THETA_INVARIANTS = (
     "comm1",
     "comm2",
@@ -221,13 +220,17 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
     Each piece of exact work is done once per point: the phi maps are those
     theta's flag F was built from, epsilon_k of the point is the dimension of
     the joint kernel that the flag-subspace check and kashiwara_reduce use,
-    the flag side of the flag-subspace check is the meet F_{k+1} ∩
-    x^{-1}(F_{k-1}) that F records for flag_reduce (its quiver side still
-    comes from phi_k and the joint kernel, so a wrong meet fails the check),
-    epsilon_k of F is the multiplicity flag_reduce returns, and theta of a
-    point that kashiwara_reduce leaves unchanged (c = 0) is F itself.  At
-    epsilon_k = 1 the Hecke line is that joint kernel, so the Hecke quotient
-    is kashiwara_reduce's point, whose theta the intertwining check built."""
+    the flag side of that check is F_k of flag_reduce's flag, the meet
+    F_{k+1} ∩ x^{-1}(F_{k-1}) whatever c is (its quiver side comes from phi_k
+    and the joint kernel, so a wrong meet fails it), epsilon_k of F is the
+    multiplicity flag_reduce returns, and theta of a point that
+    kashiwara_reduce leaves unchanged (c = 0) is F itself.  At epsilon_k = 1
+    the Hecke line is that joint kernel, so the Hecke quotient is
+    kashiwara_reduce's point, whose theta the intertwining check built.  The
+    surjectivity checks decide the composition of F: dim F_k is
+    dim W^{<=k} - rank phi_k, and a_1 + ... + a_k is dim W^{<=k} - v_k.
+    flag_reduce refuses a flag outside the fiber of x: that fails its three
+    invariants."""
     failures: list[str] = []
     failed: set[str] = set()
     n = ctx.n
@@ -243,10 +246,10 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
     F, phi_list = theta_with_phi_maps(r, ctx)
     a = a_of_vw(r.v, r.w)
     hecke_cases = 0
-    if composition_of(F) != a:
-        fail(None, "composition_of(theta) != a(v,w)")
-    if not flag_membership(x, F):
+    in_fiber = flag_membership(x, F)
+    if not in_fiber:
         fail(None, "theta output not in the fiber of x")
+        failed.update(("flag-subspace", "epsilon-agreement", "reduction-intertwining"))
     if d > 0 and not dominates(jordan_type(a), hw_to_partition(r.w).conjugate()):
         fail(None, "composition type does not dominate type of x")
     phis = dict(enumerate(phi_list, 1))
@@ -264,19 +267,20 @@ def check_theta_point(r: QuiverRep, ctx: ThetaContext, rng: random.Random) -> di
             if lhs != restricted:
                 fail("comm2", f"comm2 fails at k={k}")
         kernel_k = joint_outgoing_kernel(r, k)
-        lhs_sub = embed(preimage(phis[k], kernel_k), ctx.wleq[k], d)
-        if lhs_sub != _max_admissible(F, x, k):
-            fail("flag-subspace", f"flag-subspace fails at k={k}")
         eps_pt = kernel_k.dim
         reduced, c_pt = kashiwara_reduce(r, k)
-        F_red, c_fl = flag_reduce(F, x, k)
-        if eps_pt != c_fl:
-            fail("epsilon-agreement", f"epsilon point/flag disagree at k={k}")
-        if c_pt != c_fl:
-            fail("reduction-intertwining", f"reduction multiplicities differ at k={k}")
         F_reduced = F if reduced is r else theta(reduced, ctx)
-        if F_reduced != F_red:
-            fail("reduction-intertwining", f"reduction intertwining fails at k={k}")
+        if in_fiber:
+            F_red, c_fl = flag_reduce(F, x, k)
+            lhs_sub = embed(preimage(phis[k], kernel_k), ctx.wleq[k], d)
+            if lhs_sub != F_red[k]:
+                fail("flag-subspace", f"flag-subspace fails at k={k}")
+            if eps_pt != c_fl:
+                fail("epsilon-agreement", f"epsilon point/flag disagree at k={k}")
+            if c_pt != c_fl:
+                fail("reduction-intertwining", f"reduction multiplicities differ at k={k}")
+            if F_reduced != F_red:
+                fail("reduction-intertwining", f"reduction intertwining fails at k={k}")
         if eps_pt >= 1:
             if eps_pt == 1:
                 F_q = F_reduced

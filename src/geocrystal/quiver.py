@@ -728,11 +728,12 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
     integer rows: :func:`_closure_rows` reads the leftward maps and i as
     drawn, and the rightward maps as the solve returns them, d times the
     maps, with the same images.  Only a candidate the closure finds
-    stable becomes a QuiverRep, and only that point is proved stable and in
-    Lambda (j = 0 and moment map = 0, which force B nilpotent by Lusztig's
-    theorem, see lambda_failure); the solved candidates are nearly always in
-    Lambda, so most rejections are on stability.  Every returned point is
-    proved both ways on the object.  Deep strata where rejection sampling
+    stable becomes a QuiverRep, which records that verdict: its maps are
+    nonzero multiples of the rows the closure read.  Lambda (j = 0 and
+    moment map = 0, which force B nilpotent by Lusztig's theorem, see
+    lambda_failure) is proved on the object, and holds on every candidate:
+    the solve puts the rightward maps in the kernel of mu, and zero ones kill
+    every term of mu.  Deep strata where rejection sampling
     cannot find the stable component fall through to the crystal-guided
     constructive walk.  Raises SampleExhaustedError when the locus appears
     empty.
@@ -781,7 +782,8 @@ def sample_lambda_point(v, w, seed: int) -> QuiverRep:
         # QuiverRep zero-fills the maps it is not given
         B = {**left, **_maps_over(right, d, v)}
         point = QuiverRep(n, v, w, B=B, i={k: RatMat._reduce(m, w[k - 1]) for k, m in i.items()})
-        if is_stable(point) and in_Lambda(point):
+        object.__setattr__(point, "_stable", True)
+        if in_Lambda(point):
             return point
     guided = _crystal_guided_sample(v, w, seed)
     if guided is not None:

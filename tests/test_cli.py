@@ -7,9 +7,10 @@ import pytest
 
 from geocrystal import maffei, suites
 from geocrystal.cli import main
-from geocrystal.linalg import RatMat
+from geocrystal.flag import Flag
+from geocrystal.linalg import RatMat, canonicalize, full_space, zero_space
 from geocrystal.maffei import ThetaContext
-from geocrystal.quiver import QuiverRep
+from geocrystal.quiver import QuiverRep, sample_lambda_point
 
 
 def run_cli(*args):
@@ -193,6 +194,23 @@ def test_theta_names_failed_invariant(
     payload = json.loads(capsys.readouterr().out)
     assert [k for k, ok in payload["invariants"].items() if not ok] == [invariant]
     assert payload["failures"]
+
+
+def test_theta_fails_a_flag_outside_the_fiber(monkeypatch, capsys, tmp_path):
+    # a theta flag outside the fiber of x cannot be reduced: the report
+    # still comes out, with the invariants that read flag_reduce false
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(sample_lambda_point((1, 1), (1, 1), 3).to_json()))
+    build = maffei.theta_with_phi_maps
+    # x maps the last coordinate to the middle one, so F_1 is outside ker x
+    line, plane = canonicalize([(0, 0, 1)], 3), canonicalize([(1, 0, 0), (0, 0, 1)], 3)
+    outside = Flag([zero_space(3), line, plane, full_space(3)], 3)
+    monkeypatch.setattr(maffei, "theta_with_phi_maps", lambda r, ctx: (outside, build(r, ctx)[1]))
+    assert main(["theta", "--input", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flag_membership"] is False and payload["pass"] is False
+    for name in ("flag-subspace", "epsilon-agreement", "reduction-intertwining"):
+        assert payload["invariants"][name] is False
 
 
 def test_crystal_dot(tmp_path):

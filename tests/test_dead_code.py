@@ -256,3 +256,17 @@ def test_no_unreferenced_definitions():
     unreferenced = {name: where for name, where in defined.items() if name not in referenced}
     assert sorted(set(unreferenced) - set(KEPT)) == [], unreferenced
     assert sorted(set(KEPT) - set(defined) - set(_methods(src))) == []
+
+
+def test_only_linalg_and_errors_lend_private_names():
+    # an underscore name stays in its module, except linalg's integer
+    # kernels and JSON readers and errors' failure recorder
+    lent = {
+        (node.module, alias.name, path.name)
+        for path, tree in _modules("src/geocrystal/*.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert lent and {module for module, *_ in lent} == {"linalg", "errors"}, lent

@@ -175,23 +175,23 @@ def test_flag_reduce():
     assert c4 == 2 and F4[1].is_full()
 
 
-def test_meet_recorded_for_one_x_is_not_read_for_another():
+def test_fiber_verdict_for_one_x_is_not_read_for_another():
     x, _ = block_shift_x((1, 1))
     zero = NilEndo(RatMat.zeros(3, 3), 3)
     F = flag_of(3, 3, [(1, -1, 0)], [(1, 0, 0), (0, 1, 0)])
     # F_3 ∩ x^-1(F_1) is F_2 for x, but all of Q^3 for zero
     for nil, eps in ((x, 0), (zero, 1), (x, 0), (zero, 1)):
         assert epsilon_k_flag(F, nil, 2) == eps
-        assert F._fiber[0] == nil and set(F._fiber[2]) == {2}
+        assert F._fiber == (nil, True)
         fresh = flag_of(3, 3, [(1, -1, 0)], [(1, 0, 0), (0, 1, 0)])
         assert flag_reduce(F, nil, 2) == flag_reduce(fresh, nil, 2)
 
 
-def test_recorded_meets_survive_copy_deepcopy_and_pickle():
+def test_recorded_fiber_verdict_survives_copy_deepcopy_and_pickle():
     x, _ = block_shift_x((1, 1))
     F = flag_of(3, 3, [(1, -1, 0)], [(1, 0, 0), (0, 1, 0)])
     reduced = [flag_reduce(F, x, k) for k in (1, 2)]
-    assert F._fiber[0] == x and set(F._fiber[2]) == {1, 2}
+    assert F._fiber == (x, True)
     for twin in (
         copy.copy(F),
         copy.deepcopy(F),
@@ -201,7 +201,7 @@ def test_recorded_meets_survive_copy_deepcopy_and_pickle():
         assert twin == F and twin._fiber == F._fiber
         assert [flag_reduce(twin, x, k) for k in (1, 2)] == reduced
         zero = NilEndo(RatMat.zeros(3, 3), 3)
-        assert epsilon_k_flag(twin, zero, 2) == 1 and twin._fiber[0] == zero
+        assert epsilon_k_flag(twin, zero, 2) == 1 and twin._fiber == (zero, True)
 
 
 def test_jordan_dominance_on_fibers():

@@ -2,13 +2,14 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from geocrystal import maffei
-from geocrystal.cartan import HighestWeight
+from geocrystal.cartan import HighestWeight, a_of_vw
 from geocrystal.errors import IncompatibleError, InvalidRankError, LambdaPreconditionError
-from geocrystal.flag import composition_of, flag_membership
+from geocrystal.flag import Flag, composition_of, flag_membership
 from geocrystal.linalg import RatMat, canonicalize, full_space, kernel, zero_space
 from geocrystal.maffei import ThetaContext, phi_maps, theta, theta_w1_special
 from geocrystal.quiver import (
@@ -257,7 +258,6 @@ _V10 = QuiverRep(3, (1, 0), (2, 0), i={1: RatMat([[1, 0]])})
 @pytest.mark.parametrize(
     "target, replacement, message",
     [
-        ("composition_of", lambda F: None, "composition_of(theta) != a(v,w)"),
         ("flag_membership", lambda x, F: False, "theta output not in the fiber of x"),
         ("dominates", lambda *args: False, "composition type does not dominate type of x"),
         ("apply_gauge", lambda r, g: _V10, "theta is not gauge invariant"),
@@ -266,14 +266,62 @@ _V10 = QuiverRep(3, (1, 0), (2, 0), i={1: RatMat([[1, 0]])})
 )
 def test_unnamed_checks_fail_the_point(monkeypatch, target, replacement, message):
     # each check outside THETA_INVARIANTS fails the point on its own and
-    # names no invariant; the v = 0 point has no Hecke case, so
-    # composition_of is read only on theta's flag
+    # names no invariant, except that a flag outside the fiber also fails
+    # the three invariants that read flag_reduce, which it cannot run; the
+    # v = 0 point has no Hecke case
     monkeypatch.setattr(maffei, target, replacement)
     zero = QuiverRep(3, (0, 0), (2, 0))
     result = check_theta_point(zero, ThetaContext((2, 0)), random.Random(0))
     assert result["failures"] == [f"(n=3, v=(0, 0), w=(2, 0)): {message}"]
-    assert result["failed_invariants"] == set()
+    flag_side = {"flag-subspace", "epsilon-agreement", "reduction-intertwining"}
+    assert result["failed_invariants"] == (flag_side if target == "flag_membership" else set())
     assert result["hecke_cases"] == 0
+
+
+def _outside_fiber():
+    """A flag of Q^3 outside the fiber of block_shift_x((1, 1)), which maps
+    the last coordinate to the middle one: F_1 is that last line."""
+    line, plane = canonicalize([(0, 0, 1)], 3), canonicalize([(1, 0, 0), (0, 0, 1)], 3)
+    return Flag([zero_space(3), line, plane, full_space(3)], 3)
+
+
+@pytest.mark.parametrize("v", [(1, 0), (1, 1), (2, 2)])
+def test_flag_outside_the_fiber_fails_the_point(monkeypatch, v):
+    # flag_reduce refuses a flag outside the fiber, so the check must report
+    # the invariants that read it as failed instead of raising; only theta of
+    # the checked point is replaced
+    r = sample_lambda_point(v, (1, 1), 3)
+    build = maffei.theta_with_phi_maps
+
+    def corrupt(point, context):
+        F, phis = build(point, context)
+        return (_outside_fiber() if point is r else F), phis
+
+    monkeypatch.setattr(maffei, "theta_with_phi_maps", corrupt)
+    result = check_theta_point(r, ThetaContext((1, 1)), random.Random(0))
+    assert not flag_membership(ThetaContext((1, 1)).x, result["flag"])
+    assert f"(n=3, v={v}, w=(1, 1)): theta output not in the fiber of x" in result["failures"]
+    assert {"flag-subspace", "epsilon-agreement", "reduction-intertwining"} <= result[
+        "failed_invariants"
+    ]
+
+
+def test_composition_of_theta_is_decided_by_surjectivity():
+    # dim F_k = dim W^{<=k} - rank phi_k, so the composition of theta's flag
+    # is a(v, w) exactly when every rank phi_k is v_k, because the parts of
+    # a(v, w) up to k sum to dim W^{<=k} - v_k
+    checked = 0
+    for n in range(2, 7):
+        for w in product(range(3), repeat=n - 1):
+            if HighestWeight(w).level_d > 8:
+                continue
+            wleq = ThetaContext(w).wleq
+            for v in valid_dimvecs(w):
+                a = a_of_vw(v, w)
+                for k in range(1, n):
+                    assert sum(a[:k]) == len(wleq[k]) - v[k - 1]
+                    checked += 1
+    assert checked == 55699
 
 
 def test_full_point_check_on_samples(p0):
@@ -334,31 +382,51 @@ def test_check_theta_point_elimination_count(monkeypatch):
     assert len(calls) <= BOUND
 
 
-def test_corrupted_recorded_meet_fails_flag_subspace(monkeypatch):
-    # the flag side of the flag-subspace check is the meet F records for
-    # flag_reduce, so a wrong record must be caught by the quiver side; the
-    # wrong meet still lies between F_1 and F_2, so flag_reduce can use it
-    from geocrystal import maffei
-    from geocrystal.flag import _max_admissible
+def test_check_theta_point_membership_count(monkeypatch):
+    # A deterministic guard: the fiber of theta's flag is proved once, n
+    # containments, and read once by the check and once by each flag_reduce.
+    from geocrystal import flag
 
+    r, ctx = _guard_point()
+    reads, proofs = [], []
+    membership, contains = flag.flag_membership, flag.contains_image
+
+    def read(x, F):
+        reads.append(F)
+        return membership(x, F)
+
+    def prove(*args):
+        proofs.append(args)
+        return contains(*args)
+
+    monkeypatch.setattr(flag, "flag_membership", read)
+    monkeypatch.setattr(maffei, "flag_membership", read)
+    monkeypatch.setattr(flag, "contains_image", prove)
+    assert check_theta_point(r, ctx, random.Random(0))["failures"] == []
+    assert (len(reads), len(proofs)) == (5, 5) == (ctx.n, ctx.n)
+
+
+def test_corrupted_recorded_meet_fails_flag_subspace(monkeypatch):
+    # the flag side of the flag-subspace check is F_1 of the flag that
+    # flag_reduce returns, the meet F_2 ∩ x^-1(F_0), so a wrong meet there
+    # must be caught by the quiver side; the wrong meet still lies between
+    # F_0 and F_2, so it makes a flag
     r, ctx = _guard_point()
     assert check_theta_point(r, ctx, random.Random(0))["failed_invariants"] == set()
-    build = maffei.theta_with_phi_maps
+    reduce = maffei.flag_reduce
     corrupted = []
 
-    def corrupt(point, context):
-        F, phis = build(point, context)
-        if not corrupted:
-            meet = _max_admissible(F, context.x, 1)
-            wrong = F[2] if meet == F[1] else F[1]
-            assert wrong != meet
-            F._fiber[2][1] = wrong
-            corrupted.append(F)
-        return F, phis
+    def corrupt(F, x, k):
+        F_red, c = reduce(F, x, k)
+        if k == 1 and not corrupted:
+            wrong = F[2] if F_red[1] == F[1] else F[1]
+            assert wrong != F_red[1]
+            F_red = Flag([F_red[0], wrong, *F_red.spaces[2:]], F.n)
+            corrupted.append(F_red)
+        return F_red, c
 
-    monkeypatch.setattr(maffei, "theta_with_phi_maps", corrupt)
+    monkeypatch.setattr(maffei, "flag_reduce", corrupt)
     r, ctx = _guard_point()
     result = check_theta_point(r, ctx, random.Random(0))
-    assert corrupted and result["flag"] is corrupted[0]
-    assert "flag-subspace" in result["failed_invariants"]
+    assert corrupted and "flag-subspace" in result["failed_invariants"]
     assert any("flag-subspace fails at k=1" in f for f in result["failures"])

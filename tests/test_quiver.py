@@ -618,6 +618,15 @@ def test_sampler_proves_lambda_only_on_stable_candidates(monkeypatch):
     assert all(verdicts.get(candidate) == {True} for candidate in proved_in_lambda)
 
 
+def test_sampler_closure_count(monkeypatch):
+    # A deterministic guard on the sampler's exact work: one closure per
+    # candidate that passes the rank bound, and none again for the point it
+    # accepts, whose stability verdict is the closure's.
+    calls = _watch_closure(monkeypatch)
+    r = sample_lambda_point((1, 2, 2, 1), (0, 1, 1, 0), 7)
+    assert r._stable is True and len(calls) == 10
+
+
 def _sampler_left(rng, v):
     """Leftward maps drawn as sample_lambda_point draws them: each edge zero,
     rank one or dense, by a draw from rng."""

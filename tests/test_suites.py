@@ -316,23 +316,26 @@ def test_theta_point_reports_unchanged():
 
 def _failed_with_flag_reduce(monkeypatch, patched):
     """For each point, the failed invariants when flag_reduce returns
-    patched((F_red, c)) of the real (F_red, c), and whether patched changed
-    any of its results."""
+    patched((F_red, c)) of the real (F_red, c), whether patched changed any
+    of its results, and whether it changed F_k of any of its flags."""
     real = maffei.flag_reduce
     changed = []
+    moved = []
 
     def flag_reduce(F, x, k):
         out = real(F, x, k)
         new = patched(out)
         changed[-1] |= new != out
+        moved[-1] |= new[0][k] != out[0][k]
         return new
 
     monkeypatch.setattr(maffei, "flag_reduce", flag_reduce)
     out = []
     for r, ctx, seed in _acceptance_points(3):
         changed.append(False)
+        moved.append(False)
         report = suites.check_theta_point(r, ctx, random.Random(seed))
-        out.append((report["failed_invariants"], changed[-1]))
+        out.append((report["failed_invariants"], changed[-1], moved[-1]))
     return out
 
 
@@ -340,8 +343,8 @@ def test_epsilon_of_flag_is_the_reduction_multiplicity(monkeypatch):
     # epsilon_k of the flag is read from flag_reduce: a wrong multiplicity
     # fails both invariants that use it, and nothing else
     results = _failed_with_flag_reduce(monkeypatch, lambda out: (out[0], out[1] + 1))
-    assert all(changed for _, changed in results)
-    assert all(failed == {"epsilon-agreement", "reduction-intertwining"} for failed, _ in results)
+    assert all(changed and not moved for _, changed, moved in results)
+    assert all(failed == {"epsilon-agreement", "reduction-intertwining"} for failed, *_ in results)
 
 
 def _other_flag(F):
@@ -355,13 +358,16 @@ def _other_flag(F):
 def test_unreduced_point_is_checked_against_flag_reduce(monkeypatch):
     # where kashiwara_reduce leaves the point as it is (c = 0), theta of the
     # reduction is theta's own flag; a flag_reduce that returns another flag
-    # there must still fail the intertwining
+    # there must still fail the intertwining, and where it moves F_k, the
+    # flag-subspace check, which reads F_k of flag_reduce's flag
     results = _failed_with_flag_reduce(
         monkeypatch, lambda out: out if out[1] else (_other_flag(out[0]), 0)
     )
-    assert sum(changed for _, changed in results) >= 20
-    for failed, changed in results:
-        assert failed == ({"reduction-intertwining"} if changed else set())
+    assert sum(changed for _, changed, _ in results) >= 20
+    assert sum(moved for *_, moved in results) >= 15
+    for failed, changed, moved in results:
+        expected = {"flag-subspace"} if moved else set()
+        assert failed == (expected | {"reduction-intertwining"} if changed else set())
 
 
 def test_suite_maffei_records_point_failures(monkeypatch):
